@@ -270,6 +270,4 @@ def constrained_ess(red: DiagonalReduction, con: Constraint) -> EssResult:
         if lo < m_star < hi:
             points.append(EssPoint(m_star, EssKind.INTERIOR))
     points.sort(key=lambda p: p.m)
-    for p in points:
-        assert constrained_best_response(red, con, p.m).contains(p.m)
     return EssResult(points=tuple(points), exists=bool(points))

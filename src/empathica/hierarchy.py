@@ -9,6 +9,7 @@ matrix itself.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,6 +28,23 @@ from .games import (
 _DIVERGENCE_GUARD = 1e12
 _EPS_FIT_RESIDUAL = 1e-9
 _CAUCHY_TOL = 1e-12
+
+
+def _powers(lam: EmpathyMatrix, k_max: int) -> Iterator[EmpathyMatrix]:
+    """Yield lam^1 ... lam^k_max, each as ``lam @ lam^(k-1)``.
+
+    A power is built only when the consumer asks for it, so a walk that stops
+    early never forms a later, possibly overflowing, product.
+    """
+    cur = lam
+    yield cur
+    for _ in range(1, k_max):
+        cur = lam @ cur
+        yield cur
+
+
+def _overflows(m: EmpathyMatrix) -> bool:
+    return max(abs(e) for e in m.entries()) > _DIVERGENCE_GUARD
 
 
 def default_battery() -> list[Game2x2]:
@@ -105,10 +123,10 @@ def spectral_limit(lam: EmpathyMatrix, k_max: int) -> SpectralRecord:
         return SpectralRecord(ev, rho, LimitKind.ZERO, EmpathyMatrix(0.0, 0.0, 0.0, 0.0))
     if rho > 1.0 + 1e-12:
         return SpectralRecord(ev, rho, LimitKind.DIVERGES, None)
-    prev = lam
-    for _ in range(2, k_max + 1):
-        cur = lam @ prev
-        if max(abs(e) for e in cur.entries()) > _DIVERGENCE_GUARD:
+    powers = _powers(lam, k_max)
+    prev = next(powers)
+    for cur in powers:
+        if _overflows(cur):
             return SpectralRecord(ev, rho, LimitKind.DIVERGES, None)
         diff = max(abs(a - b) for a, b in zip(cur.entries(), prev.entries()))
         if diff < _CAUCHY_TOL:
@@ -129,16 +147,17 @@ def structural_epsilons(lam: EmpathyMatrix, k_max: int) -> tuple[float, ...] | N
     if den == 0.0:
         return None
     eps: list[float] = []
-    cur = lam
-    for _ in range(1, k_max + 1):
+    # lam^(k_max+1) is formed only for the overflow guard.
+    for k, cur in enumerate(_powers(lam, k_max + 1), 1):
+        if k > 1 and _overflows(cur):
+            return None
+        if k > k_max:
+            break
         fit = sum(c * b for c, b in zip(cur.entries(), base)) / den
         residual = max(abs(c - fit * b) for c, b in zip(cur.entries(), base))
         if residual >= _EPS_FIT_RESIDUAL or fit <= 0.0:
             return None
         eps.append(fit)
-        cur = lam @ cur
-        if max(abs(e) for e in cur.entries()) > _DIVERGENCE_GUARD:
-            return None
     return tuple(eps)
 
 
@@ -177,8 +196,10 @@ def check_consistency(
     against the level-1 game over a battery of probe games, and additionally
     run the game-independent structural test lam^k = eps_k * lam.
 
-    The witness is the earliest offending level; ties are broken by battery
-    order, so the verdict is deterministic however the games are evaluated.
+    The matrix powers are walked once, level by level, and every battery game
+    is probed at each level in battery order; the walk stops at the first
+    mismatch, so the witness is the earliest offending level and, within it,
+    the first offending game.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
@@ -186,40 +207,27 @@ def check_consistency(
     if not games:
         raise ValueError("battery must be non-empty")
 
-    best: tuple[int, int, str, str] | None = None  # (k, index, sig1, sig_k)
-    for idx, g in enumerate(games):
-        sig1 = equilibrium_signature(transform(g, lam))
-        lam_k = lam
-        for k in range(2, k_max + 1):
-            lam_k = lam @ lam_k
-            if max(abs(e) for e in lam_k.entries()) > _DIVERGENCE_GUARD:
-                break
-            sig_k = equilibrium_signature(transform(g, lam_k))
-            if sig_k != sig1:
-                if best is None or (k, idx) < best[:2]:
-                    best = (k, idx, sig1, sig_k)
-                break
+    sig1 = [equilibrium_signature(transform(g, lam)) for g in games]
+    witness: tuple[int, int, str] | None = None  # (k, battery index, sig_k)
+    powers = _powers(lam, k_max)
+    next(powers)  # level 1 is the reference
+    for k, lam_k in enumerate(powers, 2):
+        if _overflows(lam_k):
+            break
+        sigs = (equilibrium_signature(transform(g, lam_k)) for g in games)
+        witness = next(((k, i, sig) for i, sig in enumerate(sigs) if sig != sig1[i]), None)
+        if witness is not None:
+            break
 
     eps = structural_epsilons(lam, k_max)
-    if best is not None:
-        k, idx, sig1, sig_k = best
-        return ConsistencyVerdict(
-            k_max=k_max,
-            consistent_up_to_k=False,
-            first_bad_k=k,
-            witness_index=idx,
-            witness=games[idx],
-            witness_signatures=(sig1, sig_k),
-            structurally_consistent=eps is not None,
-            epsilons=eps,
-        )
+    k, idx, sig_k = witness or (None, None, None)
     return ConsistencyVerdict(
         k_max=k_max,
-        consistent_up_to_k=True,
-        first_bad_k=None,
-        witness_index=None,
-        witness=None,
-        witness_signatures=None,
+        consistent_up_to_k=witness is None,
+        first_bad_k=k,
+        witness_index=idx,
+        witness=None if idx is None else games[idx],
+        witness_signatures=None if idx is None else (sig1[idx], sig_k),
         structurally_consistent=eps is not None,
         epsilons=eps,
     )
@@ -241,13 +249,10 @@ def analyze_hierarchy(g: Game2x2, lam: EmpathyMatrix, k_max: int) -> HierarchyAn
     weight matrix and equilibrium signature at each level."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    levels = []
-    lam_k = lam
-    for k in range(1, k_max + 1):
-        levels.append(
-            LevelRecord(k=k, lam_k=lam_k, signature=equilibrium_signature(transform(g, lam_k)))
-        )
-        lam_k = lam @ lam_k
+    levels = [
+        LevelRecord(k=k, lam_k=lam_k, signature=equilibrium_signature(transform(g, lam_k)))
+        for k, lam_k in enumerate(_powers(lam, k_max), 1)
+    ]
     consistent = all(rec.signature == levels[0].signature for rec in levels)
     return HierarchyAnalysis(
         lam=lam,
@@ -292,14 +297,6 @@ def consistent_family(epsilon: float, y: float) -> list[EmpathyMatrix]:
             pairs.append((roots[1], roots[0]))
         for d1, d2 in pairs:
             out.append(EmpathyMatrix(d1, l12, l21, d2))
-
-    scale = max(1.0, abs(epsilon), abs(y))
-    for lam in out:
-        sq = lam @ lam
-        residual = max(
-            abs(a - epsilon * b) for a, b in zip(sq.entries(), lam.entries())
-        )
-        assert residual <= 1e-10 * scale, f"family construction failed for {lam}"
     return out
 
 

@@ -251,6 +251,12 @@ class TestHierarchyCommand:
         assert verdict["verdict"] == "Inconsistent"
         assert verdict["first_bad_k"] == 2
 
+    def test_deepest_finite_level(self, tmp_path):
+        out = tmp_path / "h.csv"
+        assert run("hierarchy", "--input", "matching_pennies", "--lambda", "10", "0", "0", "10",
+                   "--kmax", "308", "--out", str(out)) == 0
+        assert len(out.read_text().splitlines()) == 1 + 308
+
 
 class TestCanonicalJson:
     def test_sorted_keys_and_newline(self):

@@ -122,6 +122,21 @@ class TestStep:
                     assert step(s, proto, sched, g) == s
                 checked += 1
 
+    def test_replays_simulate_exactly(self, pd):
+        # step runs simulate's kernel, so every recorded transition replays
+        # bit for bit, including a hybrid's weighting and the rate cap
+        # (binding at rate 25).
+        protos = ALL_PROTOS + (RevisionProtocol.parse("hybrid:replicator=0.7,imitation=0.2"),)
+        for proto in protos:
+            for sched in (LearningSchedule.constant(0.05), LearningSchedule.constant(25.0),
+                          LearningSchedule.harmonic(0.5)):
+                traj = simulate(PopulationState(0.9, 0.8), proto, sched, pd, steps=200,
+                                detect_cycles=False)
+                for t in range(len(traj) - 1):
+                    s = PopulationState(traj.p1[t], traj.p2[t])
+                    nxt = step(s, proto, sched, pd, t)
+                    assert (nxt.p1, nxt.p2) == (traj.p1[t + 1], traj.p2[t + 1]), (proto, sched, t)
+
     def test_harmonic_schedule_decays(self):
         sched = LearningSchedule.harmonic(0.5)
         assert sched.rate(0) == 0.5

@@ -226,4 +226,4 @@ class TestConstrainedEss:
             for a, b in zip(got, oracle):
                 assert a == pytest.approx(b, abs=5e-3)
             for p in res.points:
-                assert constrained_best_response(red, con, p.m).contains(p.m, tol=1e-12)
+                assert constrained_best_response(red, con, p.m).contains(p.m)

@@ -9,12 +9,16 @@ from empathica import (
     Game2x2,
     LimitKind,
     analyze_hierarchy,
+    anti_coordination_game,
     check_consistency,
     consistent_family,
+    coordination_game,
     default_battery,
     equilibrium_signature,
     infinitely_consistent,
     level_game,
+    matching_pennies,
+    prisoners_dilemma,
     spectral_limit,
     structural_epsilons,
     transform,
@@ -98,6 +102,16 @@ class TestCheckConsistency:
         verdict = check_consistency(infinitely_consistent(0.5, 0.25), k_max=10)
         assert verdict.consistent_up_to_k
         assert verdict.structurally_consistent
+
+    def test_witness_is_the_earliest_level_then_battery_order(self):
+        # The first two games break at k=6 and the last two at k=2, so the
+        # witness is the first game that breaks at level 2.
+        battery = [prisoners_dilemma(), anti_coordination_game(), matching_pennies(),
+                   coordination_game()]
+        verdict = check_consistency(EmpathyMatrix(1.0, 0.5, -0.5, 1.0), 8, battery)
+        assert verdict.first_bad_k == 2
+        assert verdict.witness_index == 2
+        assert verdict.witness == battery[2]
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -268,6 +282,14 @@ class TestAnalyzeHierarchy:
         for rec in analysis.levels:
             assert max_diff(rec.lam_k, lam.power(rec.k)) < 1e-12
         assert analysis.consistent_up_to_k
+
+    def test_last_finite_level_is_reported(self, mp):
+        # Every power up to lam^308 is finite and lam^309 overflows; the walk
+        # must not form a power beyond the last level it reports.
+        lam = EmpathyMatrix(10.0, 0.0, 0.0, 10.0)
+        analysis = analyze_hierarchy(mp, lam, k_max=308)
+        assert len(analysis.levels) == 308
+        assert analysis.levels[-1].lam_k == lam.power(308)
 
     def test_sign_flip_breaks_signature(self, pd):
         analysis = analyze_hierarchy(pd, ones(-0.8), k_max=4)
