@@ -67,19 +67,48 @@ class EquilibriumSet:
         return bool(self.mixed) or bool(self.mixed_continua) or self.mixed_degenerate
 
 
+def _best_responses(d1: float, d2: float) -> tuple[tuple[bool, bool], tuple[bool, bool]]:
+    """One player's weak best responses, from its two payoff differences.
+
+    ``d1`` is the player's gain from action 1 over action 2 when the opponent
+    plays action 1, ``d2`` its gain from action 2 over action 1 when the
+    opponent plays action 2.  Entry ``[own - 1][opp - 1]`` is True when action
+    ``own`` is a weak best response to the opponent's action ``opp``.  For
+    finite payoffs the sign of a float difference is the sign of the exact
+    one, so this agrees with comparing the payoffs themselves.
+    """
+    return ((d1 >= 0.0, d2 <= 0.0), (d1 <= 0.0, d2 >= 0.0))
+
+
+def _interior_root(d1: float, d2: float) -> float | None:
+    """The opponent's probability of action 1 at which a player with payoff
+    differences ``d1``, ``d2`` (as in ``_best_responses``) is indifferent,
+    when it lies strictly inside (0, 1); otherwise None."""
+    if d1 * d2 > 0.0:
+        root = d2 / (d1 + d2)
+        if 0.0 < root < 1.0:
+            return root
+    return None
+
+
+def _differences(g: Game2x2) -> tuple[float, float, float, float]:
+    """The row player's (d1, d2) followed by the column player's."""
+    return (g.a11 - g.a21, g.a22 - g.a12, g.b11 - g.b12, g.b22 - g.b21)
+
+
 def pure_nash(g: Game2x2) -> list[PureEquilibrium]:
     """Joint actions where no player gains by a unilateral deviation.
 
     Weak equilibria (deviation ties) are included with ``strict=False``.
     """
+    alpha1, alpha2, gamma1, gamma2 = _differences(g)
+    row = _best_responses(alpha1, alpha2)
+    col = _best_responses(gamma1, gamma2)
     out = []
     for (i, j) in CELLS:
-        oi = 3 - i
-        oj = 3 - j
-        row_ok = g.a(i, j) >= g.a(oi, j)
-        col_ok = g.b(i, j) >= g.b(i, oj)
-        if row_ok and col_ok:
-            strict = g.a(i, j) > g.a(oi, j) and g.b(i, j) > g.b(i, oj)
+        if row[i - 1][j - 1] and col[j - 1][i - 1]:
+            # Strict when neither deviation is a best response as well.
+            strict = not row[2 - i][j - 1] and not col[2 - j][i - 1]
             out.append(PureEquilibrium(cell=(i, j), strict=strict))
     return out
 
@@ -98,11 +127,7 @@ def mixed_nash(g: Game2x2) -> MixedNashResult:
     A player whose two payoff differences both vanish is indifferent
     everywhere, producing equilibrium continua instead of points.
     """
-    alpha1 = g.a11 - g.a21
-    alpha2 = g.a22 - g.a12
-    gamma1 = g.b11 - g.b12
-    gamma2 = g.b22 - g.b21
-
+    alpha1, alpha2, gamma1, gamma2 = _differences(g)
     row_flat = alpha1 == 0.0 and alpha2 == 0.0
     col_flat = gamma1 == 0.0 and gamma2 == 0.0
 
@@ -152,13 +177,11 @@ def mixed_nash(g: Game2x2) -> MixedNashResult:
                 continua.append(_segment(x_fixed, 0.0, x_fixed, 1.0))
         return MixedNashResult(points=(), continua=tuple(continua))
 
-    points = []
-    if alpha1 * alpha2 > 0.0 and gamma1 * gamma2 > 0.0:
-        y_star = alpha2 / (alpha1 + alpha2)
-        x_star = gamma2 / (gamma1 + gamma2)
-        if 0.0 < x_star < 1.0 and 0.0 < y_star < 1.0:
-            points.append(MixedProfile(x=x_star, y=y_star))
-    return MixedNashResult(points=tuple(points))
+    y_star = _interior_root(alpha1, alpha2)
+    x_star = _interior_root(gamma1, gamma2)
+    if x_star is None or y_star is None:
+        return MixedNashResult(points=())
+    return MixedNashResult(points=(MixedProfile(x=x_star, y=y_star),))
 
 
 def berge_solutions(g: Game2x2) -> list[Cell]:
@@ -234,8 +257,12 @@ def outcome_label(eqs: EquilibriumSet) -> str:
     by '+', with a trailing 'mixed' token when any interior mixed equilibrium
     or continuum is present, e.g. "22", "11+22+mixed", "mixed".
     """
-    parts = [f"{i}{j}" for (i, j) in sorted(eqs.pure_cells())]
-    if eqs.has_mixed:
+    return _label(eqs.pure_cells(), eqs.has_mixed)
+
+
+def _label(cells, mixed: bool) -> str:
+    parts = [f"{i}{j}" for (i, j) in sorted(cells)]
+    if mixed:
         parts.append("mixed")
     return "+".join(parts) if parts else "none"
 
@@ -272,6 +299,26 @@ def _linspace(lo: float, hi: float, n: int) -> tuple[float, ...]:
     return tuple(lo + k * step for k in range(n))
 
 
+_Facts = tuple[frozenset[Cell], bool, bool]
+
+
+def _player_facts(gp: Game2x2, column: bool) -> _Facts:
+    """What ``outcome_label`` reads of one player of a transformed game: the
+    cells where it best responds, whether it is indifferent everywhere (which
+    makes some mixed profile an equilibrium), and whether it has an interior
+    indifference point."""
+    alpha1, alpha2, gamma1, gamma2 = _differences(gp)
+    d1, d2 = (gamma1, gamma2) if column else (alpha1, alpha2)
+    br = _best_responses(d1, d2)
+    cells = frozenset(
+        (opp, own) if column else (own, opp)
+        for own in (1, 2)
+        for opp in (1, 2)
+        if br[own - 1][opp - 1]
+    )
+    return (cells, d1 == 0.0 and d2 == 0.0, _interior_root(d1, d2) is not None)
+
+
 def region_map(
     g: Game2x2,
     l12_range: tuple[float, float],
@@ -283,8 +330,13 @@ def region_map(
     """Sweep the two cross-empathy weights over a grid and label each cell
     with the equilibrium outcome of the transformed game.
 
-    Cells are independent, so the sweep is embarrassingly parallel; this
-    implementation evaluates them in a fixed order and is deterministic.
+    The row player's transformed payoffs depend only on (l11, l12) and the
+    column player's only on (l22, l21), and ``outcome_label`` reads three
+    facts per player: its weak best responses, whether it is indifferent
+    everywhere, and whether it has an interior indifference point.  So the
+    sweep makes n row solves and n column solves, then fills the n^2 cells by
+    lookup; each label equals ``outcome_label(two_population_equilibria(g,
+    EmpathyMatrix(l11, l12, l21, l22)))`` exactly.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -293,11 +345,30 @@ def region_map(
             raise ValueError("ranges must satisfy lo < hi")
     l12s = _linspace(float(l12_range[0]), float(l12_range[1]), resolution)
     l21s = _linspace(float(l21_range[0]), float(l21_range[1]), resolution)
-    rows = []
-    for l21 in l21s:
-        row = []
-        for l12 in l12s:
-            lam = EmpathyMatrix(l11, l12, l21, l22)
-            row.append(outcome_label(two_population_equilibria(g, lam)))
-        rows.append(tuple(row))
-    return RegionMap(l12_values=l12s, l21_values=l21s, labels=tuple(rows))
+    # Each solve transforms the game at one grid cell, pairing its value with
+    # the first value of the other axis, so an invalid weight or an
+    # overflowing payoff raises at the same cell, with the same message, as a
+    # row-major walk of every cell would.
+    row_facts = [
+        _player_facts(transform(g, EmpathyMatrix(l11, l12, l21s[0], l22)), column=False)
+        for l12 in l12s
+    ]
+    col_facts = [
+        _player_facts(transform(g, EmpathyMatrix(l11, l12s[0], l21, l22)), column=True)
+        for l21 in l21s
+    ]
+    # A label depends only on the (row facts, column facts) pair, so each
+    # distinct pair is labelled once, and a row of the map depends only on
+    # its column facts.
+    rows: dict[_Facts, tuple[str, ...]] = {}
+    for c_cells, c_flat, c_root in set(col_facts):
+        by_row = {
+            (r_cells, r_flat, r_root): _label(
+                r_cells & c_cells, r_flat or c_flat or (r_root and c_root)
+            )
+            for r_cells, r_flat, r_root in set(row_facts)
+        }
+        rows[c_cells, c_flat, c_root] = tuple(by_row[rf] for rf in row_facts)
+    return RegionMap(
+        l12_values=l12s, l21_values=l21s, labels=tuple(rows[cf] for cf in col_facts)
+    )

@@ -42,10 +42,17 @@ def resolve_input(name_or_path: str) -> Path:
     raise GameFileError(f"no such game file or fixture: {name_or_path}")
 
 
+def _number(value) -> float:
+    # float(True) is 1.0, but a JSON boolean is not a number.
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _matrix(obj, key: str) -> list[list[float]]:
     try:
         rows = obj[key]
-        out = [[float(rows[i][j]) for j in range(2)] for i in range(2)]
+        out = [[_number(rows[i][j]) for j in range(2)] for i in range(2)]
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise GameFileError(f"field {key!r} must be a 2x2 numeric matrix") from exc
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
@@ -67,12 +74,9 @@ def load_game_file(path: str | Path) -> tuple[Game2x2, EmpathyMatrix]:
         raise GameFileError("game file must be a JSON object")
     a = _matrix(obj, "A")
     b = _matrix(obj, "B")
-    if "Lambda" in obj:
-        lam_rows = _matrix(obj, "Lambda")
-        lam = EmpathyMatrix.from_rows(lam_rows)
-    else:
-        lam = EmpathyMatrix.identity()
+    lam_rows = _matrix(obj, "Lambda") if "Lambda" in obj else [[1.0, 0.0], [0.0, 1.0]]
     try:
+        lam = EmpathyMatrix.from_rows(lam_rows)
         game = Game2x2.from_matrices(a, b)
     except ValueError as exc:
         raise GameFileError(str(exc)) from exc
@@ -121,9 +125,12 @@ def vector_field_csv(field: VectorField) -> str:
 
 
 def region_csv(rmap: RegionMap) -> str:
+    """Rows in ``rmap.rows()`` order; each axis value is formatted once."""
+    l12s = [_f(l12) for l12 in rmap.l12_values]
     lines = ["l12,l21,label"]
-    for l12, l21, label in rmap.rows():
-        lines.append(f"{_f(l12)},{_f(l21)},{label}")
+    for l21, labels in zip(rmap.l21_values, rmap.labels):
+        l21_text = _f(l21)
+        lines.extend(f"{l12},{l21_text},{label}" for l12, label in zip(l12s, labels))
     return "\n".join(lines) + "\n"
 
 

@@ -75,6 +75,41 @@ class TestExitCodes:
         code = run("sweep", "--input", "pd", "--grid", "1", "--out", str(out))
         assert code == 2
 
+    def test_non_finite_lambda_is_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"A": [[3,0],[5,1]], "B": [[3,5],[0,1]], "Lambda": [[1,0],[0,1e999]]}')
+        assert run("solve", "--input", str(bad)) == 1
+        assert "l22 must be a finite real number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"A": [[true, 0], [5, 1]], "B": [[3,5],[0,1]]}',
+            '{"A": [[3,0],[5,1]], "B": [[3,5],[0,1]], "Lambda": [[1,false],[0,1]]}',
+        ],
+    )
+    def test_boolean_entry_is_exit_1(self, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        with pytest.raises(GameFileError):
+            load_game_file(bad)
+        assert run("solve", "--input", str(bad)) == 1
+
+    @pytest.mark.parametrize(
+        "game, ranges",
+        [
+            ('{"A": [[1e308,0],[5,1]], "B": [[1e308,5],[0,1]]}', "-1:2"),
+            ('{"A": [[3,0],[5,1]], "B": [[3,5],[0,1]]}', "-1e308:1e308"),
+        ],
+    )
+    def test_sweep_overflow_is_exit_2(self, tmp_path, capsys, game, ranges):
+        src = tmp_path / "g.json"
+        src.write_text(game)
+        code = run("sweep", "--input", str(src), f"--range-l12={ranges}",
+                   f"--range-l21={ranges}", "--grid", "12", "--out", str(tmp_path / "m.csv"))
+        assert code == 2
+        assert "must be a finite real number" in capsys.readouterr().err
+
 
 class TestTransformCommand:
     def test_identity_roundtrip_is_byte_identical(self, tmp_path):

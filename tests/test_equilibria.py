@@ -19,6 +19,7 @@ from empathica import (
     transform,
     two_population_equilibria,
 )
+from empathica.io import fixtures_dir, load_game_file, region_csv
 from oracles import (
     brute_berge,
     brute_pareto,
@@ -258,6 +259,132 @@ class TestRegionMap:
     def test_rejects_tiny_resolution(self, pd):
         with pytest.raises(ValueError):
             region_map(pd, (0, 1), (0, 1), resolution=1)
+
+
+OWN_WEIGHTS = (1.0, 0.5, 0.0, -1.0)
+
+
+def _grid(lo, hi, n):
+    step = (hi - lo) / (n - 1)
+    return [lo + k * step for k in range(n)]
+
+
+def _per_cell_labels(g, l12_range, l21_range, n, l11=1.0, l22=1.0):
+    """The region map by one full equilibrium analysis per cell, row-major."""
+    return tuple(
+        tuple(
+            outcome_label(two_population_equilibria(g, EmpathyMatrix(l11, l12, l21, l22)))
+            for l12 in _grid(*map(float, l12_range), n)
+        )
+        for l21 in _grid(*map(float, l21_range), n)
+    )
+
+
+def _per_cell_csv(labels, l12_range, l21_range, n):
+    lines = ["l12,l21,label"]
+    for l21, row in zip(_grid(*map(float, l21_range), n), labels):
+        for l12, label in zip(_grid(*map(float, l12_range), n), row):
+            lines.append(f"{l12!r},{l21!r},{label}")
+    return "\n".join(lines) + "\n"
+
+
+def assert_matches_per_cell(g, l12_range, l21_range, n, l11=1.0, l22=1.0):
+    rmap = region_map(g, l12_range, l21_range, n, l11=l11, l22=l22)
+    labels = _per_cell_labels(g, l12_range, l21_range, n, l11, l22)
+    assert rmap.labels == labels
+    assert region_csv(rmap) == _per_cell_csv(labels, l12_range, l21_range, n)
+
+
+def _fixture_games():
+    return [load_game_file(p)[0] for p in sorted(fixtures_dir().glob("*.json"))]
+
+
+class TestRegionMapEquivalence:
+    """The separable sweep labels every cell exactly as a full per-cell
+    equilibrium analysis does, and writes the same CSV bytes."""
+
+    @pytest.mark.parametrize("l11", OWN_WEIGHTS)
+    @pytest.mark.parametrize("l22", OWN_WEIGHTS)
+    def test_fixtures(self, l11, l22):
+        games = _fixture_games()
+        assert len(games) == 5
+        for g in games:
+            assert_matches_per_cell(g, (-1, 2), (-1, 2), 13, l11, l22)
+
+    @pytest.mark.parametrize("grid", [61, 73])
+    def test_pd_grid_points_on_switching_ratios(self, pd, grid):
+        assert_matches_per_cell(pd, (-1, 2), (-1, 2), grid)
+
+    def test_small_integer_games(self):
+        # Steps of 0.25 and 0.5 land exactly on many integer payoff ratios,
+        # where a player is indifferent and weak equilibria appear.
+        rng = random.Random(23)
+        for k in range(24):
+            g = Game2x2(*(rng.randint(-3, 3) for _ in range(8)))
+            l11 = OWN_WEIGHTS[k % 4]
+            l22 = OWN_WEIGHTS[(k // 4) % 4]
+            assert_matches_per_cell(g, (-1, 2), (-1, 2), 13, l11, l22)
+            assert_matches_per_cell(g, (-2, 2), (-1, 1), 9, l22, l11)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Game2x2(0, 0, 0, 0, 0, 0, 0, 0),
+            # The row player is flat for every l12; the column player only
+            # cares about its own action.
+            Game2x2(2, 2, 2, 2, 3, 1, 3, 1),
+            # The column player is flat for every l21.
+            Game2x2(1, 1, 4, 4, 0, 0, 0, 0),
+            # Flat row player only where l12 == 0.
+            Game2x2(2, 2, 2, 2, 3, 0, 5, 1),
+            # Flat column player only where l21 == 0.
+            Game2x2(3, 0, 5, 1, 1, 1, 1, 1),
+        ],
+    )
+    @pytest.mark.parametrize("l11", OWN_WEIGHTS)
+    def test_flat_players(self, g, l11):
+        for l22 in OWN_WEIGHTS:
+            assert_matches_per_cell(g, (-1, 1), (-1, 1), 9, l11, l22)
+
+    @given(
+        g=games,
+        l11=st.sampled_from(OWN_WEIGHTS),
+        l22=st.sampled_from(OWN_WEIGHTS),
+        lo=st.floats(min_value=-3, max_value=0),
+        width=st.floats(min_value=0.5, max_value=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_real_valued_games(self, g, l11, l22, lo, width):
+        assert_matches_per_cell(g, (lo, lo + width), (lo, lo + 0.5 * width), 11, l11, l22)
+
+
+def _first_error(fn):
+    with pytest.raises(ValueError) as info:
+        fn()
+    return str(info.value)
+
+
+class TestRegionMapErrors:
+    """Invalid weights and overflowing payoffs raise the ValueError that a
+    row-major walk of every cell raises first."""
+
+    HUGE = Game2x2(1e308, 0, 5, 1, 1e308, 5, 0, 1)
+
+    @pytest.mark.parametrize(
+        "g, l12_range, l21_range, l11, field",
+        [
+            (HUGE, (-1, 2), (-1, 2), 1.0, "a11"),
+            (HUGE, (-1, 1), (-1, 2), 0.0, "b11"),
+            (Game2x2(3, 0, 5, 1, 3, 5, 0, 1), (-1e308, 1e308), (-1e308, 1e308), 1.0, "l12"),
+            (Game2x2(3, 0, 5, 1, 3, 5, 0, 1), (-1, 2), (-1e308, 1e308), 1.0, "l21"),
+            (Game2x2(3, 0, 5, 1, 3, 5, 0, 1), (-1, 2), (-1, 2), float("inf"), "l11"),
+        ],
+    )
+    def test_same_error_as_the_per_cell_walk(self, g, l12_range, l21_range, l11, field):
+        fast = _first_error(lambda: region_map(g, l12_range, l21_range, 12, l11=l11))
+        slow = _first_error(lambda: _per_cell_labels(g, l12_range, l21_range, 12, l11=l11))
+        assert fast == slow
+        assert fast.startswith(f"{field} must be a finite real number")
 
 
 class TestOutcomeLabel:
