@@ -294,36 +294,45 @@ def _update(rates, p1: float, p2: float, lam: float) -> tuple[float, float]:
 
 
 def _detect_cycle(
-    p1s: list[float], p2s: list[float], eps: float
+    p1s: list[float], p2s: list[float], arc: list[float], eps: float
 ) -> tuple[bool, float | None]:
     """Return-proximity test: a post-transient state re-enters an eps-ball of
-    an earlier state with at least 10*eps of arc length in between."""
+    an earlier state with at least 10*eps of arc length in between.
+
+    ``arc[i]`` is the max-norm arc length from the first state to state i,
+    the running sum of the per-step changes ``simulate`` computes for its
+    convergence test.  Earlier states are filed by eps-cell, one entry each
+    time the scan enters a cell; the candidates from the 3x3 neighbourhood
+    are gathered again only when the cell changes, since the files change
+    only then.  State i is filed before the gathering, but it never matches
+    itself: its arc gap to itself is 0.
+    """
     n = len(p1s)
     start = n // 10
     if n - start < 3:
         return (False, None)
-    # Prefix arc length in the max norm.
-    arc = [0.0] * n
-    acc = 0.0
-    for i in range(1, n):
-        acc += max(abs(p1s[i] - p1s[i - 1]), abs(p2s[i] - p2s[i - 1]))
-        arc[i] = acc
     min_gap = 10.0 * eps
     episodes: dict[tuple[int, int], list[int]] = {}
     last_key: tuple[int, int] | None = None
+    candidates: list[int] = []
     for i in range(start, n):
         x = p1s[i]
         y = p2s[i]
         key = (int(x / eps), int(y / eps))
-        ai = arc[i]
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for j in episodes.get((key[0] + dx, key[1] + dy), ()):
-                    if ai - arc[j] > min_gap and abs(x - p1s[j]) < eps and abs(y - p2s[j]) < eps:
-                        return (True, float(i - j))
         if key != last_key:
             episodes.setdefault(key, []).append(i)
             last_key = key
+            kx, ky = key
+            candidates = [
+                j
+                for dx in (-1, 0, 1)
+                for dy in (-1, 0, 1)
+                for j in episodes.get((kx + dx, ky + dy), ())
+            ]
+        ai = arc[i]
+        for j in candidates:
+            if ai - arc[j] > min_gap and abs(x - p1s[j]) < eps and abs(y - p2s[j]) < eps:
+                return (True, float(i - j))
     return (False, None)
 
 
@@ -343,7 +352,9 @@ def simulate(
     Convergence is declared when the max-norm state change stays below
     conv_tol * scheduled rate for ``window`` consecutive steps.  When the run
     does not converge and ``detect_cycles`` is set, a return-proximity scan
-    (ignoring the first 10% of the run as transient) reports cycling.
+    (ignoring the first 10% of the run as transient) reports cycling.  The
+    scan measures arc length by the running sum of the same max-norm state
+    changes the convergence test reads, kept as a prefix list by the loop.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -353,8 +364,11 @@ def simulate(
     p2 = s0.p2
     p1s = [p1]
     p2s = [p2]
+    arc = [0.0]
     append1 = p1s.append
     append2 = p2s.append
+    append_arc = arc.append
+    acc = 0.0
     consecutive = 0
     converged = False
     for t in range(steps):
@@ -371,6 +385,8 @@ def simulate(
         p2 = n2
         append1(p1)
         append2(p2)
+        acc += delta
+        append_arc(acc)
         if delta < conv_tol * lam:
             consecutive += 1
             if consecutive >= window:
@@ -382,7 +398,7 @@ def simulate(
     cycle = False
     period: float | None = None
     if not converged and detect_cycles:
-        cycle, period = _detect_cycle(p1s, p2s, cycle_eps)
+        cycle, period = _detect_cycle(p1s, p2s, arc, cycle_eps)
     diag = Diagnostics(
         converged=converged,
         limit_point=PopulationState(p1, p2) if converged else None,

@@ -184,16 +184,25 @@ def mixed_nash(g: Game2x2) -> MixedNashResult:
     return MixedNashResult(points=(MixedProfile(x=x_star, y=y_star),))
 
 
+def _cell_payoffs(g: Game2x2) -> dict[Cell, tuple[float, float]]:
+    """(row payoff, column payoff) of every cell, keyed in ``CELLS`` order."""
+    return {
+        (1, 1): (g.a11, g.b11),
+        (1, 2): (g.a12, g.b12),
+        (2, 1): (g.a21, g.b21),
+        (2, 2): (g.a22, g.b22),
+    }
+
+
 def berge_solutions(g: Game2x2) -> list[Cell]:
     """Joint actions where each player's payoff is maximal over the
     *opponent's* choices: mutual support rather than self-interest."""
-    out = []
-    for (i, j) in CELLS:
-        row_supported = g.a(i, j) >= g.a(i, 3 - j)
-        col_supported = g.b(i, j) >= g.b(3 - i, j)
-        if row_supported and col_supported:
-            out.append((i, j))
-    return out
+    pay = _cell_payoffs(g)
+    return [
+        (i, j)
+        for (i, j), (a, b) in pay.items()
+        if a >= pay[(i, 3 - j)][0] and b >= pay[(3 - i, j)][1]
+    ]
 
 
 def pareto_front(g: Game2x2) -> list[Cell]:
@@ -202,20 +211,14 @@ def pareto_front(g: Game2x2) -> list[Cell]:
     A cell is removed when some other cell is at least as good for both
     players and strictly better for one.
     """
-    out = []
-    for c in CELLS:
-        dominated = False
-        for d in CELLS:
-            if d == c:
-                continue
-            ge_both = g.a(*d) >= g.a(*c) and g.b(*d) >= g.b(*c)
-            gt_one = g.a(*d) > g.a(*c) or g.b(*d) > g.b(*c)
-            if ge_both and gt_one:
-                dominated = True
-                break
-        if not dominated:
-            out.append(c)
-    return out
+    pay = _cell_payoffs(g)
+    return [
+        c
+        for c, (a, b) in pay.items()
+        if not any(
+            da >= a and db >= b and (da > a or db > b) for da, db in pay.values()
+        )
+    ]
 
 
 def two_population_equilibria(g: Game2x2, lam: EmpathyMatrix) -> EquilibriumSet:

@@ -26,6 +26,8 @@ from .games import (
 )
 
 _DIVERGENCE_GUARD = 1e12
+# Spectral radii within this distance of one count as unit radius.
+_UNIT_RADIUS_BAND = 1e-12
 _EPS_FIT_RESIDUAL = 1e-9
 _CAUCHY_TOL = 1e-12
 
@@ -106,7 +108,9 @@ def spectral_limit(lam: EmpathyMatrix, k_max: int) -> SpectralRecord:
     power sequence: Zero when the spectral radius is below one, Converges
     when successive powers become Cauchy within ``k_max``, Diverges when the
     radius exceeds one or entries blow past an overflow guard, Oscillates
-    otherwise."""
+    otherwise.  A radius within 1e-12 of one counts as one on both sides, so
+    an idempotent profile whose computed radius rounds just below one still
+    walks its powers."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     tr = lam.trace()
@@ -119,9 +123,9 @@ def spectral_limit(lam: EmpathyMatrix, k_max: int) -> SpectralRecord:
         s = math.sqrt(-disc)
         ev = (complex(tr / 2.0, s), complex(tr / 2.0, -s))
     rho = max(abs(ev[0]), abs(ev[1]))
-    if rho < 1.0:
+    if rho < 1.0 - _UNIT_RADIUS_BAND:
         return SpectralRecord(ev, rho, LimitKind.ZERO, EmpathyMatrix(0.0, 0.0, 0.0, 0.0))
-    if rho > 1.0 + 1e-12:
+    if rho > 1.0 + _UNIT_RADIUS_BAND:
         return SpectralRecord(ev, rho, LimitKind.DIVERGES, None)
     powers = _powers(lam, k_max)
     prev = next(powers)

@@ -176,3 +176,41 @@ def pd_second_threshold(g: Game2x2) -> float:
     """Cross-weight above which the originally dominant action becomes
     dominated itself: (a22 - a12) / (a21 - a22)."""
     return (g.a22 - g.a12) / (g.a21 - g.a22)
+
+
+def reference_detect_cycle(
+    p1s: list[float], p2s: list[float], eps: float
+) -> tuple[bool, float | None]:
+    """The return-proximity cycle scan written out directly.
+
+    It builds its own max-norm arc-length prefix from the states and looks up
+    all nine neighbouring eps-cells for every post-transient state, filing a
+    state only after its own lookups.  ``simulate``'s scan must report the
+    same (detected, period) pair bit for bit.
+    """
+    n = len(p1s)
+    start = n // 10
+    if n - start < 3:
+        return (False, None)
+    arc = [0.0] * n
+    acc = 0.0
+    for i in range(1, n):
+        acc += max(abs(p1s[i] - p1s[i - 1]), abs(p2s[i] - p2s[i - 1]))
+        arc[i] = acc
+    min_gap = 10.0 * eps
+    episodes: dict[tuple[int, int], list[int]] = {}
+    last_key: tuple[int, int] | None = None
+    for i in range(start, n):
+        x = p1s[i]
+        y = p2s[i]
+        key = (int(x / eps), int(y / eps))
+        ai = arc[i]
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for j in episodes.get((key[0] + dx, key[1] + dy), ()):
+                    if ai - arc[j] > min_gap and abs(x - p1s[j]) < eps and abs(y - p2s[j]) < eps:
+                        return (True, float(i - j))
+        if key != last_key:
+            episodes.setdefault(key, []).append(i)
+            last_key = key
+    return (False, None)

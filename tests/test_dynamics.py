@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from empathica import (
@@ -20,7 +20,8 @@ from empathica import (
     transform,
     vector_field,
 )
-from oracles import random_game
+from empathica.dynamics import _detect_cycle
+from oracles import random_game, reference_detect_cycle
 
 ALL_PROTOS = (
     RevisionProtocol.replicator(),
@@ -272,6 +273,92 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(PopulationState(0.5, 0.5), RevisionProtocol.smith(),
                      LearningSchedule.constant(0.1), pd, steps=0)
+
+
+class TestCycleScan:
+    """simulate's cycle flags against the reference scan, which builds its own
+    arc-length prefix and looks up nine cells for every state."""
+
+    @staticmethod
+    def arc_prefix(p1s, p2s):
+        arc = [0.0]
+        for i in range(1, len(p1s)):
+            arc.append(arc[-1] + max(abs(p1s[i] - p1s[i - 1]), abs(p2s[i] - p2s[i - 1])))
+        return arc
+
+    def assert_matches_reference(self, traj, eps):
+        diag = traj.diagnostics
+        assert not diag.converged
+        ref = reference_detect_cycle(list(traj.p1), list(traj.p2), eps)
+        assert (diag.cycle_detected, diag.cycle_period_estimate) == ref
+        return ref[0]
+
+    def test_every_protocol_and_schedule(self, mp):
+        protos = ALL_PROTOS + (RevisionProtocol.parse("hybrid:replicator=0.7,imitation=0.2"),)
+        found = set()
+        for proto in protos:
+            for sched in (LearningSchedule.constant(0.05), LearningSchedule.harmonic(0.5)):
+                for eps in (1e-3, 1e-2):
+                    traj = simulate(PopulationState(0.3, 0.6), proto, sched, mp,
+                                    steps=4000, cycle_eps=eps)
+                    found.add(self.assert_matches_reference(traj, eps))
+        assert found == {True, False}
+
+    def test_random_games(self):
+        # Half the games are random discoordination games (signs of matching
+        # pennies, random sizes), so that both outcomes of the scan occur.
+        rng = random.Random(404)
+        protos = ALL_PROTOS + (RevisionProtocol.parse("hybrid:smith=0.5,bnn=0.5"),)
+        found = set()
+        for k in range(60):
+            if k % 2:
+                u = [rng.uniform(0.2, 3.0) for _ in range(8)]
+                g = Game2x2(u[0], -u[1], -u[2], u[3], -u[4], u[5], u[6], -u[7])
+            else:
+                g = random_game(rng)
+            proto = rng.choice(protos)
+            sched = rng.choice((LearningSchedule.constant(rng.uniform(0.01, 2.0)),
+                                LearningSchedule.harmonic(rng.uniform(0.1, 2.0))))
+            eps = rng.choice((1e-3, 1e-2))
+            traj = simulate(PopulationState(rng.random(), rng.random()), proto, sched, g,
+                            steps=rng.choice((1, 2, 3, 30, 600, 3000)), cycle_eps=eps)
+            if not traj.diagnostics.converged:
+                found.add(self.assert_matches_reference(traj, eps))
+        assert found == {True, False}
+
+    def test_short_runs_take_the_too_short_branch(self, mp):
+        traj = simulate(PopulationState(0.3, 0.6), RevisionProtocol.smith(),
+                        LearningSchedule.constant(0.05), mp, steps=1)
+        assert self.assert_matches_reference(traj, 1e-3) is False
+        for n in range(4):
+            p1s = [0.5] * n
+            assert _detect_cycle(p1s, p1s, self.arc_prefix(p1s, p1s), 0.1) == (False, None)
+
+    def test_oscillation_inside_one_cell(self):
+        # Every state lies in cell (0, 0) and each step adds 1/16 of arc, so
+        # the first state after the transient must be matched 21 steps later
+        # (21/16 > 10 * eps = 1.25), by a state that never changes cell.
+        eps = 0.125
+        p1s = [0.0625 * (k % 2) for k in range(40)]
+        p2s = [0.0] * 40
+        got = _detect_cycle(p1s, p2s, self.arc_prefix(p1s, p2s), eps)
+        assert got == reference_detect_cycle(p1s, p2s, eps) == (True, 21.0)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 20), st.integers(0, 20)).map(
+                lambda c: (c[0] / 20, c[1] / 20)
+            ),
+            max_size=60,
+        ),
+        st.sampled_from((0.05, 0.1, 0.3)),
+    )
+    @settings(max_examples=300)
+    def test_drawn_sequences(self, states, eps):
+        p1s = [x for x, _ in states]
+        p2s = [y for _, y in states]
+        got = _detect_cycle(p1s, p2s, self.arc_prefix(p1s, p2s), eps)
+        assert got == reference_detect_cycle(p1s, p2s, eps)
 
 
 class TestVectorField:

@@ -32,6 +32,8 @@ from oracles import (
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 games = st.builds(Game2x2, *([finite] * 8))
+# Payoffs from a few small integers, so ties between cells are common.
+small_int_games = st.builds(Game2x2, *([st.integers(-2, 2).map(float)] * 8))
 
 
 class TestPureNash:
@@ -115,6 +117,10 @@ class TestBerge:
     def test_agrees_with_enumeration(self, g):
         assert set(berge_solutions(g)) == brute_berge(g)
 
+    @given(small_int_games)
+    def test_cells_in_order_with_ties(self, g):
+        assert berge_solutions(g) == sorted(brute_berge(g))
+
 
 class TestBergeAltruismLink:
     def test_sufficient_mutual_altruism_makes_the_berge_cell_nash(self):
@@ -145,6 +151,10 @@ class TestPareto:
     @given(games)
     def test_agrees_with_enumeration(self, g):
         assert set(pareto_front(g)) == brute_pareto(g)
+
+    @given(small_int_games)
+    def test_cells_in_order_with_ties(self, g):
+        assert pareto_front(g) == sorted(brute_pareto(g))
 
 
 class TestScalingInvariance:

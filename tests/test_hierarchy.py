@@ -257,6 +257,26 @@ class TestSpectralLimit:
         assert rec.limit_kind is LimitKind.CONVERGES
         assert max_diff(rec.limit, lam) < 1e-12
 
+    def test_idempotent_radius_just_below_one_converges(self):
+        # Rounding puts rho at 0.9999999999999982 for this profile; inside the
+        # unit band its powers are walked, and they equal the matrix.
+        lam = infinitely_consistent(-2.80, -2.46)
+        rec = spectral_limit(lam, 10)
+        assert 1.0 - 1e-12 < rec.rho < 1.0
+        assert rec.limit_kind is LimitKind.CONVERGES
+        assert max_diff(rec.limit, lam) < 1e-9
+
+    def test_random_idempotent_profiles_converge(self):
+        rng = random.Random(21)
+        for _ in range(2000):
+            l21 = rng.uniform(0.05, 3) * rng.choice((-1, 1))
+            rec = spectral_limit(infinitely_consistent(rng.uniform(-3, 3), l21), 10)
+            assert rec.limit_kind is LimitKind.CONVERGES
+
+    def test_radius_below_the_band_is_zero(self):
+        rec = spectral_limit(ones(1.0 - 1e-9), 10)
+        assert rec.limit_kind is LimitKind.ZERO
+
     def test_negative_unit_family_oscillates(self):
         rec = spectral_limit(ones(-1.0), 20)
         assert rec.rho == pytest.approx(1.0)
