@@ -189,6 +189,8 @@ def cmd_hierarchy(args) -> int:
         "first_bad_k": verdict.first_bad_k,
         "witness_index": verdict.witness_index,
         "witness_signatures": list(verdict.witness_signatures or ()) or None,
+        "levels_checked": verdict.levels_checked,
+        "guard_hit": verdict.guard_hit,
         "structurally_consistent": verdict.structurally_consistent,
         "epsilons": list(verdict.epsilons) if verdict.epsilons else None,
         "spectral": {

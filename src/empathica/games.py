@@ -10,15 +10,18 @@ negative diagonal weight a self-abnegating player.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 CELLS: tuple[tuple[int, int], ...] = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+def _raise_first_non_finite(obj, values: tuple[float, ...]) -> None:
+    """Raise ValueError naming the first field of dataclass ``obj``, in
+    declaration order, whose value in ``values`` is not finite."""
+    for field, value in zip(fields(obj), values):
+        if not math.isfinite(value):
+            raise ValueError(f"{field.name} must be a finite real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -35,8 +38,9 @@ class Game2x2:
     b22: float
 
     def __post_init__(self) -> None:
-        for name in ("a11", "a12", "a21", "a22", "b11", "b12", "b21", "b22"):
-            _require_finite(name, getattr(self, name))
+        values = (self.a11, self.a12, self.a21, self.a22, self.b11, self.b12, self.b21, self.b22)
+        if not all(map(math.isfinite, values)):
+            _raise_first_non_finite(self, values)
 
     @classmethod
     def from_matrices(cls, a, b) -> "Game2x2":
@@ -98,8 +102,9 @@ class EmpathyMatrix:
     l22: float
 
     def __post_init__(self) -> None:
-        for name in ("l11", "l12", "l21", "l22"):
-            _require_finite(name, getattr(self, name))
+        values = (self.l11, self.l12, self.l21, self.l22)
+        if not all(map(math.isfinite, values)):
+            _raise_first_non_finite(self, values)
 
     @classmethod
     def identity(cls) -> "EmpathyMatrix":

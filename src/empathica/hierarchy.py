@@ -9,11 +9,12 @@ matrix itself.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice, tee
 
-from .equilibria import mixed_nash, pure_nash
+from .equilibria import _differences, _interior_root, mixed_nash, pure_nash
 from .games import (
     EmpathyMatrix,
     Game2x2,
@@ -81,6 +82,38 @@ def equilibrium_signature(g: Game2x2) -> str:
     return f"class={cls.kind.value}|pure={cells or '-'}|mixed={mixed_tag}"
 
 
+def _signature_key(g: Game2x2) -> tuple[int, int, int, int, bool, bool]:
+    """The six facts ``equilibrium_signature`` reads of a game: the signs of
+    the four payoff differences and whether each player has an interior
+    indifference point.
+
+    ``classify`` and ``pure_nash`` read only the signs (``classify``'s second
+    difference of each player is exactly the negated one here), the flat
+    branches of ``mixed_nash`` always yield a continuum, and its interior
+    point exists exactly when both players have a root.  The root bits are
+    needed on their own: ``d1 * d2`` can underflow, or the root round to 0 or
+    1, with the signs unchanged.
+    """
+    a1, a2, c1, c2 = _differences(g)
+    return (
+        (a1 > 0.0) - (a1 < 0.0),
+        (a2 > 0.0) - (a2 < 0.0),
+        (c1 > 0.0) - (c1 < 0.0),
+        (c2 > 0.0) - (c2 < 0.0),
+        _interior_root(a1, a2) is not None,
+        _interior_root(c1, c2) is not None,
+    )
+
+
+def _memo_signature(g: Game2x2, memo: dict[tuple, str]) -> str:
+    """``equilibrium_signature(g)``, computed once per six-fact key in ``memo``."""
+    key = _signature_key(g)
+    sig = memo.get(key)
+    if sig is None:
+        sig = memo[key] = equilibrium_signature(g)
+    return sig
+
+
 @dataclass(frozen=True)
 class LevelRecord:
     k: int
@@ -146,13 +179,20 @@ def structural_epsilons(lam: EmpathyMatrix, k_max: int) -> tuple[float, ...] | N
     the fit must leave a residual below 1e-9 and be strictly positive at
     every level up to ``k_max``, otherwise None is returned.
     """
+    # lam^(k_max+1) is formed only for the overflow guard.
+    return _fit_epsilons(lam, _powers(lam, k_max + 1), k_max)
+
+
+def _fit_epsilons(
+    lam: EmpathyMatrix, powers: Iterable[EmpathyMatrix], k_max: int
+) -> tuple[float, ...] | None:
+    """``structural_epsilons`` over a given walk of lam^1 ... lam^(k_max+1)."""
     base = lam.entries()
     den = sum(e * e for e in base)
     if den == 0.0:
         return None
     eps: list[float] = []
-    # lam^(k_max+1) is formed only for the overflow guard.
-    for k, cur in enumerate(_powers(lam, k_max + 1), 1):
+    for k, cur in enumerate(powers, 1):
         if k > 1 and _overflows(cur):
             return None
         if k > k_max:
@@ -171,8 +211,11 @@ class ConsistencyVerdict:
 
     ``consistent_up_to_k`` reports the battery comparison; when it fails,
     the first offending level and the probe game are recorded as a witness.
-    ``structurally_consistent`` reports the game-independent positive-scaling
-    property with its fitted scalars.
+    ``levels_checked`` is the highest level whose battery signatures were
+    compared (``k_max`` on a full walk, ``first_bad_k`` on a mismatch), and
+    ``guard_hit`` says whether the overflow guard stopped the battery walk
+    before that.  ``structurally_consistent`` reports the game-independent
+    positive-scaling property with its fitted scalars.
     """
 
     k_max: int
@@ -181,6 +224,8 @@ class ConsistencyVerdict:
     witness_index: int | None
     witness: Game2x2 | None
     witness_signatures: tuple[str, str] | None
+    levels_checked: int
+    guard_hit: bool
     structurally_consistent: bool
     epsilons: tuple[float, ...] | None
 
@@ -203,7 +248,10 @@ def check_consistency(
     The matrix powers are walked once, level by level, and every battery game
     is probed at each level in battery order; the walk stops at the first
     mismatch, so the witness is the earliest offending level and, within it,
-    the first offending game.
+    the first offending game.  The same walk of powers feeds the structural
+    fit, so each power is formed once.  Each level game is labelled through
+    its six-fact key (payoff-difference signs and interior-root bits), so
+    ``equilibrium_signature`` runs once per distinct key in the walk.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
@@ -211,19 +259,26 @@ def check_consistency(
     if not games:
         raise ValueError("battery must be non-empty")
 
-    sig1 = [equilibrium_signature(transform(g, lam)) for g in games]
+    memo: dict[tuple, str] = {}
+    sig1 = [_memo_signature(transform(g, lam), memo) for g in games]
     witness: tuple[int, int, str] | None = None  # (k, battery index, sig_k)
-    powers = _powers(lam, k_max)
-    next(powers)  # level 1 is the reference
-    for k, lam_k in enumerate(powers, 2):
+    levels_checked = 1
+    guard_hit = False
+    # One walk to lam^(k_max+1): the battery reads up to k_max, the structural
+    # fit one further for its guard.
+    battery_powers, fit_powers = tee(_powers(lam, k_max + 1))
+    next(battery_powers)  # level 1 is the reference
+    for k, lam_k in enumerate(islice(battery_powers, k_max - 1), 2):
         if _overflows(lam_k):
+            guard_hit = True
             break
-        sigs = (equilibrium_signature(transform(g, lam_k)) for g in games)
+        sigs = (_memo_signature(transform(g, lam_k), memo) for g in games)
         witness = next(((k, i, sig) for i, sig in enumerate(sigs) if sig != sig1[i]), None)
+        levels_checked = k
         if witness is not None:
             break
 
-    eps = structural_epsilons(lam, k_max)
+    eps = _fit_epsilons(lam, fit_powers, k_max)
     k, idx, sig_k = witness or (None, None, None)
     return ConsistencyVerdict(
         k_max=k_max,
@@ -232,6 +287,8 @@ def check_consistency(
         witness_index=idx,
         witness=None if idx is None else games[idx],
         witness_signatures=None if idx is None else (sig1[idx], sig_k),
+        levels_checked=levels_checked,
+        guard_hit=guard_hit,
         structurally_consistent=eps is not None,
         epsilons=eps,
     )
@@ -250,11 +307,16 @@ class HierarchyAnalysis:
 
 def analyze_hierarchy(g: Game2x2, lam: EmpathyMatrix, k_max: int) -> HierarchyAnalysis:
     """Walk the matrix powers up to ``k_max`` for a single game, recording the
-    weight matrix and equilibrium signature at each level."""
+    weight matrix and equilibrium signature at each level.
+
+    Each level game is labelled through its six-fact key (payoff-difference
+    signs and interior-root bits), so ``equilibrium_signature`` runs once per
+    distinct key in the walk."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    memo: dict[tuple, str] = {}
     levels = [
-        LevelRecord(k=k, lam_k=lam_k, signature=equilibrium_signature(transform(g, lam_k)))
+        LevelRecord(k=k, lam_k=lam_k, signature=_memo_signature(transform(g, lam_k), memo))
         for k, lam_k in enumerate(_powers(lam, k_max), 1)
     ]
     consistent = all(rec.signature == levels[0].signature for rec in levels)

@@ -1,6 +1,7 @@
 import pytest
 
 from empathica import (
+    EmpathyMatrix,
     anti_coordination_game,
     coordination_game,
     matching_pennies,
@@ -26,3 +27,17 @@ def coord():
 @pytest.fixture
 def anti():
     return anti_coordination_game()
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """Every EmpathyMatrix product formed during the test, one entry each."""
+    formed = []
+    matmul = EmpathyMatrix.__matmul__
+
+    def counting(self, other):
+        formed.append(other)
+        return matmul(self, other)
+
+    monkeypatch.setattr(EmpathyMatrix, "__matmul__", counting)
+    return formed

@@ -2,6 +2,9 @@
 
 Everything here works by enumeration, grid search, or direct definition
 checking; none of it shares code paths with the library implementations.
+The reference hierarchy walks are the exception: they call the library's
+``transform`` and ``equilibrium_signature`` on every level game, so they
+check how the walks label, order and stop, not the signature itself.
 """
 from __future__ import annotations
 
@@ -9,7 +12,15 @@ import random
 
 import numpy as np
 
-from empathica import Game2x2
+from empathica import (
+    ConsistencyVerdict,
+    EmpathyMatrix,
+    Game2x2,
+    default_battery,
+    equilibrium_signature,
+    transform,
+)
+from empathica.hierarchy import LevelRecord
 
 CELLS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
@@ -214,3 +225,86 @@ def reference_detect_cycle(
             episodes.setdefault(key, []).append(i)
             last_key = key
     return (False, None)
+
+
+def reference_levels(g: Game2x2, lam: EmpathyMatrix, k_max: int) -> tuple[LevelRecord, ...]:
+    """``analyze_hierarchy``'s levels with a full ``equilibrium_signature``
+    call on every level game; lam^k is formed as ``lam @ lam^(k-1)`` just
+    before level k is labelled."""
+    levels = []
+    lam_k = lam
+    for k in range(1, k_max + 1):
+        if k > 1:
+            lam_k = lam @ lam_k
+        sig = equilibrium_signature(transform(g, lam_k))
+        levels.append(LevelRecord(k=k, lam_k=lam_k, signature=sig))
+    return tuple(levels)
+
+
+def reference_structural_epsilons(lam: EmpathyMatrix, k_max: int):
+    """Least-squares scalars eps_k with lam^k = eps_k * lam (residual below
+    1e-9, eps_k > 0), or None; every power from lam^2 to lam^(k_max+1) must
+    stay within the 1e12 overflow guard."""
+    base = lam.entries()
+    den = sum(e * e for e in base)
+    if den == 0.0:
+        return None
+    eps = []
+    cur = lam
+    for k in range(1, k_max + 2):
+        if k > 1:
+            cur = lam @ cur
+            if max(abs(e) for e in cur.entries()) > 1e12:
+                return None
+        if k > k_max:
+            break
+        fit = sum(c * b for c, b in zip(cur.entries(), base)) / den
+        residual = max(abs(c - fit * b) for c, b in zip(cur.entries(), base))
+        if residual >= 1e-9 or fit <= 0.0:
+            return None
+        eps.append(fit)
+    return tuple(eps)
+
+
+def reference_check_consistency(lam: EmpathyMatrix, k_max: int, battery=None) -> ConsistencyVerdict:
+    """``check_consistency`` with a full ``equilibrium_signature`` call on
+    every level game: levels k = 2..k_max in order, battery games in order
+    within a level, stopping at the first mismatch or at the first power
+    past the 1e12 guard."""
+    if k_max < 2:
+        raise ValueError("k_max must be at least 2")
+    games = default_battery() if battery is None else list(battery)
+    if not games:
+        raise ValueError("battery must be non-empty")
+    sig1 = [equilibrium_signature(transform(g, lam)) for g in games]
+    witness = None
+    levels_checked = 1
+    guard_hit = False
+    lam_k = lam
+    for k in range(2, k_max + 1):
+        lam_k = lam @ lam_k
+        if max(abs(e) for e in lam_k.entries()) > 1e12:
+            guard_hit = True
+            break
+        for i, g in enumerate(games):
+            sig = equilibrium_signature(transform(g, lam_k))
+            if sig != sig1[i]:
+                witness = (k, i, sig)
+                break
+        levels_checked = k
+        if witness is not None:
+            break
+    eps = reference_structural_epsilons(lam, k_max)
+    k, idx, sig_k = witness or (None, None, None)
+    return ConsistencyVerdict(
+        k_max=k_max,
+        consistent_up_to_k=witness is None,
+        first_bad_k=k,
+        witness_index=idx,
+        witness=None if idx is None else games[idx],
+        witness_signatures=None if idx is None else (sig1[idx], sig_k),
+        levels_checked=levels_checked,
+        guard_hit=guard_hit,
+        structurally_consistent=eps is not None,
+        epsilons=eps,
+    )

@@ -286,6 +286,26 @@ class TestHierarchyCommand:
         assert verdict["verdict"] == "Inconsistent"
         assert verdict["first_bad_k"] == 2
 
+    def test_levels_checked_and_guard_hit(self, tmp_path):
+        out = tmp_path / "h.csv"
+        assert run("hierarchy", "--input", "pd", "--lambda", "0.4", "0.4", "0.4", "0.4",
+                   "--kmax", "6", "--out", str(out)) == 0
+        verdict = json.loads((tmp_path / "h.json").read_text())
+        assert (verdict["levels_checked"], verdict["guard_hit"]) == (6, False)
+        # lam^2 is past the overflow guard, so only level 1 was compared.
+        assert run("hierarchy", "--input", "pd", "--lambda", "1e7", "0", "0", "1e7",
+                   "--kmax", "5", "--out", str(out)) == 0
+        verdict = json.loads((tmp_path / "h.json").read_text())
+        assert verdict["verdict"] == "ConsistentUpToK"
+        assert (verdict["levels_checked"], verdict["guard_hit"]) == (1, True)
+
+    def test_each_power_is_formed_once_per_walk(self, tmp_path, products):
+        # analyze_hierarchy forms lam^2..lam^200 (199), check_consistency
+        # lam^2..lam^201 in one walk (200), spectral_limit lam^2 (1).
+        assert run("hierarchy", "--input", "pd", "--lambda", "0.5", "0.5", "0.5", "0.5",
+                   "--kmax", "200", "--out", str(tmp_path / "h.csv")) == 0
+        assert len(products) == 400
+
     def test_deepest_finite_level(self, tmp_path):
         out = tmp_path / "h.csv"
         assert run("hierarchy", "--input", "matching_pennies", "--lambda", "10", "0", "0", "10",

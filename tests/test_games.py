@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -75,6 +76,27 @@ class TestTransform:
             Game2x2(1, 2, 3, float("nan"), 0, 0, 0, 0)
         with pytest.raises(ValueError):
             EmpathyMatrix(1, float("inf"), 0, 1)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize(
+        "cls, field",
+        [(Game2x2, f) for f in ("a11", "a12", "a21", "a22", "b11", "b12", "b21", "b22")]
+        + [(EmpathyMatrix, f) for f in ("l11", "l12", "l21", "l22")],
+    )
+    def test_non_finite_entry_message_names_the_field(self, cls, field, bad):
+        values = {f.name: 1.0 for f in dataclasses.fields(cls)}
+        values[field] = bad
+        with pytest.raises(ValueError) as exc:
+            cls(**values)
+        assert str(exc.value) == f"{field} must be a finite real number, got {bad!r}"
+
+    def test_first_non_finite_entry_in_declaration_order_is_named(self):
+        with pytest.raises(ValueError) as exc:
+            Game2x2(1, 2, 3, float("nan"), 0, float("-inf"), 0, 0)
+        assert str(exc.value) == "a22 must be a finite real number, got nan"
+        with pytest.raises(ValueError) as exc:
+            EmpathyMatrix(float("inf"), 0, float("nan"), 1)
+        assert str(exc.value) == "l11 must be a finite real number, got inf"
 
 
 class TestClassify:

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 
 import pytest
@@ -23,6 +25,9 @@ from empathica import (
     structural_epsilons,
     transform,
 )
+from empathica.hierarchy import _memo_signature, _signature_key
+from empathica.io import hierarchy_csv
+from oracles import reference_check_consistency, reference_levels
 
 
 def ones(rho: float) -> EmpathyMatrix:
@@ -112,6 +117,28 @@ class TestCheckConsistency:
         assert verdict.first_bad_k == 2
         assert verdict.witness_index == 2
         assert verdict.witness == battery[2]
+
+    def test_levels_checked_on_a_full_walk_and_at_a_mismatch(self):
+        full = check_consistency(ones(0.8), k_max=10)
+        assert (full.levels_checked, full.guard_hit) == (10, False)
+        bad = check_consistency(ones(-0.8), k_max=10)
+        assert (bad.first_bad_k, bad.levels_checked, bad.guard_hit) == (2, 2, False)
+
+    def test_overflow_guard_stop_is_reported(self):
+        # lam^2 has entries 1e14, past the 1e12 guard, so only level 1 is
+        # compared; the verdict still reads ConsistentUpToK.
+        verdict = check_consistency(EmpathyMatrix(1e7, 0.0, 0.0, -1e7), 5)
+        assert verdict.label == "ConsistentUpToK"
+        assert verdict.levels_checked == 1
+        assert verdict.guard_hit
+
+    def test_one_power_walk_feeds_the_battery_and_the_fit(self, products):
+        # Every power of this matrix equals the matrix, so the battery walks
+        # all 200 levels and the fit reads lam^201 for its guard: 200
+        # products, each formed once.
+        verdict = check_consistency(ones(1.0), k_max=200)
+        assert verdict.label == "StructurallyConsistent"
+        assert len(products) == 200
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -319,3 +346,117 @@ class TestAnalyzeHierarchy:
     def test_battery_has_one_game_per_class(self):
         sigs = {equilibrium_signature(g) for g in default_battery()}
         assert len(sigs) == 4
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def assert_walks_match_reference(g, lam, k_max, battery=None):
+    """The memoised walks against the same walks with a full
+    ``equilibrium_signature`` call per level game: exact levels, CSV bytes
+    and verdict fields, or the same ValueError text."""
+    analysis = _outcome(analyze_hierarchy, g, lam, k_max)
+    levels = _outcome(reference_levels, g, lam, k_max)
+    if isinstance(analysis, str) or isinstance(levels, str):
+        assert analysis == levels
+    else:
+        assert analysis.levels == levels
+        assert hierarchy_csv(analysis) == hierarchy_csv(
+            dataclasses.replace(analysis, levels=levels)
+        )
+    assert _outcome(check_consistency, lam, k_max, battery) == _outcome(
+        reference_check_consistency, lam, k_max, battery
+    )
+
+
+# A plain discoordination game (the second) and games whose row player has
+# the same difference signs but no interior root: d1 * d2 underflows, the
+# root rounds to zero, or a difference overflows to inf.
+ROOT_BIT_EDGE_GAMES = [
+    Game2x2(1e-200, 0.0, 0.0, 1e-200, 0.0, 1.0, 1.0, 0.0),
+    Game2x2(1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0),
+    Game2x2(1e300, 0.0, 0.0, 1e-300, 0.0, 1.0, 1.0, 0.0),
+    Game2x2(1e308, 0.0, -1e308, 1.0, 0.0, 1.0, 1.0, 0.0),
+    Game2x2(1e308, 0.0, 0.0, 1e308, 0.0, 1.0, 1.0, 0.0),
+]
+
+OVERFLOWING = [
+    EmpathyMatrix(10.0, 0.0, 0.0, 10.0),
+    EmpathyMatrix(1e7, 0.0, 0.0, -1e7),
+    EmpathyMatrix(3.0, 3.0, 3.0, 3.0),
+    EmpathyMatrix(-20.0, 5.0, 5.0, -20.0),
+    EmpathyMatrix(1e200, 0.0, 0.0, 1.0),
+]
+
+tie_games = st.builds(Game2x2, *([st.integers(-2, 2).map(float)] * 8))
+general_lams = st.builds(
+    EmpathyMatrix, *([st.floats(-1.5, 1.5, allow_nan=False).map(lambda v: round(v, 2))] * 4)
+)
+family_lams = (
+    st.tuples(st.floats(0.1, 1.5), st.floats(-0.5, 0.5))
+    .filter(lambda t: t[0] * t[0] >= 4.0 * t[1])
+    .flatmap(lambda t: st.sampled_from(consistent_family(*t)))
+)
+idempotent_lams = st.builds(
+    infinitely_consistent, st.floats(-3.0, 3.0), st.sampled_from([-1.0, 0.1, 0.5, 2.0])
+)
+lams = st.one_of(general_lams, family_lams, idempotent_lams, st.sampled_from(OVERFLOWING))
+
+
+class TestMemoisedWalksMatchReference:
+    @given(
+        tie_games,
+        lams,
+        st.integers(2, 40),
+        st.sampled_from([None, "with_game", "game_only"]),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_tie_games(self, g, lam, k_max, battery_kind, rnd):
+        battery = None
+        if battery_kind == "game_only":
+            battery = [g]
+        elif battery_kind == "with_game":
+            battery = [g, *default_battery()]
+            rnd.shuffle(battery)
+        assert_walks_match_reference(g, lam, k_max, battery)
+
+    @pytest.mark.parametrize("g", ROOT_BIT_EDGE_GAMES)
+    @pytest.mark.parametrize(
+        "lam",
+        [
+            EmpathyMatrix.identity(),
+            EmpathyMatrix(1.0, 0.5, -0.5, 1.0),
+            EmpathyMatrix(0.9, 0.3, -0.2, 1.1),
+            consistent_family(1.0, -0.25)[0],
+            infinitely_consistent(0.5, 0.25),
+            *OVERFLOWING,
+        ],
+    )
+    def test_root_bit_edge_games(self, g, lam):
+        battery = [*ROOT_BIT_EDGE_GAMES, *default_battery()]
+        for k_max in (2, 12, 320):
+            assert_walks_match_reference(g, lam, k_max, battery)
+            assert_walks_match_reference(g, lam, k_max, [g])
+
+    def test_each_fact_key_has_one_signature(self):
+        # Games whose four payoff differences take every sign, with
+        # magnitudes that make the interior root exist, underflow, round to
+        # zero or meet an infinite difference.
+        values = [0.0, -0.0, 1.0, -1.0, 1e-200, -1e-200, 1e300, -1e300, 1e-300, 1e308]
+        memo: dict = {}
+        by_key: dict = {}
+        for a1, a2, c1, c2 in itertools.product(values, repeat=4):
+            g = Game2x2(a1, 0.0, 0.0, a2, c1, 0.0, 0.0, c2)
+            sig = equilibrium_signature(g)
+            assert _memo_signature(g, memo) == sig
+            by_key.setdefault(_signature_key(g), set()).add(sig)
+        # 3^4 sign patterns; each player's root bit can be set only when its
+        # two differences share a nonzero sign (2 of 9 sign pairs), so 11
+        # facts per player.
+        assert len(by_key) == 11 * 11
+        assert all(len(sigs) == 1 for sigs in by_key.values())
