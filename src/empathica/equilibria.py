@@ -45,10 +45,6 @@ class MixedNashResult:
     continua: tuple[tuple[MixedProfile, MixedProfile], ...] = ()
     degenerate: bool = False
 
-    @property
-    def any_mixed(self) -> bool:
-        return bool(self.points) or bool(self.continua) or self.degenerate
-
 
 @dataclass(frozen=True)
 class EquilibriumSet:

@@ -46,14 +46,6 @@ class DiagonalReduction:
         playing action 1 with probability m: beta1*m - beta2*(1-m)."""
         return self.beta1 * m - self.beta2 * (1.0 - m)
 
-    @property
-    def interior_candidate(self) -> float | None:
-        """The indifference point beta2/(beta1+beta2), when defined."""
-        s = self.beta1 + self.beta2
-        if s == 0.0:
-            return None
-        return self.beta2 / s
-
 
 def diagonal_reduction(a_lam: Matrix2) -> DiagonalReduction:
     """Reduce a symmetric-population payoff matrix to its diagonal form."""

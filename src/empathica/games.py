@@ -193,8 +193,11 @@ def classify(g: Game2x2, tie_tol: float = 0.0) -> Classification:
     exactly one player wants to match (the matching-pennies pattern, either
     orientation); dominant-strategy: at least one player has a strictly
     dominant action.  Any comparison tied within ``tie_tol`` makes the game
-    degenerate, which is checked first.
+    degenerate, which is checked first; ``tie_tol`` must be finite and
+    non-negative, or ValueError is raised.
     """
+    if not 0.0 <= tie_tol < math.inf:
+        raise ValueError(f"tie_tol must be a finite non-negative number, got {tie_tol!r}")
     # Row player: prefers action 1 against column action j iff rj > 0.
     r1 = g.a11 - g.a21
     r2 = g.a12 - g.a22

@@ -47,7 +47,7 @@ def _powers(lam: EmpathyMatrix, k_max: int) -> Iterator[EmpathyMatrix]:
 
 
 def _overflows(m: EmpathyMatrix) -> bool:
-    return max(abs(e) for e in m.entries()) > _DIVERGENCE_GUARD
+    return max(abs(m.l11), abs(m.l12), abs(m.l21), abs(m.l22)) > _DIVERGENCE_GUARD
 
 
 def default_battery() -> list[Game2x2]:
@@ -82,10 +82,13 @@ def equilibrium_signature(g: Game2x2) -> str:
     return f"class={cls.kind.value}|pure={cells or '-'}|mixed={mixed_tag}"
 
 
-def _signature_key(g: Game2x2) -> tuple[int, int, int, int, bool, bool]:
-    """The six facts ``equilibrium_signature`` reads of a game: the signs of
-    the four payoff differences and whether each player has an interior
-    indifference point.
+def _fact_key(
+    a1: float, a2: float, c1: float, c2: float
+) -> tuple[int, int, int, int, bool, bool]:
+    """The six facts ``equilibrium_signature`` reads of a game with payoff
+    differences ``a1``, ``a2`` (row player) and ``c1``, ``c2`` (column
+    player), as ``_differences`` returns them: the signs of the four
+    differences and whether each player has an interior indifference point.
 
     ``classify`` and ``pure_nash`` read only the signs (``classify``'s second
     difference of each player is exactly the negated one here), the flat
@@ -94,7 +97,6 @@ def _signature_key(g: Game2x2) -> tuple[int, int, int, int, bool, bool]:
     needed on their own: ``d1 * d2`` can underflow, or the root round to 0 or
     1, with the signs unchanged.
     """
-    a1, a2, c1, c2 = _differences(g)
     return (
         (a1 > 0.0) - (a1 < 0.0),
         (a2 > 0.0) - (a2 < 0.0),
@@ -105,12 +107,44 @@ def _signature_key(g: Game2x2) -> tuple[int, int, int, int, bool, bool]:
     )
 
 
+def _signature_key(g: Game2x2) -> tuple[int, int, int, int, bool, bool]:
+    """The six facts ``equilibrium_signature`` reads of ``g``."""
+    return _fact_key(*_differences(g))
+
+
 def _memo_signature(g: Game2x2, memo: dict[tuple, str]) -> str:
     """``equilibrium_signature(g)``, computed once per six-fact key in ``memo``."""
     key = _signature_key(g)
     sig = memo.get(key)
     if sig is None:
         sig = memo[key] = equilibrium_signature(g)
+    return sig
+
+
+def _level_signature(g: Game2x2, lam_k: EmpathyMatrix, memo: dict[tuple, str]) -> str:
+    """``_memo_signature(transform(g, lam_k), memo)``, labelled from the
+    entries of ``lam_k`` and the payoffs of ``g``.
+
+    The four payoff differences are the float expressions ``transform`` and
+    then ``_differences`` evaluate, in the same order, so every sign and root
+    bit is the same.  The level game is built only to compute the signature
+    of a key not yet in ``memo``, or when a difference is not finite: then
+    ``transform`` raises its own error for a non-finite payoff, or the game's
+    payoffs are finite and only a difference overflowed.
+    """
+    l11, l12, l21, l22 = lam_k.l11, lam_k.l12, lam_k.l21, lam_k.l22
+    a1 = (l11 * g.a11 + l12 * g.b11) - (l11 * g.a21 + l12 * g.b21)
+    a2 = (l11 * g.a22 + l12 * g.b22) - (l11 * g.a12 + l12 * g.b12)
+    c1 = (l22 * g.b11 + l21 * g.a11) - (l22 * g.b12 + l21 * g.a12)
+    c2 = (l22 * g.b22 + l21 * g.a22) - (l22 * g.b21 + l21 * g.a21)
+    # The sum is finite only when every difference is; the rare finite
+    # differences whose sum overflows take the same exact path.
+    if not math.isfinite(a1 + a2 + c1 + c2):
+        return _memo_signature(transform(g, lam_k), memo)
+    key = _fact_key(a1, a2, c1, c2)
+    sig = memo.get(key)
+    if sig is None:
+        sig = memo[key] = equilibrium_signature(transform(g, lam_k))
     return sig
 
 
@@ -187,8 +221,11 @@ def _fit_epsilons(
     lam: EmpathyMatrix, powers: Iterable[EmpathyMatrix], k_max: int
 ) -> tuple[float, ...] | None:
     """``structural_epsilons`` over a given walk of lam^1 ... lam^(k_max+1)."""
-    base = lam.entries()
-    den = sum(e * e for e in base)
+    # Each sum starts at 0.0 and adds the four entry terms in order, and the
+    # max takes them in order, as ``sum`` and ``max`` over ``entries()`` do,
+    # so every fit is bit for bit the reference's.
+    b11, b12, b21, b22 = lam.l11, lam.l12, lam.l21, lam.l22
+    den = 0.0 + b11 * b11 + b12 * b12 + b21 * b21 + b22 * b22
     if den == 0.0:
         return None
     eps: list[float] = []
@@ -197,8 +234,11 @@ def _fit_epsilons(
             return None
         if k > k_max:
             break
-        fit = sum(c * b for c, b in zip(cur.entries(), base)) / den
-        residual = max(abs(c - fit * b) for c, b in zip(cur.entries(), base))
+        c11, c12, c21, c22 = cur.l11, cur.l12, cur.l21, cur.l22
+        fit = (0.0 + c11 * b11 + c12 * b12 + c21 * b21 + c22 * b22) / den
+        residual = max(
+            abs(c11 - fit * b11), abs(c12 - fit * b12), abs(c21 - fit * b21), abs(c22 - fit * b22)
+        )
         if residual >= _EPS_FIT_RESIDUAL or fit <= 0.0:
             return None
         eps.append(fit)
@@ -249,9 +289,11 @@ def check_consistency(
     is probed at each level in battery order; the walk stops at the first
     mismatch, so the witness is the earliest offending level and, within it,
     the first offending game.  The same walk of powers feeds the structural
-    fit, so each power is formed once.  Each level game is labelled through
-    its six-fact key (payoff-difference signs and interior-root bits), so
-    ``equilibrium_signature`` runs once per distinct key in the walk.
+    fit, so each power is formed once.  Each level is labelled straight from
+    lam^k's four entries: the probe game's payoff differences at that level
+    give its six-fact key (payoff-difference signs and interior-root bits),
+    and the level game is built, and ``equilibrium_signature`` run, only once
+    per distinct key in the walk or where a difference is not finite.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
@@ -260,7 +302,7 @@ def check_consistency(
         raise ValueError("battery must be non-empty")
 
     memo: dict[tuple, str] = {}
-    sig1 = [_memo_signature(transform(g, lam), memo) for g in games]
+    probes = [(g, _level_signature(g, lam, memo)) for g in games]
     witness: tuple[int, int, str] | None = None  # (k, battery index, sig_k)
     levels_checked = 1
     guard_hit = False
@@ -272,9 +314,12 @@ def check_consistency(
         if _overflows(lam_k):
             guard_hit = True
             break
-        sigs = (_memo_signature(transform(g, lam_k), memo) for g in games)
-        witness = next(((k, i, sig) for i, sig in enumerate(sigs) if sig != sig1[i]), None)
         levels_checked = k
+        for i, (g, sig1) in enumerate(probes):
+            sig = _level_signature(g, lam_k, memo)
+            if sig != sig1:
+                witness = (k, i, sig)
+                break
         if witness is not None:
             break
 
@@ -286,7 +331,7 @@ def check_consistency(
         first_bad_k=k,
         witness_index=idx,
         witness=None if idx is None else games[idx],
-        witness_signatures=None if idx is None else (sig1[idx], sig_k),
+        witness_signatures=None if idx is None else (probes[idx][1], sig_k),
         levels_checked=levels_checked,
         guard_hit=guard_hit,
         structurally_consistent=eps is not None,
@@ -309,14 +354,16 @@ def analyze_hierarchy(g: Game2x2, lam: EmpathyMatrix, k_max: int) -> HierarchyAn
     """Walk the matrix powers up to ``k_max`` for a single game, recording the
     weight matrix and equilibrium signature at each level.
 
-    Each level game is labelled through its six-fact key (payoff-difference
-    signs and interior-root bits), so ``equilibrium_signature`` runs once per
-    distinct key in the walk."""
+    Each level is labelled straight from lam^k's four entries: the game's
+    payoff differences at that level give its six-fact key (payoff-difference
+    signs and interior-root bits), and the level game is built, and
+    ``equilibrium_signature`` run, only once per distinct key in the walk or
+    where a difference is not finite."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     memo: dict[tuple, str] = {}
     levels = [
-        LevelRecord(k=k, lam_k=lam_k, signature=_memo_signature(transform(g, lam_k), memo))
+        LevelRecord(k=k, lam_k=lam_k, signature=_level_signature(g, lam_k, memo))
         for k, lam_k in enumerate(_powers(lam, k_max), 1)
     ]
     consistent = all(rec.signature == levels[0].signature for rec in levels)

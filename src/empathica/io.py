@@ -102,10 +102,6 @@ def write_text(path: str | Path, text: str) -> None:
     path.write_text(text)
 
 
-def write_game_file(path: str | Path, g: Game2x2, lam: EmpathyMatrix) -> None:
-    write_text(path, canonical_json(game_file_dict(g, lam)))
-
-
 def _f(v: float) -> str:
     return repr(float(v))
 

@@ -142,6 +142,11 @@ class TestClassifyCommand:
         obj = json.loads(capsys.readouterr().out)
         assert obj["class"] == "Discoordination"
 
+    @pytest.mark.parametrize("tie_tol", ["nan", "-1", "inf"])
+    def test_bad_tie_tolerance_is_exit_2(self, tie_tol, capsys):
+        assert run("classify", "--input", "pd", f"--tie-tol={tie_tol}") == 2
+        assert "tie_tol must be a finite non-negative number" in capsys.readouterr().err
+
 
 class TestSolveCommand:
     def test_pd_report(self, tmp_path):

@@ -128,6 +128,15 @@ class TestClassify:
         assert classify(g).kind is not GameKind.DEGENERATE
         assert classify(g, tie_tol=1e-6).kind is GameKind.DEGENERATE
 
+    @pytest.mark.parametrize("tie_tol", [-1.0, -1e-300, float("nan"), float("inf")])
+    def test_rejects_a_negative_or_non_finite_tie_tolerance(self, tie_tol):
+        # The row player is tied (a11 == a21); a negative or NaN tolerance
+        # would skip the tie check and report a dominant action.
+        g = Game2x2(1.0, 0.0, 1.0, 2.0, 1.0, 0.0, 0.0, 1.0)
+        assert classify(g).kind is GameKind.DEGENERATE
+        with pytest.raises(ValueError, match="tie_tol must be a finite non-negative number"):
+            classify(g, tie_tol=tie_tol)
+
     @given(games)
     def test_total_on_random_games(self, g):
         cls = classify(g)

@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from empathica import (
@@ -25,9 +25,14 @@ from empathica import (
     structural_epsilons,
     transform,
 )
+from empathica import hierarchy
 from empathica.hierarchy import _memo_signature, _signature_key
 from empathica.io import hierarchy_csv
-from oracles import reference_check_consistency, reference_levels
+from oracles import (
+    reference_check_consistency,
+    reference_levels,
+    reference_structural_epsilons,
+)
 
 
 def ones(rho: float) -> EmpathyMatrix:
@@ -165,6 +170,76 @@ class TestCheckConsistency:
             verdict = check_consistency(lam, k_max=8)
             assert verdict.consistent_up_to_k
             found += 1
+
+
+# Entries from 1e-160 to 1e150 of either sign, and both signed zeros: the
+# squares of the smallest are subnormal, and a matrix of them can have a sum
+# of squares that underflows to zero.
+fit_entries = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(
+        lambda m, e, sign: sign * m * 10.0**e,
+        st.floats(1.0, 9.99),
+        st.integers(-160, 150),
+        st.sampled_from([1.0, -1.0]),
+    ),
+)
+
+
+class TestStructuralFit:
+    @given(st.builds(EmpathyMatrix, *([fit_entries] * 4)), st.integers(1, 30))
+    @example(EmpathyMatrix(1e-170, -1e-165, 0.0, 1e-163), 3)  # squares all underflow
+    @example(EmpathyMatrix(1e-160, 0.0, -0.0, 1e-160), 3)  # subnormal sum of squares
+    @example(EmpathyMatrix(-0.0, 0.0, -0.0, 0.0), 2)
+    @example(EmpathyMatrix(0.5, 0.5, 0.5, 0.5), 30)
+    @example(EmpathyMatrix(1e150, 0.0, 0.0, 1e-150), 2)
+    @settings(max_examples=300, deadline=None)
+    def test_fit_matches_the_reference_exactly(self, lam, k_max):
+        assert _outcome(structural_epsilons, lam, k_max) == _outcome(
+            reference_structural_epsilons, lam, k_max
+        )
+
+    def test_zero_sum_of_squares_has_no_fit(self):
+        assert structural_epsilons(EmpathyMatrix(1e-170, 0.0, 0.0, -1e-170), 4) is None
+        assert structural_epsilons(EmpathyMatrix(-0.0, -0.0, 0.0, -0.0), 4) is None
+
+
+class TestLevelsAreLabelledWithoutLevelGames:
+    """A level game is built only to compute the signature of a six-fact key
+    the walk has not met before, never once per level."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        games = []
+        real = hierarchy.transform
+
+        def counting(g, lam):
+            games.append((g, lam))
+            return real(g, lam)
+
+        monkeypatch.setattr(hierarchy, "transform", counting)
+        return games
+
+    @staticmethod
+    def keys_met(games, lam, levels):
+        keys = set()
+        lam_k = lam
+        for k in range(1, levels + 1):
+            if k > 1:
+                lam_k = lam @ lam_k
+            keys.update(_signature_key(transform(g, lam_k)) for g in games)
+        return keys
+
+    def test_check_consistency(self, built):
+        verdict = check_consistency(ones(1.0), 200)
+        assert verdict.levels_checked == 200
+        keys = self.keys_met(default_battery(), ones(1.0), 200)
+        assert len(built) == len(keys) <= len(default_battery())
+
+    def test_analyze_hierarchy(self, built, pd):
+        analysis = analyze_hierarchy(pd, ones(0.8), 200)
+        assert len(analysis.levels) == 200
+        assert len(built) == len(self.keys_met([pd], ones(0.8), 200)) == 1
 
 
 class TestPositiveScalingInvariance:
@@ -405,6 +480,12 @@ idempotent_lams = st.builds(
     infinitely_consistent, st.floats(-3.0, 3.0), st.sampled_from([-1.0, 0.1, 0.5, 2.0])
 )
 lams = st.one_of(general_lams, family_lams, idempotent_lams, st.sampled_from(OVERFLOWING))
+real_games = st.builds(Game2x2, *([st.floats(-1e3, 1e3, allow_nan=False)] * 8))
+# Entry sizes 0.3 to 100 of either sign, as the benchmark's general weights.
+wide_entries = st.builds(
+    lambda size, sign: sign * size, st.floats(0.3, 100.0), st.sampled_from([1.0, -1.0])
+)
+wide_lams = st.builds(EmpathyMatrix, *([wide_entries] * 4))
 
 
 class TestMemoisedWalksMatchReference:
@@ -424,6 +505,33 @@ class TestMemoisedWalksMatchReference:
             battery = [g, *default_battery()]
             rnd.shuffle(battery)
         assert_walks_match_reference(g, lam, k_max, battery)
+
+    @given(
+        real_games,
+        st.one_of(wide_lams, lams),
+        st.integers(2, 160),
+        st.sampled_from([None, "with_game", "game_only"]),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_real_valued_games(self, g, lam, k_max, battery_kind, rnd):
+        battery = None
+        if battery_kind == "game_only":
+            battery = [g]
+        elif battery_kind == "with_game":
+            battery = [g, *default_battery()]
+            rnd.shuffle(battery)
+        assert_walks_match_reference(g, lam, k_max, battery)
+
+    def test_tenths_where_rounding_sets_the_sign(self):
+        # Payoffs and weights in tenths: in about one pair in a hundred a
+        # level's payoff difference is zero in exact arithmetic, and its float
+        # sign depends on the order in which the products are summed.
+        rng = random.Random(6)
+        for _ in range(1500):
+            g = Game2x2(*(rng.randint(-5, 5) / 10 for _ in range(8)))
+            lam = EmpathyMatrix(*(rng.randint(-5, 5) / 10 for _ in range(4)))
+            assert_walks_match_reference(g, lam, 3, [g])
 
     @pytest.mark.parametrize("g", ROOT_BIT_EDGE_GAMES)
     @pytest.mark.parametrize(
