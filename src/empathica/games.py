@@ -167,6 +167,21 @@ def transform(g: Game2x2, lam: EmpathyMatrix) -> Game2x2:
     )
 
 
+def _transformed_differences(
+    g: Game2x2, lam: EmpathyMatrix
+) -> tuple[float, float, float, float]:
+    """``equilibria._differences(transform(g, lam))`` without building the
+    game: the same float expressions in the same order, so bit for bit the
+    same values, non-finite ones included, and no payoff check."""
+    l11, l12, l21, l22 = lam.l11, lam.l12, lam.l21, lam.l22
+    return (
+        (l11 * g.a11 + l12 * g.b11) - (l11 * g.a21 + l12 * g.b21),
+        (l11 * g.a22 + l12 * g.b22) - (l11 * g.a12 + l12 * g.b12),
+        (l22 * g.b11 + l21 * g.a11) - (l22 * g.b12 + l21 * g.a12),
+        (l22 * g.b22 + l21 * g.a22) - (l22 * g.b21 + l21 * g.a21),
+    )
+
+
 class GameKind(Enum):
     COORDINATION = "Coordination"
     ANTI_COORDINATION = "AntiCoordination"

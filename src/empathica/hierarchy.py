@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, tee
 
-from .equilibria import _differences, _interior_root, mixed_nash, pure_nash
+from .equilibria import _interior_root, mixed_nash, pure_nash
 from .games import (
     EmpathyMatrix,
     Game2x2,
@@ -24,6 +24,7 @@ from .games import (
     matching_pennies,
     prisoners_dilemma,
     transform,
+    _transformed_differences,
 )
 
 _DIVERGENCE_GUARD = 1e12
@@ -107,44 +108,24 @@ def _fact_key(
     )
 
 
-def _signature_key(g: Game2x2) -> tuple[int, int, int, int, bool, bool]:
-    """The six facts ``equilibrium_signature`` reads of ``g``."""
-    return _fact_key(*_differences(g))
-
-
-def _memo_signature(g: Game2x2, memo: dict[tuple, str]) -> str:
-    """``equilibrium_signature(g)``, computed once per six-fact key in ``memo``."""
-    key = _signature_key(g)
-    sig = memo.get(key)
-    if sig is None:
-        sig = memo[key] = equilibrium_signature(g)
-    return sig
-
-
 def _level_signature(g: Game2x2, lam_k: EmpathyMatrix, memo: dict[tuple, str]) -> str:
-    """``_memo_signature(transform(g, lam_k), memo)``, labelled from the
-    entries of ``lam_k`` and the payoffs of ``g``.
+    """``equilibrium_signature(transform(g, lam_k))``, computed once per
+    six-fact key in ``memo`` and keyed from ``lam_k``'s entries and ``g``'s
+    payoffs without building the level game.
 
-    The four payoff differences are the float expressions ``transform`` and
-    then ``_differences`` evaluate, in the same order, so every sign and root
-    bit is the same.  The level game is built only to compute the signature
-    of a key not yet in ``memo``, or when a difference is not finite: then
-    ``transform`` raises its own error for a non-finite payoff, or the game's
-    payoffs are finite and only a difference overflowed.
+    The level game is built only for a key not yet in ``memo``, to compute
+    its signature, or when a difference is not finite, so that ``transform``
+    raises its own error for a non-finite payoff.
     """
-    l11, l12, l21, l22 = lam_k.l11, lam_k.l12, lam_k.l21, lam_k.l22
-    a1 = (l11 * g.a11 + l12 * g.b11) - (l11 * g.a21 + l12 * g.b21)
-    a2 = (l11 * g.a22 + l12 * g.b22) - (l11 * g.a12 + l12 * g.b12)
-    c1 = (l22 * g.b11 + l21 * g.a11) - (l22 * g.b12 + l21 * g.a12)
-    c2 = (l22 * g.b22 + l21 * g.a22) - (l22 * g.b21 + l21 * g.a21)
-    # The sum is finite only when every difference is; the rare finite
-    # differences whose sum overflows take the same exact path.
-    if not math.isfinite(a1 + a2 + c1 + c2):
-        return _memo_signature(transform(g, lam_k), memo)
+    a1, a2, c1, c2 = _transformed_differences(g, lam_k)
     key = _fact_key(a1, a2, c1, c2)
     sig = memo.get(key)
-    if sig is None:
-        sig = memo[key] = equilibrium_signature(transform(g, lam_k))
+    # The sum is finite only when every difference is; rare finite
+    # differences whose sum overflows only cost a needless build.
+    if sig is None or not math.isfinite(a1 + a2 + c1 + c2):
+        g_k = transform(g, lam_k)
+        if sig is None:
+            sig = memo[key] = equilibrium_signature(g_k)
     return sig
 
 
@@ -221,11 +202,11 @@ def _fit_epsilons(
     lam: EmpathyMatrix, powers: Iterable[EmpathyMatrix], k_max: int
 ) -> tuple[float, ...] | None:
     """``structural_epsilons`` over a given walk of lam^1 ... lam^(k_max+1)."""
-    # Each sum starts at 0.0 and adds the four entry terms in order, and the
-    # max takes them in order, as ``sum`` and ``max`` over ``entries()`` do,
-    # so every fit is bit for bit the reference's.
+    # ``sum`` and ``max`` over the four entry terms in entry order, as over
+    # ``entries()``, so every fit is bit for bit the reference's on every
+    # Python version (``sum`` of floats is compensated from 3.12 on).
     b11, b12, b21, b22 = lam.l11, lam.l12, lam.l21, lam.l22
-    den = 0.0 + b11 * b11 + b12 * b12 + b21 * b21 + b22 * b22
+    den = sum((b11 * b11, b12 * b12, b21 * b21, b22 * b22))
     if den == 0.0:
         return None
     eps: list[float] = []
@@ -235,7 +216,7 @@ def _fit_epsilons(
         if k > k_max:
             break
         c11, c12, c21, c22 = cur.l11, cur.l12, cur.l21, cur.l22
-        fit = (0.0 + c11 * b11 + c12 * b12 + c21 * b21 + c22 * b22) / den
+        fit = sum((c11 * b11, c12 * b12, c21 * b21, c22 * b22)) / den
         residual = max(
             abs(c11 - fit * b11), abs(c12 - fit * b12), abs(c21 - fit * b21), abs(c22 - fit * b22)
         )

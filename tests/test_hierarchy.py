@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
@@ -26,7 +27,9 @@ from empathica import (
     transform,
 )
 from empathica import hierarchy
-from empathica.hierarchy import _memo_signature, _signature_key
+from empathica.equilibria import _differences
+from empathica.games import _transformed_differences
+from empathica.hierarchy import _fact_key
 from empathica.io import hierarchy_csv
 from oracles import (
     reference_check_consistency,
@@ -227,7 +230,7 @@ class TestLevelsAreLabelledWithoutLevelGames:
         for k in range(1, levels + 1):
             if k > 1:
                 lam_k = lam @ lam_k
-            keys.update(_signature_key(transform(g, lam_k)) for g in games)
+            keys.update(_fact_key(*_differences(transform(g, lam_k))) for g in games)
         return keys
 
     def test_check_consistency(self, built):
@@ -240,6 +243,29 @@ class TestLevelsAreLabelledWithoutLevelGames:
         analysis = analyze_hierarchy(pd, ones(0.8), 200)
         assert len(analysis.levels) == 200
         assert len(built) == len(self.keys_met([pd], ones(0.8), 200)) == 1
+
+
+class TestTransformedDifferences:
+    """Levels are keyed from ``_transformed_differences``; it must stay bit
+    for bit the differences of the built level game."""
+
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+
+    @given(st.builds(Game2x2, *([finite] * 8)), st.builds(EmpathyMatrix, *([finite] * 4)))
+    @example(Game2x2(1e308, 0.0, -1e308, 0.0, 0.0, 0.0, 0.0, 0.0), EmpathyMatrix.identity())
+    @example(Game2x2(1e308, 0.0, 0.0, 0.0, 1e308, 0.0, 0.0, 0.0), ones(2.0))
+    @example(Game2x2(-0.0, 0.0, 0.0, -0.0, 0.0, -0.0, -0.0, 0.0), EmpathyMatrix(-1.0, 0.0, 0.0, -1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_for_bit_the_level_games_differences(self, g, lam):
+        fast = _transformed_differences(g, lam)
+        try:
+            built = transform(g, lam)
+        except ValueError:
+            # A non-finite payoff makes a difference non-finite, which sends
+            # the labelling to ``transform`` and its error.
+            assert not math.isfinite(sum(fast))
+            return
+        assert [x.hex() for x in fast] == [x.hex() for x in _differences(built)]
 
 
 class TestPositiveScalingInvariance:
@@ -556,13 +582,10 @@ class TestMemoisedWalksMatchReference:
         # magnitudes that make the interior root exist, underflow, round to
         # zero or meet an infinite difference.
         values = [0.0, -0.0, 1.0, -1.0, 1e-200, -1e-200, 1e300, -1e300, 1e-300, 1e308]
-        memo: dict = {}
         by_key: dict = {}
         for a1, a2, c1, c2 in itertools.product(values, repeat=4):
             g = Game2x2(a1, 0.0, 0.0, a2, c1, 0.0, 0.0, c2)
-            sig = equilibrium_signature(g)
-            assert _memo_signature(g, memo) == sig
-            by_key.setdefault(_signature_key(g), set()).add(sig)
+            by_key.setdefault(_fact_key(*_differences(g)), set()).add(equilibrium_signature(g))
         # 3^4 sign patterns; each player's root bit can be set only when its
         # two differences share a nonzero sign (2 of 9 sign pairs), so 11
         # facts per player.
