@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .games import CELLS, EmpathyMatrix, Game2x2, transform
+from .games import CELLS, EmpathyMatrix, Game2x2, _differences, transform
 
 Cell = tuple[int, int]
 
@@ -87,9 +87,26 @@ def _interior_root(d1: float, d2: float) -> float | None:
     return None
 
 
-def _differences(g: Game2x2) -> tuple[float, float, float, float]:
-    """The row player's (d1, d2) followed by the column player's."""
-    return (g.a11 - g.a21, g.a22 - g.a12, g.b11 - g.b12, g.b22 - g.b21)
+def _player_key(d1: float, d2: float) -> tuple[int, int, bool]:
+    """What an equilibrium label reads of one player with payoff differences
+    ``d1``, ``d2`` (as in ``_best_responses``): their signs, which fix its
+    best responses, its class pattern and whether it is indifferent
+    everywhere, and whether it has an interior indifference point.  The root
+    bit is needed on its own: ``d1 * d2`` can underflow, or the root round to
+    0 or 1, with the signs unchanged."""
+    return ((d1 > 0.0) - (d1 < 0.0), (d2 > 0.0) - (d2 < 0.0), _interior_root(d1, d2) is not None)
+
+
+def _pure_equilibria(row, col) -> list[PureEquilibrium]:
+    """The pure equilibria, the cells where each player's action is a weak
+    best response to the other's, from both players' ``_best_responses``."""
+    out = []
+    for (i, j) in CELLS:
+        if row[i - 1][j - 1] and col[j - 1][i - 1]:
+            # Strict when neither deviation is a best response as well.
+            strict = not row[2 - i][j - 1] and not col[2 - j][i - 1]
+            out.append(PureEquilibrium(cell=(i, j), strict=strict))
+    return out
 
 
 def pure_nash(g: Game2x2) -> list[PureEquilibrium]:
@@ -98,15 +115,7 @@ def pure_nash(g: Game2x2) -> list[PureEquilibrium]:
     Weak equilibria (deviation ties) are included with ``strict=False``.
     """
     alpha1, alpha2, gamma1, gamma2 = _differences(g)
-    row = _best_responses(alpha1, alpha2)
-    col = _best_responses(gamma1, gamma2)
-    out = []
-    for (i, j) in CELLS:
-        if row[i - 1][j - 1] and col[j - 1][i - 1]:
-            # Strict when neither deviation is a best response as well.
-            strict = not row[2 - i][j - 1] and not col[2 - j][i - 1]
-            out.append(PureEquilibrium(cell=(i, j), strict=strict))
-    return out
+    return _pure_equilibria(_best_responses(alpha1, alpha2), _best_responses(gamma1, gamma2))
 
 
 def _segment(x0: float, y0: float, x1: float, y1: float) -> tuple[MixedProfile, MixedProfile]:
@@ -131,47 +140,37 @@ def mixed_nash(g: Game2x2) -> MixedNashResult:
         return MixedNashResult(points=(), degenerate=True)
 
     if row_flat or col_flat:
-        # The non-flat player's preference for action 1 is linear in the
-        # opponent's mix; the flat player is unconstrained.
+        # The other player's preference for action 1 is linear in the flat
+        # player's mix u, from pref0 at u = 0 to pref1 at u = 1; the flat
+        # player is unconstrained.  Segments are built as (u, v) with v the
+        # other player's mix.  The preferences are payoff subtractions, not
+        # negated differences: the sign of a zero root reaches the output.
         if row_flat:
-            # Column prefers action 1 against row mix x iff pref(x) > 0.
-            pref0 = g.b21 - g.b22  # at x = 0
-            pref1 = g.b11 - g.b12  # at x = 1
+            pref0, pref1 = g.b21 - g.b22, g.b11 - g.b12
         else:
-            # Row prefers action 1 against column mix y iff pref(y) > 0.
-            pref0 = g.a12 - g.a22  # at y = 0
-            pref1 = g.a11 - g.a21  # at y = 1
-        continua: list[tuple[MixedProfile, MixedProfile]] = []
+            pref0, pref1 = g.a12 - g.a22, g.a11 - g.a21
         slope = pref1 - pref0
         root = -pref0 / slope if slope != 0.0 else None
         if root is not None and 0.0 <= root <= 1.0:
-            # Where the non-flat player strictly prefers an action, the flat
-            # player is free and the other coordinate is pinned; at the root
-            # the non-flat player is indifferent too.
+            # Where the other player strictly prefers an action, the flat
+            # player is free and v is pinned; at the root the other player is
+            # indifferent too.
             lo_side, hi_side = (0.0, 1.0) if slope > 0.0 else (1.0, 0.0)
-            if row_flat:
-                continua.append(_segment(root, 0.0, root, 1.0))
-                if root > 0.0:
-                    continua.append(_segment(0.0, lo_side, root, lo_side))
-                if root < 1.0:
-                    continua.append(_segment(root, hi_side, 1.0, hi_side))
-            else:
-                continua.append(_segment(0.0, root, 1.0, root))
-                if root > 0.0:
-                    continua.append(_segment(lo_side, 0.0, lo_side, root))
-                if root < 1.0:
-                    continua.append(_segment(hi_side, root, hi_side, 1.0))
+            segments = [(root, 0.0, root, 1.0)]
+            if root > 0.0:
+                segments.append((0.0, lo_side, root, lo_side))
+            if root < 1.0:
+                segments.append((root, hi_side, 1.0, hi_side))
         else:
-            # Constant-sign preference: the non-flat player pins one pure
-            # action and the flat player ranges over the whole interval.
-            prefers_one = pref0 > 0.0 or pref1 > 0.0
-            if row_flat:
-                y_fixed = 1.0 if prefers_one else 0.0
-                continua.append(_segment(0.0, y_fixed, 1.0, y_fixed))
-            else:
-                x_fixed = 1.0 if prefers_one else 0.0
-                continua.append(_segment(x_fixed, 0.0, x_fixed, 1.0))
-        return MixedNashResult(points=(), continua=tuple(continua))
+            # Constant-sign preference: the other player pins one pure action
+            # and the flat player ranges over the whole interval.
+            v = 1.0 if pref0 > 0.0 or pref1 > 0.0 else 0.0
+            segments = [(0.0, v, 1.0, v)]
+        continua = tuple(
+            _segment(u0, v0, u1, v1) if row_flat else _segment(v0, u0, v1, u1)
+            for u0, v0, u1, v1 in segments
+        )
+        return MixedNashResult(points=(), continua=continua)
 
     y_star = _interior_root(alpha1, alpha2)
     x_star = _interior_root(gamma1, gamma2)
@@ -298,26 +297,6 @@ def _linspace(lo: float, hi: float, n: int) -> tuple[float, ...]:
     return tuple(lo + k * step for k in range(n))
 
 
-_Facts = tuple[frozenset[Cell], bool, bool]
-
-
-def _player_facts(gp: Game2x2, column: bool) -> _Facts:
-    """What ``outcome_label`` reads of one player of a transformed game: the
-    cells where it best responds, whether it is indifferent everywhere (which
-    makes some mixed profile an equilibrium), and whether it has an interior
-    indifference point."""
-    alpha1, alpha2, gamma1, gamma2 = _differences(gp)
-    d1, d2 = (gamma1, gamma2) if column else (alpha1, alpha2)
-    br = _best_responses(d1, d2)
-    cells = frozenset(
-        (opp, own) if column else (own, opp)
-        for own in (1, 2)
-        for opp in (1, 2)
-        if br[own - 1][opp - 1]
-    )
-    return (cells, d1 == 0.0 and d2 == 0.0, _interior_root(d1, d2) is not None)
-
-
 def region_map(
     g: Game2x2,
     l12_range: tuple[float, float],
@@ -330,12 +309,11 @@ def region_map(
     with the equilibrium outcome of the transformed game.
 
     The row player's transformed payoffs depend only on (l11, l12) and the
-    column player's only on (l22, l21), and ``outcome_label`` reads three
-    facts per player: its weak best responses, whether it is indifferent
-    everywhere, and whether it has an interior indifference point.  So the
-    sweep makes n row solves and n column solves, then fills the n^2 cells by
-    lookup; each label equals ``outcome_label(two_population_equilibria(g,
-    EmpathyMatrix(l11, l12, l21, l22)))`` exactly.
+    column player's only on (l22, l21), and ``outcome_label`` reads only each
+    player's ``_player_key``.  So the sweep makes n row solves and n column
+    solves, then fills the n^2 cells by lookup; each label equals
+    ``outcome_label(two_population_equilibria(g, EmpathyMatrix(l11, l12, l21,
+    l22)))`` exactly.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -348,26 +326,28 @@ def region_map(
     # the first value of the other axis, so an invalid weight or an
     # overflowing payoff raises at the same cell, with the same message, as a
     # row-major walk of every cell would.
-    row_facts = [
-        _player_facts(transform(g, EmpathyMatrix(l11, l12, l21s[0], l22)), column=False)
+    row_keys = [
+        _player_key(*_differences(transform(g, EmpathyMatrix(l11, l12, l21s[0], l22)))[:2])
         for l12 in l12s
     ]
-    col_facts = [
-        _player_facts(transform(g, EmpathyMatrix(l11, l12s[0], l21, l22)), column=True)
+    col_keys = [
+        _player_key(*_differences(transform(g, EmpathyMatrix(l11, l12s[0], l21, l22)))[2:])
         for l21 in l21s
     ]
-    # A label depends only on the (row facts, column facts) pair, so each
+    # A label depends only on the (row key, column key) pair, so each
     # distinct pair is labelled once, and a row of the map depends only on
-    # its column facts.
-    rows: dict[_Facts, tuple[str, ...]] = {}
-    for c_cells, c_flat, c_root in set(col_facts):
+    # its column key.
+    rows: dict[tuple[int, int, bool], tuple[str, ...]] = {}
+    for c1, c2, c_root in set(col_keys):
+        col = _best_responses(c1, c2)
         by_row = {
-            (r_cells, r_flat, r_root): _label(
-                r_cells & c_cells, r_flat or c_flat or (r_root and c_root)
+            (r1, r2, r_root): _label(
+                [p.cell for p in _pure_equilibria(_best_responses(r1, r2), col)],
+                r1 == r2 == 0 or c1 == c2 == 0 or (r_root and c_root),
             )
-            for r_cells, r_flat, r_root in set(row_facts)
+            for r1, r2, r_root in set(row_keys)
         }
-        rows[c_cells, c_flat, c_root] = tuple(by_row[rf] for rf in row_facts)
+        rows[c1, c2, c_root] = tuple(by_row[rk] for rk in row_keys)
     return RegionMap(
-        l12_values=l12s, l21_values=l21s, labels=tuple(rows[cf] for cf in col_facts)
+        l12_values=l12s, l21_values=l21s, labels=tuple(rows[ck] for ck in col_keys)
     )

@@ -23,13 +23,17 @@ def homogeneous_payoff(g: Game2x2, sigma: float, mu: float) -> Matrix2:
     Only the row player's entries of ``g`` are used; the opponent's payoff is
     the transpose.  The result is
     ((sigma+mu)*a11, sigma*a12 + mu*a21; sigma*a21 + mu*a12, (sigma+mu)*a22).
+    ValueError is raised when an entry overflows.
     """
     if not (math.isfinite(sigma) and math.isfinite(mu)):
         raise ValueError("sigma and mu must be finite")
-    return (
+    a_lam = (
         ((sigma + mu) * g.a11, sigma * g.a12 + mu * g.a21),
         (sigma * g.a21 + mu * g.a12, (sigma + mu) * g.a22),
     )
+    if not all(map(math.isfinite, a_lam[0] + a_lam[1])):
+        raise ValueError(f"homogeneous payoff entries must be finite, got {a_lam!r}")
+    return a_lam
 
 
 @dataclass(frozen=True)
@@ -95,7 +99,10 @@ class Constraint:
     With alpha = (V - c2)/(c1 - c2) the feasible set is [0, alpha] when
     c1 > c2 (type I, binding when alpha < 1) and [alpha, 1] when c1 < c2
     (type II, binding when alpha > 0).  c1 == c2 is rejected because the
-    constraint would not depend on the strategy at all.
+    constraint would not depend on the strategy at all, and so are
+    coefficients for which c1 - c2 or V - c2 overflows.  A quotient past the
+    float range is kept as an infinite alpha, which still gives the right
+    feasible set.
     """
 
     c1: float
@@ -109,6 +116,8 @@ class Constraint:
                 raise ValueError(f"{name} must be finite")
         if self.c1 == self.c2:
             raise ValueError("constraint requires c1 ≠ c2 (otherwise it is strategy-independent)")
+        if not (math.isfinite(self.c1 - self.c2) and math.isfinite(self.V - self.c2)):
+            raise ValueError("constraint overflows: c1 - c2 and V - c2 must be finite")
 
     @classmethod
     def unconstrained(cls) -> "Constraint":

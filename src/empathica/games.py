@@ -167,12 +167,20 @@ def transform(g: Game2x2, lam: EmpathyMatrix) -> Game2x2:
     )
 
 
+def _differences(g: Game2x2) -> tuple[float, float, float, float]:
+    """Each player's two payoff differences, the row player's (d1, d2)
+    followed by the column player's: ``d1`` is the gain from action 1 over
+    action 2 when the opponent plays action 1, ``d2`` the gain from action 2
+    over action 1 when the opponent plays action 2."""
+    return (g.a11 - g.a21, g.a22 - g.a12, g.b11 - g.b12, g.b22 - g.b21)
+
+
 def _transformed_differences(
     g: Game2x2, lam: EmpathyMatrix
 ) -> tuple[float, float, float, float]:
-    """``equilibria._differences(transform(g, lam))`` without building the
-    game: the same float expressions in the same order, so bit for bit the
-    same values, non-finite ones included, and no payoff check."""
+    """``_differences(transform(g, lam))`` without building the game: the
+    same float expressions in the same order, so bit for bit the same values,
+    non-finite ones included, and no payoff check."""
     l11, l12, l21, l22 = lam.l11, lam.l12, lam.l21, lam.l22
     return (
         (l11 * g.a11 + l12 * g.b11) - (l11 * g.a21 + l12 * g.b21),
@@ -213,44 +221,29 @@ def classify(g: Game2x2, tie_tol: float = 0.0) -> Classification:
     """
     if not 0.0 <= tie_tol < math.inf:
         raise ValueError(f"tie_tol must be a finite non-negative number, got {tie_tol!r}")
-    # Row player: prefers action 1 against column action j iff rj > 0.
-    r1 = g.a11 - g.a21
-    r2 = g.a12 - g.a22
-    # Column player: prefers action 1 against row action i iff ci > 0.
-    c1 = g.b11 - g.b12
-    c2 = g.b21 - g.b22
-
-    ties = []
-    for label, diff in (("a11-a21", r1), ("a12-a22", r2), ("b11-b12", c1), ("b21-b22", c2)):
-        if abs(diff) <= tie_tol:
-            ties.append(label)
+    diffs = _differences(g)
+    # One label per difference; ``abs`` ignores that two of them name the
+    # negated subtraction.
+    labels = ("a11-a21", "a12-a22", "b11-b12", "b21-b22")
+    ties = tuple(label for label, d in zip(labels, diffs) if abs(d) <= tie_tol)
     if ties:
-        return Classification(GameKind.DEGENERATE, degenerate_ties=tuple(ties))
-
-    def pattern(d1: float, d2: float) -> str:
-        # d1: prefer-1 vs opponent action 1; d2: prefer-1 vs opponent action 2.
-        if d1 > 0 and d2 < 0:
-            return "match"
-        if d1 < 0 and d2 > 0:
-            return "mismatch"
-        if d1 > 0 and d2 > 0:
-            return "dom1"
-        return "dom2"
-
-    p_row = pattern(r1, r2)
-    p_col = pattern(c1, c2)
-    dom_row = 1 if p_row == "dom1" else 2 if p_row == "dom2" else None
-    dom_col = 1 if p_col == "dom1" else 2 if p_col == "dom2" else None
-
+        return Classification(GameKind.DEGENERATE, degenerate_ties=ties)
+    # Each player with d1 > 0 prefers action 1 against action 1 and with
+    # d2 > 0 action 2 against action 2: both positive is matching, both
+    # negative mismatching, and unequal signs make the action it prefers
+    # against action 1 strictly dominant.
+    r1, r2, c1, c2 = diffs
+    dom_row = None if (r1 > 0.0) == (r2 > 0.0) else 1 if r1 > 0.0 else 2
+    dom_col = None if (c1 > 0.0) == (c2 > 0.0) else 1 if c1 > 0.0 else 2
     if dom_row is not None or dom_col is not None:
         return Classification(
             GameKind.DOMINANT_STRATEGY,
             dominant_action_p1=dom_row,
             dominant_action_p2=dom_col,
         )
-    if p_row == "match" and p_col == "match":
+    if r1 > 0.0 and c1 > 0.0:
         return Classification(GameKind.COORDINATION)
-    if p_row == "mismatch" and p_col == "mismatch":
+    if r1 < 0.0 and c1 < 0.0:
         return Classification(GameKind.ANTI_COORDINATION)
     return Classification(GameKind.DISCOORDINATION)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, tee
 
-from .equilibria import _interior_root, mixed_nash, pure_nash
+from .equilibria import _player_key, mixed_nash, pure_nash
 from .games import (
     EmpathyMatrix,
     Game2x2,
@@ -83,42 +83,22 @@ def equilibrium_signature(g: Game2x2) -> str:
     return f"class={cls.kind.value}|pure={cells or '-'}|mixed={mixed_tag}"
 
 
-def _fact_key(
-    a1: float, a2: float, c1: float, c2: float
-) -> tuple[int, int, int, int, bool, bool]:
-    """The six facts ``equilibrium_signature`` reads of a game with payoff
-    differences ``a1``, ``a2`` (row player) and ``c1``, ``c2`` (column
-    player), as ``_differences`` returns them: the signs of the four
-    differences and whether each player has an interior indifference point.
-
-    ``classify`` and ``pure_nash`` read only the signs (``classify``'s second
-    difference of each player is exactly the negated one here), the flat
-    branches of ``mixed_nash`` always yield a continuum, and its interior
-    point exists exactly when both players have a root.  The root bits are
-    needed on their own: ``d1 * d2`` can underflow, or the root round to 0 or
-    1, with the signs unchanged.
-    """
-    return (
-        (a1 > 0.0) - (a1 < 0.0),
-        (a2 > 0.0) - (a2 < 0.0),
-        (c1 > 0.0) - (c1 < 0.0),
-        (c2 > 0.0) - (c2 < 0.0),
-        _interior_root(a1, a2) is not None,
-        _interior_root(c1, c2) is not None,
-    )
-
-
 def _level_signature(g: Game2x2, lam_k: EmpathyMatrix, memo: dict[tuple, str]) -> str:
     """``equilibrium_signature(transform(g, lam_k))``, computed once per
-    six-fact key in ``memo`` and keyed from ``lam_k``'s entries and ``g``'s
-    payoffs without building the level game.
+    pair of ``_player_key``s in ``memo`` and keyed from ``lam_k``'s entries
+    and ``g``'s payoffs without building the level game.
+
+    ``classify`` and ``pure_nash`` read only the signs of the differences,
+    the flat branches of ``mixed_nash`` always yield a continuum, and its
+    interior point exists exactly when both players have a root, so the pair
+    fixes the signature.
 
     The level game is built only for a key not yet in ``memo``, to compute
     its signature, or when a difference is not finite, so that ``transform``
     raises its own error for a non-finite payoff.
     """
     a1, a2, c1, c2 = _transformed_differences(g, lam_k)
-    key = _fact_key(a1, a2, c1, c2)
+    key = (_player_key(a1, a2), _player_key(c1, c2))
     sig = memo.get(key)
     # The sum is finite only when every difference is; rare finite
     # differences whose sum overflows only cost a needless build.
@@ -272,7 +252,7 @@ def check_consistency(
     the first offending game.  The same walk of powers feeds the structural
     fit, so each power is formed once.  Each level is labelled straight from
     lam^k's four entries: the probe game's payoff differences at that level
-    give its six-fact key (payoff-difference signs and interior-root bits),
+    give each player's key (payoff-difference signs and interior-root bit),
     and the level game is built, and ``equilibrium_signature`` run, only once
     per distinct key in the walk or where a difference is not finite.
     """
@@ -336,8 +316,8 @@ def analyze_hierarchy(g: Game2x2, lam: EmpathyMatrix, k_max: int) -> HierarchyAn
     weight matrix and equilibrium signature at each level.
 
     Each level is labelled straight from lam^k's four entries: the game's
-    payoff differences at that level give its six-fact key (payoff-difference
-    signs and interior-root bits), and the level game is built, and
+    payoff differences at that level give each player's key (payoff-difference
+    signs and interior-root bit), and the level game is built, and
     ``equilibrium_signature`` run, only once per distinct key in the walk or
     where a difference is not finite."""
     if k_max < 1:

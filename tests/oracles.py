@@ -5,17 +5,25 @@ checking; none of it shares code paths with the library implementations.
 The reference hierarchy walks are the exception: they call the library's
 ``transform`` and ``equilibrium_signature`` on every level game, so they
 check how the walks label, order and stop, not the signature itself.
+``reference_classify`` and ``reference_mixed_nash`` are the direct
+payoff-subtraction forms of ``classify`` and ``mixed_nash``, each player
+written out on its own, which the library must match bit for bit.
 """
 from __future__ import annotations
 
 import random
 
 import numpy as np
+from hypothesis import strategies as st
 
 from empathica import (
+    Classification,
     ConsistencyVerdict,
     EmpathyMatrix,
     Game2x2,
+    GameKind,
+    MixedNashResult,
+    MixedProfile,
     default_battery,
     equilibrium_signature,
     transform,
@@ -168,6 +176,30 @@ def random_game(rng: random.Random, span: float = 5.0) -> Game2x2:
     return Game2x2(*(rng.uniform(-span, span) for _ in range(8)))
 
 
+_SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+_EDGE_PAYOFF = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 2.0, 1e-300, 5e-324, 1e308, -1e308]
+) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def edge_games(draw) -> Game2x2:
+    """Games whose payoffs tie or hold +-0.0 often, and where one player is
+    often flat: its payoff does not depend on its own action, with a zero
+    payoff's sign drawn separately in each of its cells."""
+    a = draw(st.lists(_EDGE_PAYOFF, min_size=4, max_size=4))
+    b = draw(st.lists(_EDGE_PAYOFF, min_size=4, max_size=4))
+    flat = draw(st.sampled_from(["row", "column", "neither"]))
+    if flat != "neither":
+        p, q = draw(_EDGE_PAYOFF), draw(_EDGE_PAYOFF)
+        p2, q2 = (draw(_SIGNED_ZERO) if v == 0.0 else v for v in (p, q))
+        if flat == "row":
+            a = [p, q, p2, q2]  # a11 = a21 and a12 = a22
+        else:
+            b = [p, p2, q, q2]  # b11 = b12 and b21 = b22
+    return Game2x2(*a, *b)
+
+
 def random_pd(rng: random.Random, span: float = 5.0, margin: float = 0.1) -> Game2x2:
     """Symmetric dilemma with a21 > a11 > a22 > a12, separated by ``margin``."""
     while True:
@@ -308,3 +340,90 @@ def reference_check_consistency(lam: EmpathyMatrix, k_max: int, battery=None) ->
         structurally_consistent=eps is not None,
         epsilons=eps,
     )
+
+
+def reference_classify(g: Game2x2, tie_tol: float = 0.0) -> Classification:
+    """``classify`` on the eight payoffs: ties first, in comparison order,
+    then each player's pattern from the sign of its preference for action 1
+    against each opponent action."""
+    if not 0.0 <= tie_tol < float("inf"):
+        raise ValueError(f"tie_tol must be a finite non-negative number, got {tie_tol!r}")
+    r1, r2 = g.a11 - g.a21, g.a12 - g.a22
+    c1, c2 = g.b11 - g.b12, g.b21 - g.b22
+    labels = ("a11-a21", "a12-a22", "b11-b12", "b21-b22")
+    ties = tuple(lab for lab, d in zip(labels, (r1, r2, c1, c2)) if abs(d) <= tie_tol)
+    if ties:
+        return Classification(GameKind.DEGENERATE, degenerate_ties=ties)
+
+    def pattern(d1: float, d2: float) -> str:
+        if d1 > 0 and d2 < 0:
+            return "match"
+        if d1 < 0 and d2 > 0:
+            return "mismatch"
+        return "dom1" if d1 > 0 and d2 > 0 else "dom2"
+
+    p_row, p_col = pattern(r1, r2), pattern(c1, c2)
+    doms = [{"dom1": 1, "dom2": 2}.get(p) for p in (p_row, p_col)]
+    if doms != [None, None]:
+        return Classification(GameKind.DOMINANT_STRATEGY, *doms)
+    if p_row == p_col == "match":
+        return Classification(GameKind.COORDINATION)
+    if p_row == p_col == "mismatch":
+        return Classification(GameKind.ANTI_COORDINATION)
+    return Classification(GameKind.DISCOORDINATION)
+
+
+def reference_mixed_nash(g: Game2x2) -> MixedNashResult:
+    """``mixed_nash`` with the row-flat and column-flat continua written out
+    separately in (x, y) coordinates."""
+    alpha1, alpha2 = g.a11 - g.a21, g.a22 - g.a12
+    gamma1, gamma2 = g.b11 - g.b12, g.b22 - g.b21
+    row_flat = alpha1 == 0.0 and alpha2 == 0.0
+    col_flat = gamma1 == 0.0 and gamma2 == 0.0
+    if row_flat and col_flat:
+        return MixedNashResult(points=(), degenerate=True)
+
+    def seg(x0, y0, x1, y1):
+        return (MixedProfile(x0, y0), MixedProfile(x1, y1))
+
+    if row_flat or col_flat:
+        if row_flat:
+            pref0, pref1 = g.b21 - g.b22, g.b11 - g.b12  # column, at x = 0, 1
+        else:
+            pref0, pref1 = g.a12 - g.a22, g.a11 - g.a21  # row, at y = 0, 1
+        out = []
+        slope = pref1 - pref0
+        root = -pref0 / slope if slope != 0.0 else None
+        if root is not None and 0.0 <= root <= 1.0:
+            lo, hi = (0.0, 1.0) if slope > 0.0 else (1.0, 0.0)
+            if row_flat:
+                out.append(seg(root, 0.0, root, 1.0))
+                if root > 0.0:
+                    out.append(seg(0.0, lo, root, lo))
+                if root < 1.0:
+                    out.append(seg(root, hi, 1.0, hi))
+            else:
+                out.append(seg(0.0, root, 1.0, root))
+                if root > 0.0:
+                    out.append(seg(lo, 0.0, lo, root))
+                if root < 1.0:
+                    out.append(seg(hi, root, hi, 1.0))
+        else:
+            pinned = 1.0 if pref0 > 0.0 or pref1 > 0.0 else 0.0
+            if row_flat:
+                out.append(seg(0.0, pinned, 1.0, pinned))
+            else:
+                out.append(seg(pinned, 0.0, pinned, 1.0))
+        return MixedNashResult(points=(), continua=tuple(out))
+
+    def root_of(d1, d2):
+        if d1 * d2 > 0.0:
+            r = d2 / (d1 + d2)
+            if 0.0 < r < 1.0:
+                return r
+        return None
+
+    y_star, x_star = root_of(alpha1, alpha2), root_of(gamma1, gamma2)
+    if x_star is None or y_star is None:
+        return MixedNashResult(points=())
+    return MixedNashResult(points=(MixedProfile(x=x_star, y=y_star),))

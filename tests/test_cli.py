@@ -70,6 +70,23 @@ class TestExitCodes:
         assert code == 2
         assert "c1 ≠ c2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--sigma", "1e308", "--mu", "1e308"], "entries must be finite"),
+            (["--c1", "1e308", "--c2=-1e308", "--V", "0"], "constraint overflows"),
+            (["--c1", "1", "--c2=-1e308", "--V", "1e308"], "constraint overflows"),
+        ],
+    )
+    def test_ess_overflow_is_exit_2(self, tmp_path, capsys, options, message):
+        base = {"--sigma": "1", "--mu": "0"}
+        argv = [x for k, v in base.items() if k not in options for x in (k, v)]
+        out = tmp_path / "ess.json"
+        code = run("ess", "--input", "anti_coordination", *argv, *options, "--out", str(out))
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_resolution_is_exit_2(self, tmp_path):
         out = tmp_path / "map.csv"
         code = run("sweep", "--input", "pd", "--grid", "1", "--out", str(out))

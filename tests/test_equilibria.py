@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from empathica import (
@@ -24,10 +24,12 @@ from oracles import (
     brute_berge,
     brute_pareto,
     brute_pure_nash,
+    edge_games,
     indifference_residual,
     pd_threshold,
     random_game,
     random_pd,
+    reference_mixed_nash,
 )
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
@@ -99,6 +101,32 @@ class TestMixedNash:
                 assert indifference_residual(g, p.x, p.y) < 1e-10
                 checked += 1
             checked += 0 if res.points else 1
+
+
+def _hexed(res):
+    """A mixed-Nash result with every coordinate as ``float.hex``, so a zero's
+    sign counts."""
+    points = tuple((p.x.hex(), p.y.hex()) for p in res.points)
+    continua = tuple((a.x.hex(), a.y.hex(), b.x.hex(), b.y.hex()) for a, b in res.continua)
+    return (points, continua, res.degenerate)
+
+
+class TestMixedNashMatchesReference:
+    """``mixed_nash`` writes the flat-player continua once for both players;
+    they must keep the per-player segments bit for bit."""
+
+    # A zero root keeps its sign: -0.0 here, +0.0 in the column mirror.
+    @example(Game2x2(1.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0))
+    @example(Game2x2(2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0))
+    @example(Game2x2(0.0, 0.0, -0.0, -0.0, 0.0, -0.0, 0.0, -0.0))
+    @given(edge_games())
+    @settings(max_examples=500)
+    def test_bit_for_bit(self, g):
+        assert _hexed(mixed_nash(g)) == _hexed(reference_mixed_nash(g))
+
+    def test_zero_root_keeps_its_sign(self):
+        res = mixed_nash(Game2x2(1.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0))
+        assert res.continua[0][0].x.hex() == "-0x0.0p+0"
 
 
 class TestBerge:

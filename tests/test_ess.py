@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from empathica import (
     ConstraintType,
     DiagonalReduction,
     EssKind,
+    Game2x2,
     constrained_best_response,
     constrained_ess,
     diagonal_reduction,
@@ -43,6 +45,18 @@ class TestHomogeneousPayoff:
             (pd.a11, pd.a21),
             (pd.a12, pd.a22),
         )
+
+    @pytest.mark.parametrize(
+        "sigma, mu", [(1e308, 1e308), (1e308, -1e308), (-1e308, -1e308), (4e307, 0.0)]
+    )
+    def test_overflowing_entry_is_rejected(self, pd, sigma, mu):
+        # Each weight is finite, but an entry of the matrix is not.
+        with pytest.raises(ValueError, match="entries must be finite"):
+            homogeneous_payoff(pd, sigma, mu)
+
+    def test_largest_finite_entries_pass(self):
+        g = Game2x2.symmetric(((1.0, 1.0), (-1.0, 1.0)))
+        assert homogeneous_payoff(g, 1e308, 0.0) == ((1e308, 1e308), (-1e308, 1e308))
 
 
 class TestDiagonalReduction:
@@ -131,6 +145,29 @@ class TestConstraint:
     def test_equal_coefficients_rejected(self):
         with pytest.raises(ValueError, match="c1"):
             Constraint(1.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "c1, c2, v",
+        [
+            (1e308, -1e308, 0.0),  # c1 - c2 overflows; alpha would read 0.0
+            (-1e308, 1e308, 0.0),
+            (1.0, -1e308, 1e308),  # V - c2 overflows; alpha would read inf
+            (1e308, -1e308, 1e308),  # both overflow; alpha would read nan
+        ],
+    )
+    def test_overflowing_difference_rejected(self, c1, c2, v):
+        with pytest.raises(ValueError, match="constraint overflows"):
+            Constraint(c1, c2, v)
+
+    def test_large_finite_coefficients_pass(self):
+        con = Constraint(1e308, 0.0, 5e307)
+        assert con.alpha == 0.5
+        assert con.feasible_interval == (0.0, 0.5)
+        # Only the quotient leaves the float range: alpha = 1e600 rounds to
+        # inf, and the constraint never binds, as for the exact alpha.
+        con = Constraint(1e-300, 0.0, 1e300)
+        assert con.alpha == math.inf
+        assert con.ctype is ConstraintType.UNCONSTRAINED
 
     @given(
         st.floats(-5, 5, allow_nan=False),

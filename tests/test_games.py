@@ -17,7 +17,14 @@ from empathica import (
     symmetry_report,
     transform,
 )
-from oracles import brute_dominated, pd_second_threshold, pd_threshold, random_pd
+from oracles import (
+    brute_dominated,
+    edge_games,
+    pd_second_threshold,
+    pd_threshold,
+    random_pd,
+    reference_classify,
+)
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 games = st.builds(Game2x2, *([finite] * 8))
@@ -150,6 +157,19 @@ class TestClassify:
             assert cls.kind is GameKind.DEGENERATE
         else:
             assert cls.kind is not GameKind.DEGENERATE
+
+
+class TestClassifyMatchesReference:
+    """``classify`` reads ``_differences``; it must decide exactly as the
+    direct payoff comparisons do."""
+
+    @given(
+        edge_games(),
+        st.just(0.0) | st.floats(min_value=5e-324, max_value=1e308) | st.sampled_from([0.5, 1.0]),
+    )
+    @settings(max_examples=500)
+    def test_same_classification(self, g, tie_tol):
+        assert classify(g, tie_tol) == reference_classify(g, tie_tol)
 
 
 class TestDominatedActions:

@@ -27,15 +27,20 @@ from empathica import (
     transform,
 )
 from empathica import hierarchy
-from empathica.equilibria import _differences
-from empathica.games import _transformed_differences
-from empathica.hierarchy import _fact_key
+from empathica.equilibria import _player_key
+from empathica.games import _differences, _transformed_differences
 from empathica.io import hierarchy_csv
 from oracles import (
     reference_check_consistency,
     reference_levels,
     reference_structural_epsilons,
 )
+
+
+def level_key(g: Game2x2) -> tuple:
+    """The memo key of a level game: both players' ``_player_key``."""
+    a1, a2, c1, c2 = _differences(g)
+    return (_player_key(a1, a2), _player_key(c1, c2))
 
 
 def ones(rho: float) -> EmpathyMatrix:
@@ -208,8 +213,8 @@ class TestStructuralFit:
 
 
 class TestLevelsAreLabelledWithoutLevelGames:
-    """A level game is built only to compute the signature of a six-fact key
-    the walk has not met before, never once per level."""
+    """A level game is built only to compute the signature of a key the walk
+    has not met before, never once per level."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -230,7 +235,7 @@ class TestLevelsAreLabelledWithoutLevelGames:
         for k in range(1, levels + 1):
             if k > 1:
                 lam_k = lam @ lam_k
-            keys.update(_fact_key(*_differences(transform(g, lam_k))) for g in games)
+            keys.update(level_key(transform(g, lam_k)) for g in games)
         return keys
 
     def test_check_consistency(self, built):
@@ -585,7 +590,7 @@ class TestMemoisedWalksMatchReference:
         by_key: dict = {}
         for a1, a2, c1, c2 in itertools.product(values, repeat=4):
             g = Game2x2(a1, 0.0, 0.0, a2, c1, 0.0, 0.0, c2)
-            by_key.setdefault(_fact_key(*_differences(g)), set()).add(equilibrium_signature(g))
+            by_key.setdefault(level_key(g), set()).add(equilibrium_signature(g))
         # 3^4 sign patterns; each player's root bit can be set only when its
         # two differences share a nonzero sign (2 of 9 sign pairs), so 11
         # facts per player.
