@@ -6,9 +6,17 @@ maps over the two cross-empathy weights.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .games import CELLS, EmpathyMatrix, Game2x2, _differences, transform
+from .games import (
+    CELLS,
+    EmpathyMatrix,
+    Game2x2,
+    _differences,
+    _transformed_differences,
+    transform,
+)
 
 Cell = tuple[int, int]
 
@@ -291,8 +299,6 @@ class RegionMap:
 
 
 def _linspace(lo: float, hi: float, n: int) -> tuple[float, ...]:
-    if n == 1:
-        return (lo,)
     step = (hi - lo) / (n - 1)
     return tuple(lo + k * step for k in range(n))
 
@@ -313,7 +319,9 @@ def region_map(
     player's ``_player_key``.  So the sweep makes n row solves and n column
     solves, then fills the n^2 cells by lookup; each label equals
     ``outcome_label(two_population_equilibria(g, EmpathyMatrix(l11, l12, l21,
-    l22)))`` exactly.
+    l22)))`` exactly.  A solve reads the payoff differences straight from the
+    four weights and the eight payoffs, with the float expressions of the
+    built game, and builds that game only where a difference is not finite.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -322,18 +330,22 @@ def region_map(
             raise ValueError("ranges must satisfy lo < hi")
     l12s = _linspace(float(l12_range[0]), float(l12_range[1]), resolution)
     l21s = _linspace(float(l21_range[0]), float(l21_range[1]), resolution)
-    # Each solve transforms the game at one grid cell, pairing its value with
-    # the first value of the other axis, so an invalid weight or an
-    # overflowing payoff raises at the same cell, with the same message, as a
-    # row-major walk of every cell would.
-    row_keys = [
-        _player_key(*_differences(transform(g, EmpathyMatrix(l11, l12, l21s[0], l22)))[:2])
-        for l12 in l12s
-    ]
-    col_keys = [
-        _player_key(*_differences(transform(g, EmpathyMatrix(l11, l12s[0], l21, l22)))[2:])
-        for l21 in l21s
-    ]
+
+    def differences(l12: float, l21: float) -> tuple[float, float, float, float]:
+        d = _transformed_differences(g, l11, l12, l21, l22)
+        # The sum is finite only when every difference is; rare finite
+        # differences whose sum overflows only cost a needless build.
+        if not math.isfinite(d[0] + d[1] + d[2] + d[3]):
+            transform(g, EmpathyMatrix(l11, l12, l21, l22))
+        return d
+
+    # Each solve reads the four differences of the game at one grid cell,
+    # pairing its value with the first value of the other axis.  That game
+    # is built only where a difference is not finite, so an invalid weight
+    # or an overflowing payoff raises at the same cell, with the same
+    # message, as a row-major walk of every cell would.
+    row_keys = [_player_key(*differences(l12, l21s[0])[:2]) for l12 in l12s]
+    col_keys = [_player_key(*differences(l12s[0], l21)[2:]) for l21 in l21s]
     # A label depends only on the (row key, column key) pair, so each
     # distinct pair is labelled once, and a row of the map depends only on
     # its column key.
@@ -347,7 +359,7 @@ def region_map(
             )
             for r1, r2, r_root in set(row_keys)
         }
-        rows[c1, c2, c_root] = tuple(by_row[rk] for rk in row_keys)
+        rows[c1, c2, c_root] = tuple(map(by_row.__getitem__, row_keys))
     return RegionMap(
         l12_values=l12s, l21_values=l21s, labels=tuple(rows[ck] for ck in col_keys)
     )

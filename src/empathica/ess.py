@@ -52,9 +52,16 @@ class DiagonalReduction:
 
 
 def diagonal_reduction(a_lam: Matrix2) -> DiagonalReduction:
-    """Reduce a symmetric-population payoff matrix to its diagonal form."""
+    """Reduce a symmetric-population payoff matrix to its diagonal form.
+
+    ValueError is raised when beta1 or beta2 is not finite, as when two
+    finite entries of opposite sign differ by more than the float range.
+    """
     (m11, m12), (m21, m22) = a_lam
-    return DiagonalReduction(beta1=m11 - m21, beta2=m22 - m12, source=a_lam)
+    beta1, beta2 = m11 - m21, m22 - m12
+    if not (math.isfinite(beta1) and math.isfinite(beta2)):
+        raise ValueError(f"beta1 and beta2 must be finite, got {beta1!r} and {beta2!r}")
+    return DiagonalReduction(beta1=beta1, beta2=beta2, source=a_lam)
 
 
 @dataclass(frozen=True)

@@ -176,12 +176,13 @@ def _differences(g: Game2x2) -> tuple[float, float, float, float]:
 
 
 def _transformed_differences(
-    g: Game2x2, lam: EmpathyMatrix
+    g: Game2x2, l11: float, l12: float, l21: float, l22: float
 ) -> tuple[float, float, float, float]:
-    """``_differences(transform(g, lam))`` without building the game: the
-    same float expressions in the same order, so bit for bit the same values,
-    non-finite ones included, and no payoff check."""
-    l11, l12, l21, l22 = lam.l11, lam.l12, lam.l21, lam.l22
+    """``_differences(transform(g, EmpathyMatrix(l11, l12, l21, l22)))``
+    without building the matrix or the game: the same float expressions in
+    the same order, so bit for bit the same values, non-finite ones included,
+    and no weight or payoff check.  A non-finite weight or transformed payoff
+    always makes a difference non-finite."""
     return (
         (l11 * g.a11 + l12 * g.b11) - (l11 * g.a21 + l12 * g.b21),
         (l11 * g.a22 + l12 * g.b22) - (l11 * g.a12 + l12 * g.b12),

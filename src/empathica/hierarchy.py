@@ -97,7 +97,7 @@ def _level_signature(g: Game2x2, lam_k: EmpathyMatrix, memo: dict[tuple, str]) -
     its signature, or when a difference is not finite, so that ``transform``
     raises its own error for a non-finite payoff.
     """
-    a1, a2, c1, c2 = _transformed_differences(g, lam_k)
+    a1, a2, c1, c2 = _transformed_differences(g, lam_k.l11, lam_k.l12, lam_k.l21, lam_k.l22)
     key = (_player_key(a1, a2), _player_key(c1, c2))
     sig = memo.get(key)
     # The sum is finite only when every difference is; rare finite

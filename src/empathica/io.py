@@ -121,12 +121,25 @@ def vector_field_csv(field: VectorField) -> str:
 
 
 def region_csv(rmap: RegionMap) -> str:
-    """Rows in ``rmap.rows()`` order; each axis value is formatted once."""
+    """Rows in ``rmap.rows()`` order; each axis value is formatted once.
+
+    The lines of one map row differ from those of another only in their
+    l21 text, so each distinct label row is laid out once, as the pieces
+    ``l12_0``, ``label_0 + "\\n" + l12_1``, ..., ``label_-1``, and every map
+    row with those labels is those pieces joined by its ``,l21,``.
+    """
     l12s = [_f(l12) for l12 in rmap.l12_values]
+    layouts: dict[tuple[str, ...], list[str]] = {}
     lines = ["l12,l21,label"]
     for l21, labels in zip(rmap.l21_values, rmap.labels):
-        l21_text = _f(l21)
-        lines.extend(f"{l12},{l21_text},{label}" for l12, label in zip(l12s, labels))
+        pieces = layouts.get(labels)
+        if pieces is None:
+            pieces = layouts[labels] = [
+                l12s[0],
+                *map("{}\n{}".format, labels, l12s[1:]),
+                labels[-1],
+            ]
+        lines.append(f",{_f(l21)},".join(pieces))
     return "\n".join(lines) + "\n"
 
 

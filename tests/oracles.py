@@ -8,6 +8,7 @@ check how the walks label, order and stop, not the signature itself.
 ``reference_classify`` and ``reference_mixed_nash`` are the direct
 payoff-subtraction forms of ``classify`` and ``mixed_nash``, each player
 written out on its own, which the library must match bit for bit.
+``reference_region_csv`` writes the region CSV one line per cell.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from empathica import (
     GameKind,
     MixedNashResult,
     MixedProfile,
+    RegionMap,
     default_battery,
     equilibrium_signature,
     transform,
@@ -427,3 +429,14 @@ def reference_mixed_nash(g: Game2x2) -> MixedNashResult:
     if x_star is None or y_star is None:
         return MixedNashResult(points=())
     return MixedNashResult(points=(MixedProfile(x=x_star, y=y_star),))
+
+
+def reference_region_csv(rmap: RegionMap) -> str:
+    """The region CSV written one f-string per cell, in ``rmap.rows()``
+    order, with every axis value in shortest round-trip form."""
+    l12s = [repr(float(l12)) for l12 in rmap.l12_values]
+    lines = ["l12,l21,label"]
+    for l21, labels in zip(rmap.l21_values, rmap.labels):
+        l21_text = repr(float(l21))
+        lines.extend(f"{l12},{l21_text},{label}" for l12, label in zip(l12s, labels))
+    return "\n".join(lines) + "\n"

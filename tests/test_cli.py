@@ -87,6 +87,16 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_ess_overflowing_beta_is_exit_2(self, tmp_path, capsys):
+        # Every payoff entry is finite, but beta1 = 1e308 - (-1e308) is not.
+        src = tmp_path / "g.json"
+        src.write_text('{"A": [[1e308, 0], [-1e308, 0]], "B": [[1e308, -1e308], [0, 0]]}')
+        out = tmp_path / "ess.json"
+        code = run("ess", "--input", str(src), "--sigma", "1", "--mu", "0", "--out", str(out))
+        assert code == 2
+        assert "beta1 and beta2 must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_resolution_is_exit_2(self, tmp_path):
         out = tmp_path / "map.csv"
         code = run("sweep", "--input", "pd", "--grid", "1", "--out", str(out))

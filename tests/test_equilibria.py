@@ -8,6 +8,7 @@ from empathica import (
     EmpathyMatrix,
     Game2x2,
     GameKind,
+    RegionMap,
     berge_solutions,
     classify,
     deviation_gain,
@@ -19,6 +20,7 @@ from empathica import (
     transform,
     two_population_equilibria,
 )
+from empathica import equilibria
 from empathica.io import fixtures_dir, load_game_file, region_csv
 from oracles import (
     brute_berge,
@@ -30,6 +32,7 @@ from oracles import (
     random_game,
     random_pd,
     reference_mixed_nash,
+    reference_region_csv,
 )
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
@@ -416,6 +419,10 @@ class TestRegionMapErrors:
             (Game2x2(3, 0, 5, 1, 3, 5, 0, 1), (-1e308, 1e308), (-1e308, 1e308), 1.0, "l12"),
             (Game2x2(3, 0, 5, 1, 3, 5, 0, 1), (-1, 2), (-1e308, 1e308), 1.0, "l21"),
             (Game2x2(3, 0, 5, 1, 3, 5, 0, 1), (-1, 2), (-1, 2), float("inf"), "l11"),
+            # The column player overflows at l21s[0], and later row solves
+            # overflow too: the first row solve must raise for the column.
+            (HUGE, (-1, 2), (1, 2), 1.0, "b11"),
+            (HUGE, (-1, 2), (-1e308, 1e308), 1.0, "l21"),
         ],
     )
     def test_same_error_as_the_per_cell_walk(self, g, l12_range, l21_range, l11, field):
@@ -423,6 +430,79 @@ class TestRegionMapErrors:
         slow = _first_error(lambda: _per_cell_labels(g, l12_range, l21_range, 12, l11=l11))
         assert fast == slow
         assert fast.startswith(f"{field} must be a finite real number")
+
+    @pytest.mark.parametrize("l11, l22", [(1.0, 1.0), (1.0, 0.5), (0.5, 1.0)])
+    def test_overflowing_differences_of_finite_payoffs(self, l11, l22):
+        # Every transformed payoff is finite, but with an own-weight of 1 a
+        # player's first difference overflows to inf for cross-weights above
+        # about -0.2: no error, and the labels the built games give.
+        g = Game2x2(1e308, 0, -1e308, 0, 1e308, -1e308, 0, 0)
+        assert_matches_per_cell(g, (-1, 0), (-1, 0), 13, l11, l22)
+
+
+class TestRegionMapBuildsNoGames:
+    """Each solve reads the differences from the weights and payoffs; a game
+    is built only where a difference is not finite."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        games = []
+        real = equilibria.transform
+
+        def counting(g, lam):
+            games.append((g, lam))
+            return real(g, lam)
+
+        monkeypatch.setattr(equilibria, "transform", counting)
+        return games
+
+    @pytest.mark.parametrize("n", [2, 61])
+    def test_none_on_finite_differences(self, built, pd, n):
+        region_map(pd, (-1, 2), (-1, 2), n)
+        assert built == []
+
+    def test_only_where_a_difference_overflows(self, built):
+        # Every payoff stays finite; the row player's d1 = (2 + l12) * 1e308
+        # overflows only at l12 = 0.
+        g = Game2x2(1e308, 0, -1e308, 0, 1e308, 0, 0, 0)
+        rmap = region_map(g, (-1.5, 0), (-1, 0), 7)
+        assert [lam.entries() for _, lam in built] == [(1.0, 0.0, -1.0, 1.0)]
+        assert rmap.labels == _per_cell_labels(g, (-1.5, 0), (-1, 0), 7)
+
+
+_AXIS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0])
+_LABEL = st.sampled_from(["11", "22", "12+21+mixed", "11+22+mixed", "mixed", "none"])
+
+
+@st.composite
+def region_maps(draw) -> RegionMap:
+    """Hand-built maps whose label rows are often shared, by the same tuple
+    or by an equal copy, and sometimes all distinct."""
+    n = draw(st.integers(1, 8))
+    rows = draw(st.integers(1, 8))
+    pool = draw(st.lists(st.tuples(*[_LABEL] * n), min_size=1, max_size=3))
+    labels = []
+    for _ in range(rows):
+        row = draw(st.sampled_from(pool) | st.tuples(*[_LABEL] * n))
+        labels.append(tuple(list(row)) if draw(st.booleans()) else row)
+    return RegionMap(
+        l12_values=tuple(draw(st.lists(_AXIS, min_size=n, max_size=n))),
+        l21_values=tuple(draw(st.lists(_AXIS, min_size=rows, max_size=rows))),
+        labels=tuple(labels),
+    )
+
+
+class TestRegionCsvMatchesReference:
+    """Rows laid out once per distinct label row give the bytes of the
+    line-per-cell writer."""
+
+    @given(region_maps())
+    @example(RegionMap((-0.0, 0.5), (-0.0, 0.0, 1.0), (("none", "11"),) * 3))
+    @example(RegionMap((0.0, 1.0), (2.0,), (("22", "none"),)))
+    @example(RegionMap((-1.0, -0.0, 2.0), (-0.0, 3.0), (("none",) * 3, ("11", "22", "mixed"))))
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes(self, rmap):
+        assert region_csv(rmap) == reference_region_csv(rmap)
 
 
 class TestOutcomeLabel:

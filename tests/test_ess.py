@@ -73,6 +73,22 @@ class TestDiagonalReduction:
         assert (red.beta1, red.beta2) == (0.0, 0.0)
         assert symmetric_equilibria(red).degenerate
 
+    @pytest.mark.parametrize(
+        "a_lam",
+        [
+            ((1e308, 0.0), (-1e308, 0.0)),  # beta1 overflows
+            ((0.0, -1e308), (0.0, 1e308)),  # beta2 overflows
+        ],
+    )
+    def test_overflowing_difference_is_rejected(self, a_lam):
+        # Every entry is finite, but a difference of two is not.
+        with pytest.raises(ValueError, match="beta1 and beta2 must be finite"):
+            diagonal_reduction(a_lam)
+
+    def test_largest_finite_differences_pass(self):
+        red = diagonal_reduction(((1e308, -7e307), (-7e307, 1e308)))
+        assert (red.beta1, red.beta2) == (1e308 + 7e307, 1e308 + 7e307)
+
 
 class TestSymmetricEquilibria:
     def test_coordination_pattern(self):

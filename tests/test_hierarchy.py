@@ -262,7 +262,7 @@ class TestTransformedDifferences:
     @example(Game2x2(-0.0, 0.0, 0.0, -0.0, 0.0, -0.0, -0.0, 0.0), EmpathyMatrix(-1.0, 0.0, 0.0, -1.0))
     @settings(max_examples=300, deadline=None)
     def test_bit_for_bit_the_level_games_differences(self, g, lam):
-        fast = _transformed_differences(g, lam)
+        fast = _transformed_differences(g, *lam.entries())
         try:
             built = transform(g, lam)
         except ValueError:
