@@ -9,6 +9,7 @@ sibling files (diagnostics JSON, optional SVG) derived from the --out stem.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from pathlib import Path
@@ -100,7 +101,9 @@ def cmd_ess(args) -> int:
             "beta1": red.beta1,
             "beta2": red.beta2,
             "constraint_type": con.ctype.value,
-            "alpha": con.alpha,
+            # An alpha past the float range has no JSON form; the feasible
+            # interval still holds the answer.
+            "alpha": con.alpha if math.isfinite(con.alpha) else None,
             "feasible": list(con.feasible_interval),
             "ess_points": [p.m for p in result.points],
             "ess_kinds": [p.kind.value for p in result.points],
@@ -181,7 +184,6 @@ def cmd_hierarchy(args) -> int:
     analysis = hierarchy.analyze_hierarchy(game, lam, k_max=args.kmax)
     verdict = hierarchy.check_consistency(lam, k_max=args.kmax)
     out = _out_path(args, "hierarchy.csv")
-    io.write_text(out, io.hierarchy_csv(analysis))
     spectral = analysis.spectral
     verdict_obj = {
         "verdict": verdict.label,
@@ -200,7 +202,11 @@ def cmd_hierarchy(args) -> int:
         },
         "game_consistent_up_to_k": analysis.consistent_up_to_k,
     }
-    io.write_text(out.with_suffix(".json"), io.canonical_json(verdict_obj))
+    # Both texts are formed before either file is written, so a report that
+    # cannot be written leaves no file behind.
+    verdict_text = io.canonical_json(verdict_obj)
+    io.write_text(out, io.hierarchy_csv(analysis))
+    io.write_text(out.with_suffix(".json"), verdict_text)
     return 0
 
 

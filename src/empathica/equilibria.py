@@ -300,6 +300,10 @@ class RegionMap:
 
 def _linspace(lo: float, hi: float, n: int) -> tuple[float, ...]:
     step = (hi - lo) / (n - 1)
+    if math.isinf(step):
+        # hi - lo overflows, so lo and hi have opposite signs and a weighted
+        # sum of the two cannot overflow.
+        return tuple(lo * ((n - 1 - k) / (n - 1)) + hi * (k / (n - 1)) for k in range(n))
     return tuple(lo + k * step for k in range(n))
 
 

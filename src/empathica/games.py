@@ -229,11 +229,16 @@ def classify(g: Game2x2, tie_tol: float = 0.0) -> Classification:
     ties = tuple(label for label, d in zip(labels, diffs) if abs(d) <= tie_tol)
     if ties:
         return Classification(GameKind.DEGENERATE, degenerate_ties=ties)
+    return _untied_class(*diffs)
+
+
+def _untied_class(r1: float, r2: float, c1: float, c2: float) -> Classification:
+    """``classify`` of a game with no tied comparison, from its four payoff
+    differences (as in ``_differences``), of which only the signs are read."""
     # Each player with d1 > 0 prefers action 1 against action 1 and with
     # d2 > 0 action 2 against action 2: both positive is matching, both
     # negative mismatching, and unequal signs make the action it prefers
     # against action 1 strictly dominant.
-    r1, r2, c1, c2 = diffs
     dom_row = None if (r1 > 0.0) == (r2 > 0.0) else 1 if r1 > 0.0 else 2
     dom_col = None if (c1 > 0.0) == (c2 > 0.0) else 1 if c1 > 0.0 else 2
     if dom_row is not None or dom_col is not None:

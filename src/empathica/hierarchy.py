@@ -14,17 +14,19 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, tee
 
-from .equilibria import _player_key, mixed_nash, pure_nash
+from .equilibria import _best_responses, _player_key, _pure_equilibria
 from .games import (
     EmpathyMatrix,
     Game2x2,
+    GameKind,
     anti_coordination_game,
-    classify,
     coordination_game,
     matching_pennies,
     prisoners_dilemma,
     transform,
+    _differences,
     _transformed_differences,
+    _untied_class,
 )
 
 _DIVERGENCE_GUARD = 1e12
@@ -33,32 +35,53 @@ _UNIT_RADIUS_BAND = 1e-12
 _EPS_FIT_RESIDUAL = 1e-9
 _CAUCHY_TOL = 1e-12
 
+# The entries (l11, l12, l21, l22) of a matrix power.
+Entries = tuple[float, float, float, float]
+PlayerKey = tuple[int, int, bool]
 
-def _powers(lam: EmpathyMatrix, k_max: int) -> Iterator[EmpathyMatrix]:
-    """Yield lam^1 ... lam^k_max, each as ``lam @ lam^(k-1)``.
 
-    A power is built only when the consumer asks for it, so a walk that stops
-    early never forms a later, possibly overflowing, product.
+def _powers(lam: EmpathyMatrix, k_max: int) -> Iterator[Entries]:
+    """Yield the entries of lam^1 ... lam^k_max, each power formed as
+    ``lam @ lam^(k-1)`` with the products and sums of
+    ``EmpathyMatrix.__matmul__`` in its order, so bit for bit its entries.
+
+    A power is formed only when the consumer asks for it, so a walk that
+    stops early never forms a later, possibly overflowing, product.  A power
+    with an entry that is not finite is built as an ``EmpathyMatrix``, which
+    raises the product's own error.
     """
-    cur = lam
+    cur = lam.entries()
     yield cur
+    s11, s12, s21, s22 = c11, c12, c21, c22 = cur
     for _ in range(1, k_max):
-        cur = lam @ cur
-        yield cur
+        c11, c12, c21, c22 = (
+            s11 * c11 + s12 * c21,
+            s11 * c12 + s12 * c22,
+            s21 * c11 + s22 * c21,
+            s21 * c12 + s22 * c22,
+        )
+        # The sum is finite only when every entry is; rare finite entries
+        # whose sum overflows only cost a needless build.
+        if not math.isfinite(c11 + c12 + c21 + c22):
+            EmpathyMatrix(c11, c12, c21, c22)
+        yield (c11, c12, c21, c22)
 
 
-def _overflows(m: EmpathyMatrix) -> bool:
-    return max(abs(m.l11), abs(m.l12), abs(m.l21), abs(m.l22)) > _DIVERGENCE_GUARD
+def _overflows(m: Entries) -> bool:
+    return max(map(abs, m)) > _DIVERGENCE_GUARD
+
+
+_DEFAULT_BATTERY = (
+    prisoners_dilemma(),
+    coordination_game(),
+    anti_coordination_game(),
+    matching_pennies(),
+)
 
 
 def default_battery() -> list[Game2x2]:
     """One representative game per class, used to probe consistency."""
-    return [
-        prisoners_dilemma(),
-        coordination_game(),
-        anti_coordination_game(),
-        matching_pennies(),
-    ]
+    return list(_DEFAULT_BATTERY)
 
 
 def level_game(g: Game2x2, lam: EmpathyMatrix, k: int) -> Game2x2:
@@ -72,40 +95,57 @@ def level_game(g: Game2x2, lam: EmpathyMatrix, k: int) -> Game2x2:
 def equilibrium_signature(g: Game2x2) -> str:
     """Canonical label of a game's equilibrium structure: pure-equilibrium
     cells, interior-mixed presence, and game class."""
-    cls = classify(g)
-    cells = ",".join(f"{i}{j}" for (i, j) in sorted(p.cell for p in pure_nash(g)))
-    mixed = mixed_nash(g)
-    mixed_tag = str(len(mixed.points))
-    if mixed.continua:
-        mixed_tag += "+cont"
-    if mixed.degenerate:
-        mixed_tag += "+deg"
-    return f"class={cls.kind.value}|pure={cells or '-'}|mixed={mixed_tag}"
+    a1, a2, c1, c2 = _differences(g)
+    return _key_signature(_player_key(a1, a2), _player_key(c1, c2))
 
 
-def _level_signature(g: Game2x2, lam_k: EmpathyMatrix, memo: dict[tuple, str]) -> str:
-    """``equilibrium_signature(transform(g, lam_k))``, computed once per
-    pair of ``_player_key``s in ``memo`` and keyed from ``lam_k``'s entries
-    and ``g``'s payoffs without building the level game.
+def _key_signature(row: PlayerKey, col: PlayerKey) -> str:
+    """``equilibrium_signature`` of any game with these ``_player_key``s.
 
-    ``classify`` and ``pure_nash`` read only the signs of the differences,
-    the flat branches of ``mixed_nash`` always yield a continuum, and its
-    interior point exists exactly when both players have a root, so the pair
-    fixes the signature.
-
-    The level game is built only for a key not yet in ``memo``, to compute
-    its signature, or when a difference is not finite, so that ``transform``
-    raises its own error for a non-finite payoff.
+    ``classify`` (with no tie tolerance) and ``pure_nash`` read only the
+    signs of the differences.  ``mixed_nash`` is degenerate when both players
+    are flat (both differences zero), yields continua when one is, and
+    otherwise yields one point exactly when both players have an interior
+    root.
     """
-    a1, a2, c1, c2 = _transformed_differences(g, lam_k.l11, lam_k.l12, lam_k.l21, lam_k.l22)
-    key = (_player_key(a1, a2), _player_key(c1, c2))
-    sig = memo.get(key)
+    r1, r2, r_root = row
+    c1, c2, c_root = col
+    if r1 and r2 and c1 and c2:
+        cls = _untied_class(r1, r2, c1, c2).kind
+    else:
+        cls = GameKind.DEGENERATE
+    pure = _pure_equilibria(_best_responses(r1, r2), _best_responses(c1, c2))
+    cells = ",".join(f"{i}{j}" for i, j in (p.cell for p in pure))
+    row_flat = r1 == r2 == 0
+    col_flat = c1 == c2 == 0
+    if row_flat and col_flat:
+        mixed = "0+deg"
+    elif row_flat or col_flat:
+        mixed = "0+cont"
+    else:
+        mixed = "1" if r_root and c_root else "0"
+    return f"class={cls.value}|pure={cells or '-'}|mixed={mixed}"
+
+
+def _level_signature(g: Game2x2, lam_k: Entries, memo: dict[tuple, str]) -> str:
+    """``equilibrium_signature(transform(g, EmpathyMatrix(*lam_k)))`` for
+    finite entries ``lam_k``, without building the matrix or the level game.
+
+    The level game's payoff differences come from ``_transformed_differences``
+    and are read only through each player's ``_player_key``; the signature of
+    each distinct pair of keys is computed once per walk in ``memo``.  The
+    level game is built only when a difference is not finite, so that
+    ``transform`` raises its own error for a non-finite payoff.
+    """
+    a1, a2, c1, c2 = _transformed_differences(g, *lam_k)
     # The sum is finite only when every difference is; rare finite
     # differences whose sum overflows only cost a needless build.
-    if sig is None or not math.isfinite(a1 + a2 + c1 + c2):
-        g_k = transform(g, lam_k)
-        if sig is None:
-            sig = memo[key] = equilibrium_signature(g_k)
+    if not math.isfinite(a1 + a2 + c1 + c2):
+        transform(g, EmpathyMatrix(*lam_k))
+    key = (_player_key(a1, a2), _player_key(c1, c2))
+    sig = memo.get(key)
+    if sig is None:
+        sig = memo[key] = _key_signature(*key)
     return sig
 
 
@@ -143,13 +183,16 @@ def spectral_limit(lam: EmpathyMatrix, k_max: int) -> SpectralRecord:
         raise ValueError("k_max must be at least 1")
     tr = lam.trace()
     det = lam.det()
-    disc = tr * tr / 4.0 - det
+    # (tr/2)^2 rather than tr^2/4: the same value, and it does not overflow
+    # for a trace past 1.3e154.
+    h = tr / 2.0
+    disc = h * h - det
     if disc >= 0.0:
         s = math.sqrt(disc)
-        ev = (complex(tr / 2.0 + s), complex(tr / 2.0 - s))
+        ev = (complex(h + s), complex(h - s))
     else:
         s = math.sqrt(-disc)
-        ev = (complex(tr / 2.0, s), complex(tr / 2.0, -s))
+        ev = (complex(h, s), complex(h, -s))
     rho = max(abs(ev[0]), abs(ev[1]))
     if rho < 1.0 - _UNIT_RADIUS_BAND:
         return SpectralRecord(ev, rho, LimitKind.ZERO, EmpathyMatrix(0.0, 0.0, 0.0, 0.0))
@@ -160,9 +203,9 @@ def spectral_limit(lam: EmpathyMatrix, k_max: int) -> SpectralRecord:
     for cur in powers:
         if _overflows(cur):
             return SpectralRecord(ev, rho, LimitKind.DIVERGES, None)
-        diff = max(abs(a - b) for a, b in zip(cur.entries(), prev.entries()))
+        diff = max(abs(a - b) for a, b in zip(cur, prev))
         if diff < _CAUCHY_TOL:
-            return SpectralRecord(ev, rho, LimitKind.CONVERGES, cur)
+            return SpectralRecord(ev, rho, LimitKind.CONVERGES, EmpathyMatrix(*cur))
         prev = cur
     return SpectralRecord(ev, rho, LimitKind.OSCILLATES, None)
 
@@ -179,7 +222,7 @@ def structural_epsilons(lam: EmpathyMatrix, k_max: int) -> tuple[float, ...] | N
 
 
 def _fit_epsilons(
-    lam: EmpathyMatrix, powers: Iterable[EmpathyMatrix], k_max: int
+    lam: EmpathyMatrix, powers: Iterable[Entries], k_max: int
 ) -> tuple[float, ...] | None:
     """``structural_epsilons`` over a given walk of lam^1 ... lam^(k_max+1)."""
     # ``sum`` and ``max`` over the four entry terms in entry order, as over
@@ -195,7 +238,7 @@ def _fit_epsilons(
             return None
         if k > k_max:
             break
-        c11, c12, c21, c22 = cur.l11, cur.l12, cur.l21, cur.l22
+        c11, c12, c21, c22 = cur
         fit = sum((c11 * b11, c12 * b12, c21 * b21, c22 * b22)) / den
         residual = max(
             abs(c11 - fit * b11), abs(c12 - fit * b12), abs(c21 - fit * b21), abs(c22 - fit * b22)
@@ -253,8 +296,8 @@ def check_consistency(
     fit, so each power is formed once.  Each level is labelled straight from
     lam^k's four entries: the probe game's payoff differences at that level
     give each player's key (payoff-difference signs and interior-root bit),
-    and the level game is built, and ``equilibrium_signature`` run, only once
-    per distinct key in the walk or where a difference is not finite.
+    the signature is computed once per distinct pair of keys in the walk,
+    and a level game is built only where a difference is not finite.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
@@ -263,7 +306,8 @@ def check_consistency(
         raise ValueError("battery must be non-empty")
 
     memo: dict[tuple, str] = {}
-    probes = [(g, _level_signature(g, lam, memo)) for g in games]
+    lam_1 = lam.entries()
+    probes = [(g, _level_signature(g, lam_1, memo)) for g in games]
     witness: tuple[int, int, str] | None = None  # (k, battery index, sig_k)
     levels_checked = 1
     guard_hit = False
@@ -317,14 +361,14 @@ def analyze_hierarchy(g: Game2x2, lam: EmpathyMatrix, k_max: int) -> HierarchyAn
 
     Each level is labelled straight from lam^k's four entries: the game's
     payoff differences at that level give each player's key (payoff-difference
-    signs and interior-root bit), and the level game is built, and
-    ``equilibrium_signature`` run, only once per distinct key in the walk or
-    where a difference is not finite."""
+    signs and interior-root bit), the signature is computed once per distinct
+    pair of keys in the walk, and a level game is built only where a
+    difference is not finite."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     memo: dict[tuple, str] = {}
     levels = [
-        LevelRecord(k=k, lam_k=lam_k, signature=_level_signature(g, lam_k, memo))
+        LevelRecord(k, lam if k == 1 else EmpathyMatrix(*lam_k), _level_signature(g, lam_k, memo))
         for k, lam_k in enumerate(_powers(lam, k_max), 1)
     ]
     consistent = all(rec.signature == levels[0].signature for rec in levels)

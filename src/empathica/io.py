@@ -92,8 +92,12 @@ def game_file_dict(g: Game2x2, lam: EmpathyMatrix) -> dict:
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Deterministic JSON text: sorted keys, two-space indent, trailing newline.
+
+    A float that is not finite has no JSON form, so it raises ValueError
+    instead of being written as ``Infinity`` or ``NaN``.
+    """
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_text(path: str | Path, text: str) -> None:

@@ -7,6 +7,7 @@ from empathica import (
     matching_pennies,
     prisoners_dilemma,
 )
+from empathica import hierarchy
 
 
 @pytest.fixture
@@ -31,13 +32,24 @@ def anti():
 
 @pytest.fixture
 def products(monkeypatch):
-    """Every EmpathyMatrix product formed during the test, one entry each."""
+    """Every matrix product formed during the test, one entry each: the
+    products of the hierarchy's power walk (each power after the first) and
+    every ``EmpathyMatrix`` product."""
     formed = []
     matmul = EmpathyMatrix.__matmul__
+    walk = hierarchy._powers
 
     def counting(self, other):
         formed.append(other)
         return matmul(self, other)
 
+    def counting_walk(lam, k_max):
+        powers = walk(lam, k_max)
+        yield next(powers)
+        for power in powers:
+            formed.append(power)
+            yield power
+
     monkeypatch.setattr(EmpathyMatrix, "__matmul__", counting)
+    monkeypatch.setattr(hierarchy, "_powers", counting_walk)
     return formed

@@ -3,8 +3,10 @@
 Everything here works by enumeration, grid search, or direct definition
 checking; none of it shares code paths with the library implementations.
 The reference hierarchy walks are the exception: they call the library's
-``transform`` and ``equilibrium_signature`` on every level game, so they
-check how the walks label, order and stop, not the signature itself.
+``transform`` on every level game and label it with
+``reference_equilibrium_signature``, which reads the game through the
+library's ``classify``, ``pure_nash`` and ``mixed_nash``, not through the
+per-player keys that ``equilibrium_signature`` reads.
 ``reference_classify`` and ``reference_mixed_nash`` are the direct
 payoff-subtraction forms of ``classify`` and ``mixed_nash``, each player
 written out on its own, which the library must match bit for bit.
@@ -26,8 +28,10 @@ from empathica import (
     MixedNashResult,
     MixedProfile,
     RegionMap,
+    classify,
     default_battery,
-    equilibrium_signature,
+    mixed_nash,
+    pure_nash,
     transform,
 )
 from empathica.hierarchy import LevelRecord
@@ -261,16 +265,30 @@ def reference_detect_cycle(
     return (False, None)
 
 
+def reference_equilibrium_signature(g: Game2x2) -> str:
+    """``equilibrium_signature`` from the full ``classify``, ``pure_nash``
+    and ``mixed_nash`` results of the game."""
+    cls = classify(g)
+    cells = ",".join(f"{i}{j}" for (i, j) in sorted(p.cell for p in pure_nash(g)))
+    mixed = mixed_nash(g)
+    mixed_tag = str(len(mixed.points))
+    if mixed.continua:
+        mixed_tag += "+cont"
+    if mixed.degenerate:
+        mixed_tag += "+deg"
+    return f"class={cls.kind.value}|pure={cells or '-'}|mixed={mixed_tag}"
+
+
 def reference_levels(g: Game2x2, lam: EmpathyMatrix, k_max: int) -> tuple[LevelRecord, ...]:
-    """``analyze_hierarchy``'s levels with a full ``equilibrium_signature``
-    call on every level game; lam^k is formed as ``lam @ lam^(k-1)`` just
-    before level k is labelled."""
+    """``analyze_hierarchy``'s levels with a full
+    ``reference_equilibrium_signature`` call on every level game; lam^k is
+    formed as ``lam @ lam^(k-1)`` just before level k is labelled."""
     levels = []
     lam_k = lam
     for k in range(1, k_max + 1):
         if k > 1:
             lam_k = lam @ lam_k
-        sig = equilibrium_signature(transform(g, lam_k))
+        sig = reference_equilibrium_signature(transform(g, lam_k))
         levels.append(LevelRecord(k=k, lam_k=lam_k, signature=sig))
     return tuple(levels)
 
@@ -301,8 +319,8 @@ def reference_structural_epsilons(lam: EmpathyMatrix, k_max: int):
 
 
 def reference_check_consistency(lam: EmpathyMatrix, k_max: int, battery=None) -> ConsistencyVerdict:
-    """``check_consistency`` with a full ``equilibrium_signature`` call on
-    every level game: levels k = 2..k_max in order, battery games in order
+    """``check_consistency`` with a full ``reference_equilibrium_signature``
+    call on every level game: levels k = 2..k_max in order, battery games in order
     within a level, stopping at the first mismatch or at the first power
     past the 1e12 guard."""
     if k_max < 2:
@@ -310,7 +328,7 @@ def reference_check_consistency(lam: EmpathyMatrix, k_max: int, battery=None) ->
     games = default_battery() if battery is None else list(battery)
     if not games:
         raise ValueError("battery must be non-empty")
-    sig1 = [equilibrium_signature(transform(g, lam)) for g in games]
+    sig1 = [reference_equilibrium_signature(transform(g, lam)) for g in games]
     witness = None
     levels_checked = 1
     guard_hit = False
@@ -321,7 +339,7 @@ def reference_check_consistency(lam: EmpathyMatrix, k_max: int, battery=None) ->
             guard_hit = True
             break
         for i, g in enumerate(games):
-            sig = equilibrium_signature(transform(g, lam_k))
+            sig = reference_equilibrium_signature(transform(g, lam_k))
             if sig != sig1[i]:
                 witness = (k, i, sig)
                 break

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from empathica import hierarchy
 from empathica.cli import main
 from empathica.io import (
     GameFileError,
@@ -14,6 +16,10 @@ from empathica.io import (
 
 def run(*argv):
     return main(list(argv))
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 class TestGameFiles:
@@ -138,6 +144,22 @@ class TestExitCodes:
         assert "must be a finite real number" in capsys.readouterr().err
 
 
+    def test_sweep_over_an_overflowing_range_width(self, tmp_path, capsys):
+        # hi - lo overflows, but the grid is finite: the first error is the
+        # payoff that the weight -1e308 overflows.
+        out = tmp_path / "m.csv"
+        code = run("sweep", "--input", "pd", "--range-l12=-1e308:1e308",
+                   "--range-l21=-1:2", "--grid", "12", "--out", str(out))
+        assert code == 2
+        assert "a11 must be a finite real number, got -inf" in capsys.readouterr().err
+        src = tmp_path / "g.json"
+        src.write_text('{"A": [[3,0],[5,1]], "B": [[1e-300,2e-300],[0,1e-300]]}')
+        assert run("sweep", "--input", str(src), "--range-l12=-1e308:1e308",
+                   "--range-l21=-1:2", "--grid", "3", "--out", str(out)) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows[:3]] == ["-1e+308", "0.0", "1e+308"]
+
+
 class TestTransformCommand:
     def test_identity_roundtrip_is_byte_identical(self, tmp_path):
         out1 = tmp_path / "t1.json"
@@ -209,6 +231,16 @@ class TestEssCommand:
         obj = json.loads(out.read_text())
         assert obj["constraint_type"] == "TypeI"
         assert obj["ess_points"] == [0.3]
+
+    def test_alpha_past_the_float_range_is_null(self, tmp_path):
+        # The exact alpha is 1e600; the feasible interval carries the answer.
+        out = tmp_path / "ess.json"
+        assert run("ess", "--input", "anti_coordination", "--sigma", "1", "--mu", "0",
+                   "--c1", "1e-300", "--c2", "0", "--V", "1e300", "--out", str(out)) == 0
+        obj = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert obj["alpha"] is None
+        assert obj["feasible"] == [0.0, 1.0]
+        assert obj["constraint_type"] == "Unconstrained"
 
     def test_partial_constraint_flags_rejected(self):
         assert run("ess", "--input", "pd", "--sigma", "1", "--mu", "0",
@@ -338,6 +370,28 @@ class TestHierarchyCommand:
                    "--kmax", "200", "--out", str(tmp_path / "h.csv")) == 0
         assert len(products) == 400
 
+    def test_trace_past_the_square_root_of_the_float_range(self, tmp_path):
+        # tr^2 = 4e308 overflows, while lam^2 is finite: the radius is 1e154.
+        out = tmp_path / "h.csv"
+        assert run("hierarchy", "--input", "matching_pennies",
+                   "--lambda", "1e154", "0", "0", "1e154",
+                   "--kmax", "2", "--out", str(out)) == 0
+        verdict = json.loads((tmp_path / "h.json").read_text(), parse_constant=_reject_constant)
+        assert verdict["spectral"]["rho"] == 1e154
+        assert verdict["spectral"]["eigenvalues"] == [[1e154, 0.0], [1e154, 0.0]]
+
+    def test_an_unwritable_report_leaves_no_file(self, tmp_path, monkeypatch):
+        real = hierarchy.spectral_limit
+
+        def infinite_radius(lam, k_max):
+            return dataclasses.replace(real(lam, k_max), rho=float("inf"))
+
+        monkeypatch.setattr(hierarchy, "spectral_limit", infinite_radius)
+        out = tmp_path / "h.csv"
+        assert run("hierarchy", "--input", "pd", "--lambda", "0.4", "0.4", "0.4", "0.4",
+                   "--kmax", "3", "--out", str(out)) == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_deepest_finite_level(self, tmp_path):
         out = tmp_path / "h.csv"
         assert run("hierarchy", "--input", "matching_pennies", "--lambda", "10", "0", "0", "10",
@@ -351,3 +405,8 @@ class TestCanonicalJson:
         assert text.index('"a"') < text.index('"b"')
         assert text.endswith("\n")
         assert json.loads(text) == {"b": 1, "a": [0.1]}
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_floats_are_rejected(self, value):
+        with pytest.raises(ValueError):
+            canonical_json({"a": [1.0, value]})

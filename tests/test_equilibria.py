@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -305,8 +307,16 @@ class TestRegionMap:
 OWN_WEIGHTS = (1.0, 0.5, 0.0, -1.0)
 
 
+def _exact_grid(lo, hi, n):
+    """The n points from lo to hi, each interpolated exactly and rounded once."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    return [float(lo + (hi - lo) * k / (n - 1)) for k in range(n)]
+
+
 def _grid(lo, hi, n):
     step = (hi - lo) / (n - 1)
+    if math.isinf(step):
+        return _exact_grid(lo, hi, n)
     return [lo + k * step for k in range(n)]
 
 
@@ -416,13 +426,15 @@ class TestRegionMapErrors:
         [
             (HUGE, (-1, 2), (-1, 2), 1.0, "a11"),
             (HUGE, (-1, 1), (-1, 2), 0.0, "b11"),
-            (Game2x2(3, 0, 5, 1, 3, 5, 0, 1), (-1e308, 1e308), (-1e308, 1e308), 1.0, "l12"),
-            (Game2x2(3, 0, 5, 1, 3, 5, 0, 1), (-1, 2), (-1e308, 1e308), 1.0, "l21"),
+            # Ranges whose width overflows have finite grids, so the first
+            # error is an overflowing payoff, not a NaN weight.
+            (Game2x2(3, 0, 5, 1, 3, 5, 0, 1), (-1e308, 1e308), (-1e308, 1e308), 1.0, "a11"),
+            (Game2x2(3, 0, 5, 1, 3, 5, 0, 1), (-1, 2), (-1e308, 1e308), 1.0, "b11"),
             (Game2x2(3, 0, 5, 1, 3, 5, 0, 1), (-1, 2), (-1, 2), float("inf"), "l11"),
             # The column player overflows at l21s[0], and later row solves
             # overflow too: the first row solve must raise for the column.
             (HUGE, (-1, 2), (1, 2), 1.0, "b11"),
-            (HUGE, (-1, 2), (-1e308, 1e308), 1.0, "l21"),
+            (HUGE, (-1, 2), (-1e308, 1e308), 1.0, "b11"),
         ],
     )
     def test_same_error_as_the_per_cell_walk(self, g, l12_range, l21_range, l11, field):
@@ -438,6 +450,58 @@ class TestRegionMapErrors:
         # about -0.2: no error, and the labels the built games give.
         g = Game2x2(1e308, 0, -1e308, 0, 1e308, -1e308, 0, 0)
         assert_matches_per_cell(g, (-1, 0), (-1, 0), 13, l11, l22)
+
+
+class TestLinspace:
+    ends = st.floats(allow_nan=False, allow_infinity=False)
+
+    def test_overflowing_width_gives_a_finite_grid(self):
+        assert equilibria._linspace(-1e308, 1e308, 3) == (-1e308, 0.0, 1e308)
+        assert equilibria._linspace(-1e308, 1e308, 5) == (-1e308, -5e307, 0.0, 5e307, 1e308)
+        # Pins the weighted sum's rounding: with 4 points it gives the exactly
+        # interpolated grid, which lo * (1 - k/3) + hi * (k/3) does not.
+        assert list(equilibria._linspace(-1e308, 1e308, 4)) == _exact_grid(-1e308, 1e308, 4)
+        grid = equilibria._linspace(-1.7976931348623157e308, 1.7976931348623157e308, 12)
+        assert all(map(math.isfinite, grid))
+        assert list(grid) == sorted(grid)
+        assert grid[0] == -1.7976931348623157e308 and grid[-1] == 1.7976931348623157e308
+
+    @given(
+        st.floats(1e300, 1.7976931348623157e308),
+        st.floats(1e300, 1.7976931348623157e308),
+        st.integers(2, 200),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_overflowing_width_within_three_ulps_of_the_exact_grid(self, a, b, n):
+        lo, hi = -a, b
+        if not math.isinf(hi - lo):
+            return
+        grid = equilibria._linspace(lo, hi, n)
+        assert grid[0] == lo and grid[-1] == hi
+        assert list(grid) == sorted(grid)
+        # Two weights, two products and a sum, each rounded once: at most
+        # 5 half-units in the last place of the larger end, so under 3 ulps.
+        ulp = math.ulp(max(a, b))
+        assert all(abs(x - y) <= 3 * ulp for x, y in zip(grid, _exact_grid(lo, hi, n)))
+
+    @given(ends, ends, st.integers(2, 80))
+    @example(-1e308, 7.9e307, 5)
+    @settings(max_examples=300, deadline=None)
+    def test_finite_width_grids_are_unchanged(self, lo, hi, n):
+        # Wherever hi - lo is finite, the grid is lo + k * step bit for bit.
+        lo, hi = min(lo, hi), max(lo, hi)
+        if lo == hi or math.isinf(hi - lo):
+            return
+        step = (hi - lo) / (n - 1)
+        expected = [lo + k * step for k in range(n)]
+        assert [x.hex() for x in equilibria._linspace(lo, hi, n)] == [x.hex() for x in expected]
+
+    def test_region_map_over_an_overflowing_range(self):
+        # The row player's cross payoffs are small enough that every weight
+        # of the grid gives finite payoffs.  With 9 points the weights k/8 are
+        # exact, and so is the grid: it is the exactly interpolated one.
+        g = Game2x2(3, 0, 5, 1, 1e-300, 2e-300, 0, 1e-300)
+        assert_matches_per_cell(g, (-1e308, 1e308), (-1, 2), 9)
 
 
 class TestRegionMapBuildsNoGames:

@@ -31,7 +31,9 @@ from empathica.equilibria import _player_key
 from empathica.games import _differences, _transformed_differences
 from empathica.io import hierarchy_csv
 from oracles import (
+    edge_games,
     reference_check_consistency,
+    reference_equilibrium_signature,
     reference_levels,
     reference_structural_epsilons,
 )
@@ -213,8 +215,8 @@ class TestStructuralFit:
 
 
 class TestLevelsAreLabelledWithoutLevelGames:
-    """A level game is built only to compute the signature of a key the walk
-    has not met before, never once per level."""
+    """Every level is labelled from lam^k's entries and the payoffs; a level
+    game is built only where a payoff difference is not finite."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -228,26 +230,28 @@ class TestLevelsAreLabelledWithoutLevelGames:
         monkeypatch.setattr(hierarchy, "transform", counting)
         return games
 
-    @staticmethod
-    def keys_met(games, lam, levels):
-        keys = set()
-        lam_k = lam
-        for k in range(1, levels + 1):
-            if k > 1:
-                lam_k = lam @ lam_k
-            keys.update(level_key(transform(g, lam_k)) for g in games)
-        return keys
-
     def test_check_consistency(self, built):
         verdict = check_consistency(ones(1.0), 200)
         assert verdict.levels_checked == 200
-        keys = self.keys_met(default_battery(), ones(1.0), 200)
-        assert len(built) == len(keys) <= len(default_battery())
+        assert built == []
 
     def test_analyze_hierarchy(self, built, pd):
         analysis = analyze_hierarchy(pd, ones(0.8), 200)
         assert len(analysis.levels) == 200
-        assert len(built) == len(self.keys_met([pd], ones(0.8), 200)) == 1
+        assert built == []
+
+    def test_only_where_a_difference_overflows(self, built):
+        # Every payoff stays finite, and the row player's first difference
+        # is 2e308 at every level of the identity: one build per level, no
+        # error, and the labels of the built level games.
+        g = Game2x2(1e308, 0.0, -1e308, 0.0, 0.0, 1.0, 1.0, 0.0)
+        lam = EmpathyMatrix.identity()
+        analysis = analyze_hierarchy(g, lam, 5)
+        assert len(built) == 5
+        assert analysis.levels == reference_levels(g, lam, 5)
+        built.clear()
+        assert check_consistency(lam, 5, [g]) == reference_check_consistency(lam, 5, [g])
+        assert len(built) == 5
 
 
 class TestTransformedDifferences:
@@ -419,6 +423,13 @@ class TestSpectralLimit:
         rec = spectral_limit(EmpathyMatrix(2.0, 0.0, 0.0, 0.5), 50)
         assert rec.limit_kind is LimitKind.DIVERGES
 
+    def test_trace_past_the_square_root_of_the_float_range(self):
+        # tr^2 = 4e308 overflows; (tr/2)^2 = 1e308 does not.
+        rec = spectral_limit(EmpathyMatrix(1e154, 0.0, 0.0, 1e154), 2)
+        assert rec.eigenvalues == (1e154, 1e154)
+        assert rec.rho == 1e154
+        assert rec.limit_kind is LimitKind.DIVERGES
+
     def test_complex_pair(self):
         rec = spectral_limit(EmpathyMatrix(0.0, -0.5, 0.5, 0.0), 10)
         assert rec.eigenvalues[0].imag != 0.0
@@ -435,6 +446,10 @@ class TestAnalyzeHierarchy:
         for rec in analysis.levels:
             assert max_diff(rec.lam_k, lam.power(rec.k)) < 1e-12
         assert analysis.consistent_up_to_k
+
+    def test_level_one_keeps_the_given_matrix(self, pd):
+        lam = EmpathyMatrix(0.9, 0.3, -0.2, 1.1)
+        assert analyze_hierarchy(pd, lam, 3).levels[0].lam_k is lam
 
     def test_last_finite_level_is_reported(self, mp):
         # Every power up to lam^308 is finite and lam^309 overflows; the walk
@@ -463,8 +478,8 @@ def _outcome(fn, *args):
 
 def assert_walks_match_reference(g, lam, k_max, battery=None):
     """The memoised walks against the same walks with a full
-    ``equilibrium_signature`` call per level game: exact levels, CSV bytes
-    and verdict fields, or the same ValueError text."""
+    ``reference_equilibrium_signature`` call per level game: exact levels,
+    CSV bytes and verdict fields, or the same ValueError text."""
     analysis = _outcome(analyze_hierarchy, g, lam, k_max)
     levels = _outcome(reference_levels, g, lam, k_max)
     if isinstance(analysis, str) or isinstance(levels, str):
@@ -596,3 +611,70 @@ class TestMemoisedWalksMatchReference:
         # facts per player.
         assert len(by_key) == 11 * 11
         assert all(len(sigs) == 1 for sigs in by_key.values())
+
+
+def _player_payoffs():
+    """Row-player payoffs (a11, a12, a21, a22) by ``_player_key``, every key
+    a player can have: differences of every sign with roots that exist,
+    underflow or round to zero, and the row players of
+    ``ROOT_BIT_EDGE_GAMES`` and their negations, whose two differences share
+    a sign but have no interior root, one of them infinite."""
+    values = [0.0, -0.0, 1.0, -1.0, 1e-200, -1e-200, 1e300, -1e300, 1e-300, 1e308]
+    edge = [(e.a11, e.a12, e.a21, e.a22) for e in ROOT_BIT_EDGE_GAMES]
+    quads = [*edge, *(tuple(-v for v in q) for q in edge)]
+    quads += [(d1, 0.0, 0.0, d2) for d1, d2 in itertools.product(values, repeat=2)]
+    by_key: dict = {}
+    for q in quads:
+        a11, a12, a21, a22 = q
+        by_key.setdefault(_player_key(a11 - a21, a22 - a12), []).append(q)
+    return by_key
+
+
+class TestSignatureMatchesReference:
+    """``equilibrium_signature`` reads a game's two player keys; it must
+    equal the label of the full ``classify``, ``pure_nash`` and
+    ``mixed_nash`` results."""
+
+    def test_every_key_pair(self):
+        by_key = _player_payoffs()
+        # 3^2 sign pairs per player, plus the root bit set for (1, 1) and
+        # (-1, -1); both are also met with the root bit clear.
+        assert len(by_key) == 11
+        assert {(1, 1, False), (-1, -1, False)} <= by_key.keys()
+        for row, col in itertools.product(by_key.values(), repeat=2):
+            for a, b in itertools.product(row[:6], col[:6]):
+                # The column player's payoffs transposed, so its differences
+                # are the row quadruple's.
+                g = Game2x2(*a, b[0], b[2], b[1], b[3])
+                assert equilibrium_signature(g) == reference_equilibrium_signature(g)
+
+    @given(edge_games())
+    @settings(max_examples=500, deadline=None)
+    def test_edge_games(self, g):
+        assert equilibrium_signature(g) == reference_equilibrium_signature(g)
+
+
+class TestOverflowParity:
+    """A walk past the float range raises the error that building the
+    overflowing power or level game raises."""
+
+    @pytest.mark.parametrize(
+        "g, message",
+        [
+            # 3 * 10^308 overflows in the level game of lam^308.
+            (prisoners_dilemma(), "a11 must be a finite real number, got inf"),
+            # Unit payoffs stay finite until lam^309 itself overflows.
+            (matching_pennies(), "l11 must be a finite real number, got inf"),
+        ],
+    )
+    def test_analyze_hierarchy(self, g, message):
+        lam = EmpathyMatrix(10.0, 0.0, 0.0, 10.0)
+        assert _outcome(analyze_hierarchy, g, lam, 400) == f"ValueError: {message}"
+        assert _outcome(reference_levels, g, lam, 400) == f"ValueError: {message}"
+
+    def test_check_consistency(self):
+        # The battery's level-1 games are finite, and lam^2 overflows.
+        lam = EmpathyMatrix(1e200, 0.0, 0.0, 1e200)
+        message = "ValueError: l11 must be a finite real number, got inf"
+        assert _outcome(check_consistency, lam, 5) == message
+        assert _outcome(reference_check_consistency, lam, 5) == message
