@@ -2,7 +2,8 @@
 
 Commands: transform, classify, solve, ess, simulate, field, sweep, hierarchy.
 Exit codes: 0 on success, 1 when the input file cannot be parsed, 2 when a
-precondition is violated (bad numeric options, empty feasible set, ...).
+precondition is violated (bad numeric options, empty feasible set, ...) or an
+output cannot be written.
 JSON reports go to --out or stdout; grid and trajectory outputs are CSV, with
 sibling files (diagnostics JSON, optional SVG) derived from the --out stem.
 """
@@ -292,6 +293,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except ValueError as exc:
         print(f"empathica: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # Input files are read by io.load_game_file, which reports its own
+        # errors, so an OSError here comes from writing an output.
+        print(f"empathica: cannot write: {exc}", file=sys.stderr)
         return 2
 
 

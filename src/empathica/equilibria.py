@@ -329,11 +329,18 @@ def region_map(
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    for lo, hi in (l12_range, l21_range):
-        if not (float(lo) < float(hi)):
+    l12_range = (float(l12_range[0]), float(l12_range[1]))
+    l21_range = (float(l21_range[0]), float(l21_range[1]))
+    for name, (lo, hi) in (("l12", l12_range), ("l21", l21_range)):
+        # A grid with a non-finite end holds a weight that is not finite
+        # (inf * 0 is NaN), so the end the caller gave is named.
+        for end in (lo, hi):
+            if not math.isfinite(end):
+                raise ValueError(f"{name} must be a finite real number, got {end!r}")
+        if not lo < hi:
             raise ValueError("ranges must satisfy lo < hi")
-    l12s = _linspace(float(l12_range[0]), float(l12_range[1]), resolution)
-    l21s = _linspace(float(l21_range[0]), float(l21_range[1]), resolution)
+    l12s = _linspace(*l12_range, resolution)
+    l21s = _linspace(*l21_range, resolution)
 
     def differences(l12: float, l21: float) -> tuple[float, float, float, float]:
         d = _transformed_differences(g, l11, l12, l21, l22)

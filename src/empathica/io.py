@@ -2,9 +2,10 @@
 
 A game file is a JSON object {"A": [[..]], "B": [[..]], "Lambda": [[..]]}
 holding the row player's matrix, the column player's matrix, and (optionally)
-the empathy weight matrix; numbers are IEEE-754 doubles.  All writers emit
-deterministic bytes for identical inputs: floats are serialized with
-shortest round-trip formatting and JSON keys are sorted.
+the empathy weight matrix; numbers are IEEE-754 doubles.  A game file is JSON
+in UTF-8, UTF-16 or UTF-32, and every output is UTF-8, whatever the locale.
+All writers emit deterministic bytes for identical inputs: floats are
+serialized with shortest round-trip formatting and JSON keys are sorted.
 """
 from __future__ import annotations
 
@@ -33,11 +34,13 @@ def fixtures_dir() -> Path:
 
 def resolve_input(name_or_path: str) -> Path:
     """Interpret an --input value as a path, or as a bundled fixture name."""
+    # os.path.exists is False for a path that cannot be looked up at all (a
+    # name too long, say), where Path.exists raises before Python 3.12.
     p = Path(name_or_path)
-    if p.exists():
+    if os.path.exists(p):
         return p
     candidate = fixtures_dir() / (name_or_path if name_or_path.endswith(".json") else name_or_path + ".json")
-    if candidate.exists():
+    if os.path.exists(candidate):
         return candidate
     raise GameFileError(f"no such game file or fixture: {name_or_path}")
 
@@ -63,12 +66,14 @@ def _matrix(obj, key: str) -> list[list[float]]:
 def load_game_file(path: str | Path) -> tuple[Game2x2, EmpathyMatrix]:
     """Read a game description; a missing Lambda defaults to the identity."""
     try:
-        text = Path(path).read_text()
+        with open(path, "rb", buffering=0) as f:
+            data = f.readall()
     except OSError as exc:
         raise GameFileError(f"cannot read {path}: {exc}") from exc
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        # json.loads detects UTF-8, UTF-16 and UTF-32 from the bytes.
+        obj = json.loads(data)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise GameFileError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise GameFileError("game file must be a JSON object")
@@ -100,10 +105,28 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+
+
 def write_text(path: str | Path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    """Write ``text`` to ``path`` as UTF-8, replacing what the file held.
+
+    The text is encoded before the file is opened, so a text that cannot be
+    encoded leaves the file as it was.  The file is opened, written and
+    closed on a raw descriptor; its parent directories are made only when
+    the open finds one missing.
+    """
+    data = memoryview(text.encode("utf-8"))
+    try:
+        fd = os.open(path, _WRITE_FLAGS, 0o666)
+    except FileNotFoundError:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def _f(v: float) -> str:

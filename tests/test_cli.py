@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import pathlib
 
 import pytest
 
@@ -11,7 +12,10 @@ from empathica.io import (
     fixtures_dir,
     load_game_file,
     resolve_input,
+    write_text,
 )
+
+PD_TEXT = '{"A": [[3, 0], [5, 1]], "B": [[3, 5], [0, 1]]}'
 
 
 def run(*argv):
@@ -52,6 +56,35 @@ class TestGameFiles:
         with pytest.raises(GameFileError):
             resolve_input("no_such_game")
 
+    def test_invalid_utf8_is_malformed_json(self, tmp_path):
+        p = tmp_path / "g.json"
+        p.write_bytes(PD_TEXT.encode() + b"\xff")
+        with pytest.raises(GameFileError, match="malformed JSON"):
+            load_game_file(p)
+
+    @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-16-be", "utf-32-le"])
+    def test_utf8_16_and_32_are_read(self, tmp_path, encoding):
+        # json.loads detects the encoding from the bytes, so a UTF-8 byte
+        # order mark is accepted too (it was "Unexpected UTF-8 BOM" when the
+        # file was read as text first).
+        p = tmp_path / "g.json"
+        p.write_bytes(PD_TEXT.encode(encoding))
+        g, _ = load_game_file(p)
+        assert (g.a11, g.a21, g.b12) == (3.0, 5.0, 5.0)
+
+    def test_non_ascii_round_trip(self, tmp_path):
+        # The bytes are UTF-8 whatever the locale's encoding.
+        text = '{"name": "Gefangenendilemma \u2013 \u00e9t\u00e9", ' + PD_TEXT[1:] + "\n"
+        p = tmp_path / "g.json"
+        write_text(p, text)
+        assert p.read_bytes() == text.encode("utf-8")
+        g, _ = load_game_file(p)
+        assert (g.a11, g.b12) == (3.0, 5.0)
+
+    def test_a_name_that_cannot_be_looked_up_is_no_game_file(self):
+        with pytest.raises(GameFileError, match="no such game file"):
+            resolve_input("a" * 5000)
+
     def test_fixture_dir_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EMPATHICA_FIXTURES", str(tmp_path))
         (tmp_path / "custom.json").write_text(
@@ -69,6 +102,32 @@ class TestExitCodes:
 
     def test_missing_input_is_exit_1(self):
         assert run("solve", "--input", "definitely_missing.json") == 1
+
+    def test_invalid_utf8_input_is_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "g.json"
+        bad.write_bytes(PD_TEXT.encode() + b"\xff")
+        assert run("solve", "--input", str(bad)) == 1
+        assert "malformed JSON" in capsys.readouterr().err
+
+    def test_utf8_bom_input_is_read(self, tmp_path, capsys):
+        src = tmp_path / "g.json"
+        src.write_bytes(PD_TEXT.encode("utf-8-sig"))
+        assert run("solve", "--input", str(src)) == 0
+        assert json.loads(capsys.readouterr().out)["pure"] == [[2, 2]]
+
+    @pytest.mark.parametrize(
+        "command, out",
+        [
+            (["solve", "--input", "pd"], "."),
+            (["sweep", "--input", "pd", "--grid", "3"], "file/x.csv"),
+        ],
+    )
+    def test_unwritable_output_is_exit_2(self, tmp_path, capsys, command, out):
+        (tmp_path / "file").write_text("kept\n")
+        assert run(*command, "--out", str(tmp_path / out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("empathica: cannot write: ") and err.count("\n") == 1
+        assert (tmp_path / "file").read_text() == "kept\n"
 
     def test_equal_constraint_coefficients_is_exit_2(self, capsys):
         code = run("ess", "--input", "pd", "--sigma", "1", "--mu", "0",
@@ -143,6 +202,15 @@ class TestExitCodes:
         assert code == 2
         assert "must be a finite real number" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("axis", ["l12", "l21"])
+    @pytest.mark.parametrize("end, given", [("-1:inf", "inf"), ("-inf:1", "-inf"), ("nan:1", "nan")])
+    def test_sweep_over_a_non_finite_range_end_is_exit_2(self, tmp_path, capsys, axis, end, given):
+        out = tmp_path / "m.csv"
+        assert run("sweep", "--input", "pd", f"--range-{axis}={end}", "--grid", "5",
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"empathica: {axis} must be a finite real number, got {given}\n"
+        assert not out.exists()
 
     def test_sweep_over_an_overflowing_range_width(self, tmp_path, capsys):
         # hi - lo overflows, but the grid is finite: the first error is the
@@ -410,3 +478,38 @@ class TestCanonicalJson:
     def test_non_finite_floats_are_rejected(self, value):
         with pytest.raises(ValueError):
             canonical_json({"a": [1.0, value]})
+
+
+class TestWriteText:
+    def test_missing_parents_are_made(self, tmp_path):
+        out = tmp_path / "a" / "b" / "c.csv"
+        write_text(out, "x\n")
+        assert out.read_bytes() == b"x\n"
+
+    def test_a_longer_file_is_truncated(self, tmp_path):
+        out = tmp_path / "c.csv"
+        out.write_bytes(b"0123456789" * 100)
+        write_text(out, "short\n")
+        assert out.read_bytes() == b"short\n"
+
+    def test_the_bytes_are_the_utf8_encoding(self, tmp_path):
+        text = "\u00e9t\u00e9 \u2013 \u03bb\u2081\u2082 \U0001f600\n" * 3000
+        out = tmp_path / "c.txt"
+        write_text(out, text)
+        assert out.read_bytes() == text.encode("utf-8")
+
+    def test_an_unencodable_text_leaves_the_file_as_it_was(self, tmp_path):
+        out = tmp_path / "c.csv"
+        out.write_bytes(b"old contents\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_text(out, "new \ud800 contents\n")
+        assert out.read_bytes() == b"old contents\n"
+
+    def test_no_directory_is_made_when_the_parent_exists(self, tmp_path, monkeypatch):
+        def no_mkdir(self, *args, **kwargs):
+            raise AssertionError(f"mkdir {self}")
+
+        monkeypatch.setattr(pathlib.Path, "mkdir", no_mkdir)
+        write_text(tmp_path / "c.csv", "x\n")
+        write_text(tmp_path / "c.csv", "y\n")
+        assert (tmp_path / "c.csv").read_bytes() == b"y\n"

@@ -443,6 +443,18 @@ class TestRegionMapErrors:
         assert fast == slow
         assert fast.startswith(f"{field} must be a finite real number")
 
+    @pytest.mark.parametrize("end", ["-1:inf", "-inf:1", "nan:1", "-1:nan"])
+    @pytest.mark.parametrize("axis", ["l12", "l21"])
+    def test_a_non_finite_range_end_is_named_before_any_solve(self, axis, end, monkeypatch):
+        # A grid with an infinite end holds a NaN weight (inf * 0), so the
+        # error names the end that was given, and no cell is solved.
+        lo, hi = map(float, end.split(":"))
+        given = lo if not math.isfinite(lo) else hi
+        monkeypatch.setattr(equilibria, "_transformed_differences", None)
+        ranges = {"l12_range": (-1, 2), "l21_range": (-1, 2), f"{axis}_range": (lo, hi)}
+        message = _first_error(lambda: region_map(self.HUGE, resolution=5, **ranges))
+        assert message == f"{axis} must be a finite real number, got {given!r}"
+
     @pytest.mark.parametrize("l11, l22", [(1.0, 1.0), (1.0, 0.5), (0.5, 1.0)])
     def test_overflowing_differences_of_finite_payoffs(self, l11, l22):
         # Every transformed payoff is finite, but with an own-weight of 1 a

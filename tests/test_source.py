@@ -10,7 +10,7 @@ def test_no_runtime_asserts_in_the_package():
     # relies on must be a check that raises or a test, never an assert.
     offenders = []
     for path in sorted(Path(empathica.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         offenders += [
             f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
         ]
@@ -23,7 +23,7 @@ def test_package_imports_only_the_standard_library():
     # imported relatively.
     offenders = []
     for path in sorted(Path(empathica.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
