@@ -6,6 +6,7 @@ precondition is violated (bad numeric options, empty feasible set, ...) or an
 output cannot be written.
 JSON reports go to --out or stdout; grid and trajectory outputs are CSV, with
 sibling files (diagnostics JSON, optional SVG) derived from the --out stem.
+A command that cannot write one of its files removes those it already wrote.
 """
 from __future__ import annotations
 
@@ -30,6 +31,18 @@ def _load(args):
     path = io.resolve_input(args.input)
     game, file_lam = io.load_game_file(path)
     return game, _lambda_from(args, file_lam)
+
+
+def _write_outputs(outputs: list[tuple[Path, str]]) -> None:
+    """Write a command's formed (path, text) outputs in order; when one cannot
+    be written, remove those already written, so no partial output is left."""
+    for k, (path, text) in enumerate(outputs):
+        try:
+            io.write_text(path, text)
+        except OSError:
+            for written, _ in outputs[:k]:
+                written.unlink(missing_ok=True)
+            raise
 
 
 def _emit_json(args, obj) -> None:
@@ -137,7 +150,6 @@ def cmd_simulate(args) -> int:
         s0 = dynamics.PopulationState(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
     traj = dynamics.simulate(s0, proto, sched, played, steps=args.steps)
     out = _out_path(args, "trajectory.csv")
-    io.write_text(out, io.trajectory_csv(traj))
     diag = traj.diagnostics
     diag_obj = {
         "converged": diag.converged,
@@ -148,10 +160,14 @@ def cmd_simulate(args) -> int:
         "start": [s0.p1, s0.p2],
         "final": [traj.p1[-1], traj.p2[-1]],
     }
-    io.write_text(out.with_suffix(".json"), io.canonical_json(diag_obj))
+    outputs = [
+        (out, io.trajectory_csv(traj)),
+        (out.with_suffix(".json"), io.canonical_json(diag_obj)),
+    ]
     if args.svg:
         field = dynamics.vector_field(proto, played, resolution=21)
-        io.write_text(out.with_suffix(".svg"), io.phase_portrait_svg(field, (traj,)))
+        outputs.append((out.with_suffix(".svg"), io.phase_portrait_svg(field, (traj,))))
+    _write_outputs(outputs)
     return 0
 
 
@@ -161,9 +177,10 @@ def cmd_field(args) -> int:
     proto = dynamics.RevisionProtocol.parse(args.protocol)
     field = dynamics.vector_field(proto, played, resolution=args.grid)
     out = _out_path(args, "field.csv")
-    io.write_text(out, io.vector_field_csv(field))
+    outputs = [(out, io.vector_field_csv(field))]
     if args.svg:
-        io.write_text(out.with_suffix(".svg"), io.phase_portrait_svg(field))
+        outputs.append((out.with_suffix(".svg"), io.phase_portrait_svg(field)))
+    _write_outputs(outputs)
     return 0
 
 
@@ -203,11 +220,10 @@ def cmd_hierarchy(args) -> int:
         },
         "game_consistent_up_to_k": analysis.consistent_up_to_k,
     }
-    # Both texts are formed before either file is written, so a report that
-    # cannot be written leaves no file behind.
-    verdict_text = io.canonical_json(verdict_obj)
-    io.write_text(out, io.hierarchy_csv(analysis))
-    io.write_text(out.with_suffix(".json"), verdict_text)
+    _write_outputs([
+        (out, io.hierarchy_csv(analysis)),
+        (out.with_suffix(".json"), io.canonical_json(verdict_obj)),
+    ])
     return 0
 
 

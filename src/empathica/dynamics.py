@@ -6,6 +6,7 @@ determined by a revision protocol, and the state updates as
     m' = m + rate_t * (1 - m) * eta_in - rate_t * m * eta_out,
 
 with the learning rate capped per step so the state never leaves [0, 1]^2.
+That kernel (cap, update, clamp) is written once, in ``simulate``'s loop.
 Population 1 plays the row role against population 2's mix, and vice versa.
 
 Supported protocols (pi_a is the expected payoff of action a against the
@@ -26,6 +27,8 @@ from .games import Classification, EmpathyMatrix, Game2x2, GameKind, classify, t
 
 _PROTOCOL_KINDS = ("replicator", "bnn", "smith", "imitation")
 _RATE_FLOOR = 2.220446049250313e-16  # machine epsilon floor for the step cap
+_CONV_TOL = 1e-9  # a step is still when its change is below this times its rate
+_WINDOW = 25  # consecutive still steps that declare convergence
 
 
 @dataclass(frozen=True)
@@ -154,11 +157,13 @@ def step(
 ) -> PopulationState:
     """One synchronous update of both populations; never leaves [0, 1]^2.
 
-    Runs ``simulate``'s kernel at the scheduled rate for step ``t``, so
-    stepping from any state of a trajectory reproduces the next state exactly.
+    Runs one iteration of ``simulate``'s loop at the rate scheduled for step
+    ``t`` (ValueError if negative), so it replays a trajectory exactly.
     """
-    rates = _rate_closure(proto, game)
-    return PopulationState(*_update(rates, state.p1, state.p2, sched.rate(t)))
+    if t < 0:
+        raise ValueError(f"t must be nonnegative, got {t!r}")
+    once = LearningSchedule.constant(sched.rate(t))
+    return simulate(state, proto, once, game, 1, detect_cycles=False).final
 
 
 @dataclass(frozen=True)
@@ -171,16 +176,19 @@ class Diagnostics:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-indexed states of a simulation run plus convergence diagnostics.
+    """States of a simulation run, one per step, plus convergence diagnostics.
 
-    Coordinates are stored as parallel tuples; ``states`` materializes
-    ``PopulationState`` objects on demand.
+    Coordinates are stored as parallel tuples; ``times`` and ``states`` are
+    derived from them on demand.
     """
 
-    times: tuple[int, ...]
     p1: tuple[float, ...]
     p2: tuple[float, ...]
     diagnostics: Diagnostics
+
+    @property
+    def times(self) -> tuple[int, ...]:
+        return tuple(range(len(self.p1)))
 
     @property
     def states(self) -> list[PopulationState]:
@@ -191,15 +199,15 @@ class Trajectory:
         return PopulationState(self.p1[-1], self.p2[-1])
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.p1)
 
 
 def _rate_closure(proto: RevisionProtocol, game: Game2x2):
     """Specialized (p1, p2) -> (eta1_12, eta1_21, eta2_12, eta2_21).
 
     The one place where each protocol's rates and the hybrid weighting are
-    written; ``simulate``, ``step``, ``switch_rates`` and ``vector_field`` all
-    evaluate it.
+    written; ``simulate`` (and so ``step``), ``switch_rates`` and
+    ``vector_field`` all evaluate it.
     """
     a11, a12, a21, a22 = game.a11, game.a12, game.a21, game.a22
     b11, b12, b21, b22 = game.b11, game.b12, game.b21, game.b22
@@ -268,31 +276,6 @@ def _rate_closure(proto: RevisionProtocol, game: Game2x2):
     return rates
 
 
-def _update(rates, p1: float, p2: float, lam: float) -> tuple[float, float]:
-    """The dynamics kernel: one synchronous update at scheduled rate ``lam``.
-
-    The rate is capped at 1 / max(switch rates, machine epsilon) and the new
-    state is clamped to [0, 1]^2.
-    """
-    e112, e121, e212, e221 = rates(p1, p2)
-    # Compared inline: the builtin max() costs about a third more per step.
-    mx = e112
-    if e121 > mx:
-        mx = e121
-    if e212 > mx:
-        mx = e212
-    if e221 > mx:
-        mx = e221
-    if mx < _RATE_FLOOR:
-        mx = _RATE_FLOOR
-    lam = lam if lam * mx <= 1.0 else 1.0 / mx
-    n1 = p1 + lam * (1.0 - p1) * e121 - lam * p1 * e112
-    n2 = p2 + lam * (1.0 - p2) * e221 - lam * p2 * e212
-    n1 = 0.0 if n1 < 0.0 else 1.0 if n1 > 1.0 else n1
-    n2 = 0.0 if n2 < 0.0 else 1.0 if n2 > 1.0 else n2
-    return (n1, n2)
-
-
 def _detect_cycle(
     p1s: list[float], p2s: list[float], arc: list[float], eps: float
 ) -> tuple[bool, float | None]:
@@ -342,15 +325,13 @@ def simulate(
     sched: LearningSchedule,
     game: Game2x2,
     steps: int,
-    conv_tol: float = 1e-9,
-    window: int = 25,
     detect_cycles: bool = True,
     cycle_eps: float = 1e-3,
 ) -> Trajectory:
     """Iterate the dynamics for ``steps`` updates or until convergence.
 
     Convergence is declared when the max-norm state change stays below
-    conv_tol * scheduled rate for ``window`` consecutive steps.  When the run
+    _CONV_TOL * scheduled rate for _WINDOW consecutive steps.  When the run
     does not converge and ``detect_cycles`` is set, a return-proximity scan
     (ignoring the first 10% of the run as transient) reports cycling.  The
     scan measures arc length by the running sum of the same max-norm state
@@ -373,7 +354,22 @@ def simulate(
     converged = False
     for t in range(steps):
         lam = rate_of(t)
-        n1, n2 = _update(rates, p1, p2, lam)
+        e112, e121, e212, e221 = rates(p1, p2)
+        # Compared inline: the builtin max() costs about a third more per step.
+        mx = e112
+        if e121 > mx:
+            mx = e121
+        if e212 > mx:
+            mx = e212
+        if e221 > mx:
+            mx = e221
+        if mx < _RATE_FLOOR:
+            mx = _RATE_FLOOR
+        cap = lam if lam * mx <= 1.0 else 1.0 / mx
+        n1 = p1 + cap * (1.0 - p1) * e121 - cap * p1 * e112
+        n2 = p2 + cap * (1.0 - p2) * e221 - cap * p2 * e212
+        n1 = 0.0 if n1 < 0.0 else 1.0 if n1 > 1.0 else n1
+        n2 = 0.0 if n2 < 0.0 else 1.0 if n2 > 1.0 else n2
         d1 = n1 - p1
         if d1 < 0.0:
             d1 = -d1
@@ -387,9 +383,9 @@ def simulate(
         append2(p2)
         acc += delta
         append_arc(acc)
-        if delta < conv_tol * lam:
+        if delta < _CONV_TOL * lam:
             consecutive += 1
-            if consecutive >= window:
+            if consecutive >= _WINDOW:
                 converged = True
                 break
         else:
@@ -405,12 +401,7 @@ def simulate(
         cycle_detected=cycle,
         cycle_period_estimate=period,
     )
-    return Trajectory(
-        times=tuple(range(len(p1s))),
-        p1=tuple(p1s),
-        p2=tuple(p2s),
-        diagnostics=diag,
-    )
+    return Trajectory(p1=tuple(p1s), p2=tuple(p2s), diagnostics=diag)
 
 
 @dataclass(frozen=True)

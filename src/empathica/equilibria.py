@@ -284,10 +284,6 @@ class RegionMap:
     l21_values: tuple[float, ...]
     labels: tuple[tuple[str, ...], ...]
 
-    @property
-    def resolution(self) -> int:
-        return len(self.l12_values)
-
     def label_at(self, i21: int, i12: int) -> str:
         return self.labels[i21][i12]
 

@@ -220,9 +220,6 @@ class EssResult:
     exists: bool
     degenerate: bool = False
 
-    def values(self) -> tuple[float, ...]:
-        return tuple(p.m for p in self.points)
-
 
 def constrained_ess(red: DiagonalReduction, con: Constraint) -> EssResult:
     """Evolutionarily stable strategies on the feasible interval [lo, hi].

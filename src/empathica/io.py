@@ -135,7 +135,7 @@ def _f(v: float) -> str:
 
 def trajectory_csv(traj: Trajectory) -> str:
     lines = ["t,p1,p2"]
-    for t, x, y in zip(traj.times, traj.p1, traj.p2):
+    for t, x, y in zip(range(len(traj)), traj.p1, traj.p2):
         lines.append(f"{t},{_f(x)},{_f(y)}")
     return "\n".join(lines) + "\n"
 
@@ -194,31 +194,30 @@ def equilibrium_set_dict(eqs: EquilibriumSet) -> dict:
     }
 
 
-def phase_portrait_svg(
-    field: VectorField,
-    trajectories: tuple[Trajectory, ...] = (),
-    size: int = 600,
-    margin: int = 40,
-) -> str:
+_SVG_SIZE = 600  # portrait width and height
+_SVG_MARGIN = 40  # blank border around the unit square
+
+
+def phase_portrait_svg(field: VectorField, trajectories: tuple[Trajectory, ...] = ()) -> str:
     """Minimal standalone SVG: flow arrows on the unit square plus optional
     trajectory polylines.  Arrow lengths are normalized to the grid spacing."""
-    span = size - 2 * margin
+    span = _SVG_SIZE - 2 * _SVG_MARGIN
 
     def sx(x: float) -> float:
-        return margin + x * span
+        return _SVG_MARGIN + x * span
 
     def sy(y: float) -> float:
-        return size - margin - y * span  # y grows upward
+        return _SVG_SIZE - _SVG_MARGIN - y * span  # y grows upward
 
     max_norm = max((max(abs(r[2]), abs(r[3])) for r in field.rows), default=0.0)
     spacing = span / (field.resolution - 1)
     scale = 0.45 * spacing / max_norm if max_norm > 0 else 0.0
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-        f'<rect x="{margin}" y="{margin}" width="{span}" height="{span}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
+        f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">',
+        f'<rect width="{_SVG_SIZE}" height="{_SVG_SIZE}" fill="white"/>',
+        f'<rect x="{_SVG_MARGIN}" y="{_SVG_MARGIN}" width="{span}" height="{span}" '
         'fill="none" stroke="black" stroke-width="1"/>',
     ]
     for p1, p2, d1, d2 in field.rows:

@@ -11,6 +11,8 @@ per-player keys that ``equilibrium_signature`` reads.
 payoff-subtraction forms of ``classify`` and ``mixed_nash``, each player
 written out on its own, which the library must match bit for bit.
 ``reference_region_csv`` writes the region CSV one line per cell.
+``reference_simulate`` evaluates the library's rate closure, which it does
+not test, and writes out the step kernel and the loop around it.
 """
 from __future__ import annotations
 
@@ -22,18 +24,24 @@ from hypothesis import strategies as st
 from empathica import (
     Classification,
     ConsistencyVerdict,
+    Diagnostics,
     EmpathyMatrix,
     Game2x2,
     GameKind,
+    LearningSchedule,
     MixedNashResult,
     MixedProfile,
+    PopulationState,
     RegionMap,
+    RevisionProtocol,
+    Trajectory,
     classify,
     default_battery,
     mixed_nash,
     pure_nash,
     transform,
 )
+from empathica.dynamics import _rate_closure
 from empathica.hierarchy import LevelRecord
 
 CELLS = ((1, 1), (1, 2), (2, 1), (2, 2))
@@ -263,6 +271,74 @@ def reference_detect_cycle(
             episodes.setdefault(key, []).append(i)
             last_key = key
     return (False, None)
+
+
+def _reference_update(rates, p1: float, p2: float, lam: float) -> tuple[float, float]:
+    """One synchronous update at scheduled rate ``lam``: the rate is capped at
+    1 / max(switch rates, machine epsilon) and the new state is clamped to
+    [0, 1]^2."""
+    e112, e121, e212, e221 = rates(p1, p2)
+    mx = e112
+    for e in (e121, e212, e221):
+        if e > mx:
+            mx = e
+    if mx < 2.220446049250313e-16:
+        mx = 2.220446049250313e-16
+    lam = lam if lam * mx <= 1.0 else 1.0 / mx
+    n1 = p1 + lam * (1.0 - p1) * e121 - lam * p1 * e112
+    n2 = p2 + lam * (1.0 - p2) * e221 - lam * p2 * e212
+    n1 = 0.0 if n1 < 0.0 else 1.0 if n1 > 1.0 else n1
+    n2 = 0.0 if n2 < 0.0 else 1.0 if n2 > 1.0 else n2
+    return (n1, n2)
+
+
+def reference_simulate(
+    s0: PopulationState,
+    proto: RevisionProtocol,
+    sched: LearningSchedule,
+    game: Game2x2,
+    steps: int,
+    detect_cycles: bool = True,
+    cycle_eps: float = 1e-3,
+) -> Trajectory:
+    """``simulate`` with the dynamics kernel as a function called once per
+    step, its convergence test written out, and ``reference_detect_cycle``
+    as its cycle scan.  ``simulate`` must give the same states and
+    diagnostics bit for bit, or raise the same error."""
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    rates = _rate_closure(proto, game)
+    p1s = [s0.p1]
+    p2s = [s0.p2]
+    consecutive = 0
+    converged = False
+    for t in range(steps):
+        lam = sched.rate(t)
+        p1, p2 = p1s[-1], p2s[-1]
+        n1, n2 = _reference_update(rates, p1, p2, lam)
+        p1s.append(n1)
+        p2s.append(n2)
+        d1 = abs(n1 - p1)
+        d2 = abs(n2 - p2)
+        # Not max(): a NaN in d1 must give way to d2, as in simulate.
+        delta = d1 if d1 > d2 else d2
+        if delta < 1e-9 * lam:
+            consecutive += 1
+            if consecutive >= 25:
+                converged = True
+                break
+        else:
+            consecutive = 0
+    cycle, period = (False, None)
+    if not converged and detect_cycles:
+        cycle, period = reference_detect_cycle(p1s, p2s, cycle_eps)
+    diag = Diagnostics(
+        converged=converged,
+        limit_point=PopulationState(p1s[-1], p2s[-1]) if converged else None,
+        cycle_detected=cycle,
+        cycle_period_estimate=period,
+    )
+    return Trajectory(p1=tuple(p1s), p2=tuple(p2s), diagnostics=diag)
 
 
 def reference_equilibrium_signature(g: Game2x2) -> str:

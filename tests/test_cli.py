@@ -129,6 +129,25 @@ class TestExitCodes:
         assert err.startswith("empathica: cannot write: ") and err.count("\n") == 1
         assert (tmp_path / "file").read_text() == "kept\n"
 
+    @pytest.mark.parametrize(
+        "command, blocked",
+        [
+            (["simulate", "--input", "pd", "--steps", "100"], "r.json"),
+            (["field", "--input", "pd", "--svg"], "r.svg"),
+            (["hierarchy", "--input", "pd"], "r.json"),
+        ],
+        ids=["simulate", "field", "hierarchy"],
+    )
+    def test_a_sibling_that_cannot_be_written_leaves_no_output(
+        self, tmp_path, capsys, command, blocked
+    ):
+        # The sibling's path is a directory, so it fails after r.csv is written.
+        (tmp_path / "o" / blocked).mkdir(parents=True)
+        assert run(*command, "--out", str(tmp_path / "o" / "r.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("empathica: cannot write: ") and err.count("\n") == 1
+        assert [p.name for p in (tmp_path / "o").iterdir()] == [blocked]
+
     def test_equal_constraint_coefficients_is_exit_2(self, capsys):
         code = run("ess", "--input", "pd", "--sigma", "1", "--mu", "0",
                    "--c1", "1", "--c2", "1", "--V", "0.5")

@@ -21,7 +21,7 @@ from empathica import (
     vector_field,
 )
 from empathica.dynamics import _detect_cycle
-from oracles import random_game, reference_detect_cycle
+from oracles import random_game, reference_detect_cycle, reference_simulate
 
 ALL_PROTOS = (
     RevisionProtocol.replicator(),
@@ -137,6 +137,13 @@ class TestStep:
                     s = PopulationState(traj.p1[t], traj.p2[t])
                     nxt = step(s, proto, sched, pd, t)
                     assert (nxt.p1, nxt.p2) == (traj.p1[t + 1], traj.p2[t + 1]), (proto, sched, t)
+
+    def test_rejects_a_negative_step_index(self, pd):
+        # At t = -3 a harmonic rate is negative, and at t = -1 it is 1/0.
+        s = PopulationState(0.5, 0.5)
+        for t in (-3, -1):
+            with pytest.raises(ValueError, match="t must be nonnegative"):
+                step(s, RevisionProtocol.replicator(), LearningSchedule.harmonic(0.5), pd, t)
 
     def test_harmonic_schedule_decays(self):
         sched = LearningSchedule.harmonic(0.5)
@@ -273,6 +280,61 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(PopulationState(0.5, 0.5), RevisionProtocol.smith(),
                      LearningSchedule.constant(0.1), pd, steps=0)
+
+
+class TestKernelOracle:
+    """simulate against reference_simulate, which calls the step kernel as a
+    function and runs its own loop: the same states and diagnostics bit for
+    bit (compared by repr, so that NaN matches NaN), or the same error."""
+
+    PROTOS = ALL_PROTOS + (RevisionProtocol.parse("hybrid:smith=0.5,bnn=0.3,imitation=0.2"),)
+    # Rate 25 makes the cap bind; harmonic rates fall below it.
+    SCHEDS = (LearningSchedule.constant(0.05), LearningSchedule.constant(25.0),
+              LearningSchedule.harmonic(0.5), LearningSchedule.harmonic(25.0))
+
+    @staticmethod
+    def outcome(run, *args, **kwargs):
+        try:
+            traj = run(*args, **kwargs)
+        except ValueError as exc:
+            return "raised " + str(exc)
+        return repr((traj.p1, traj.p2, traj.diagnostics))
+
+    def assert_same(self, *args, **kwargs):
+        got = self.outcome(simulate, *args, **kwargs)
+        assert got == self.outcome(reference_simulate, *args, **kwargs)
+        return got
+
+    def test_every_protocol_schedule_and_corner(self, pd, mp, coord, anti):
+        rng = random.Random(2024)
+        huge = [Game2x2(*(rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 1.0) * 1e300
+                          for _ in range(8))) for _ in range(2)]
+        games = [pd, mp, coord, anti, random_game(rng), *huge]
+        corners = [PopulationState(x, y) for x in (0.0, 1.0) for y in (0.0, 1.0)]
+        seen = set()
+        for g in games:
+            for proto in self.PROTOS:
+                for sched in self.SCHEDS:
+                    starts = [rng.choice(corners), PopulationState(rng.random(), rng.random())]
+                    for s0 in starts:
+                        got = self.assert_same(s0, proto, sched, g, 300)
+                        seen.add("converged=True" in got)
+        assert seen == {True, False}
+
+    def test_a_cycling_run(self, mp):
+        got = self.assert_same(PopulationState(0.4, 0.6), RevisionProtocol.replicator(),
+                               LearningSchedule.constant(0.05), mp, 3000)
+        assert "cycle_detected=True" in got
+
+    def test_overflowing_rates(self):
+        # Payoffs of 1e308 overflow the switch rates and the states turn NaN:
+        # each run raises, from its limit point or its cycle scan, or returns
+        # the NaN states.
+        g = Game2x2(1e308, -1e308, -1e308, 1e308, -1e308, 1e308, 1e308, -1e308)
+        for detect in (True, False):
+            for proto in self.PROTOS:
+                self.assert_same(PopulationState(0.3, 0.6), proto,
+                                 LearningSchedule.constant(25.0), g, 50, detect_cycles=detect)
 
 
 class TestCycleScan:
