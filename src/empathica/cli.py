@@ -6,7 +6,9 @@ precondition is violated (bad numeric options, empty feasible set, ...) or an
 output cannot be written.
 JSON reports go to --out or stdout; grid and trajectory outputs are CSV, with
 sibling files (diagnostics JSON, optional SVG) derived from the --out stem.
-A command that cannot write one of its files removes those it already wrote.
+An --out whose suffix is a sibling's (``simulate --out r.json``) is exit 2,
+with nothing written.  A command that cannot write one of its files removes
+those it already wrote.
 """
 from __future__ import annotations
 
@@ -35,7 +37,16 @@ def _load(args):
 
 def _write_outputs(outputs: list[tuple[Path, str]]) -> None:
     """Write a command's formed (path, text) outputs in order; when one cannot
-    be written, remove those already written, so no partial output is left."""
+    be written, remove those already written, so no partial output is left.
+
+    Raises ValueError, writing nothing, when two outputs share a path (an
+    --out that already carries a sibling's suffix), since the later would
+    overwrite the earlier.
+    """
+    paths = [path for path, _ in outputs]
+    for k, path in enumerate(paths):
+        if path in paths[:k]:
+            raise ValueError(f"two outputs would be written to {path}; give --out another suffix")
     for k, (path, text) in enumerate(outputs):
         try:
             io.write_text(path, text)

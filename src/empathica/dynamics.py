@@ -7,6 +7,8 @@ determined by a revision protocol, and the state updates as
 
 with the learning rate capped per step so the state never leaves [0, 1]^2.
 That kernel (cap, update, clamp) is written once, in ``simulate``'s loop.
+Each step calls one rate closure, built once per run for the protocol's
+kind, and a constant schedule's rate is read once per run.
 Population 1 plays the row role against population 2's mix, and vice versa.
 
 Supported protocols (pi_a is the expected payoff of action a against the
@@ -21,6 +23,7 @@ opponent population's current mix, pi_bar the population average):
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .games import Classification, EmpathyMatrix, Game2x2, GameKind, classify, transform
@@ -207,55 +210,80 @@ def _rate_closure(proto: RevisionProtocol, game: Game2x2):
 
     The one place where each protocol's rates and the hybrid weighting are
     written; ``simulate`` (and so ``step``), ``switch_rates`` and
-    ``vector_field`` all evaluate it.
+    ``vector_field`` all evaluate it.  The protocol is dispatched here, once:
+    each kind gets its own closure, so a call runs no test of the kind.  A
+    hybrid sums its members' rates, weighted, in its component order.
     """
     a11, a12, a21, a22 = game.a11, game.a12, game.a21, game.a22
     b11, b12, b21, b22 = game.b11, game.b12, game.b21, game.b22
-    shift = -game.min_payoff()
+    kind = proto.kind
 
-    if proto.kind == "hybrid":
+    if kind == "hybrid":
         total = sum(w for _, w in proto.components)
         members = [
             (_rate_closure(RevisionProtocol(name), game), w / total)
             for name, w in proto.components
         ]
 
-        def hybrid_rates(p1: float, p2: float):
+        def hybrid(p1: float, p2: float):
             e112 = e121 = e212 = e221 = 0.0
             for fn, w in members:
-                r = fn(p1, p2)
-                e112 += w * r[0]
-                e121 += w * r[1]
-                e212 += w * r[2]
-                e221 += w * r[3]
+                r112, r121, r212, r221 = fn(p1, p2)
+                e112 += w * r112
+                e121 += w * r121
+                e212 += w * r212
+                e221 += w * r221
             return (e112, e121, e212, e221)
 
-        return hybrid_rates
+        return hybrid
 
-    kind = proto.kind
+    if kind == "replicator":
 
-    def rates(p1: float, p2: float):
-        q2 = 1.0 - p2
-        r1 = a11 * p2 + a12 * q2
-        r2 = a21 * p2 + a22 * q2
-        q1 = 1.0 - p1
-        c1 = b11 * p1 + b21 * q1
-        c2 = b12 * p1 + b22 * q1
-        if kind == "replicator":
+        def replicator(p1: float, p2: float):
+            q2 = 1.0 - p2
+            r1 = a11 * p2 + a12 * q2
+            r2 = a21 * p2 + a22 * q2
+            q1 = 1.0 - p1
+            c1 = b11 * p1 + b21 * q1
+            c2 = b12 * p1 + b22 * q1
             d = r2 - r1
             e112 = q1 * d if d > 0.0 else 0.0
             e121 = p1 * -d if d < 0.0 else 0.0
             d = c2 - c1
             e212 = q2 * d if d > 0.0 else 0.0
             e221 = p2 * -d if d < 0.0 else 0.0
-        elif kind == "smith":
+            return (e112, e121, e212, e221)
+
+        return replicator
+
+    if kind == "smith":
+
+        def smith(p1: float, p2: float):
+            q2 = 1.0 - p2
+            r1 = a11 * p2 + a12 * q2
+            r2 = a21 * p2 + a22 * q2
+            q1 = 1.0 - p1
+            c1 = b11 * p1 + b21 * q1
+            c2 = b12 * p1 + b22 * q1
             d = r2 - r1
             e112 = d if d > 0.0 else 0.0
             e121 = -d if d < 0.0 else 0.0
             d = c2 - c1
             e212 = d if d > 0.0 else 0.0
             e221 = -d if d < 0.0 else 0.0
-        elif kind == "bnn":
+            return (e112, e121, e212, e221)
+
+        return smith
+
+    if kind == "bnn":
+
+        def bnn(p1: float, p2: float):
+            q2 = 1.0 - p2
+            r1 = a11 * p2 + a12 * q2
+            r2 = a21 * p2 + a22 * q2
+            q1 = 1.0 - p1
+            c1 = b11 * p1 + b21 * q1
+            c2 = b12 * p1 + b22 * q1
             bar = p1 * r1 + q1 * r2
             x = r2 - bar
             e112 = x if x > 0.0 else 0.0
@@ -266,14 +294,26 @@ def _rate_closure(proto: RevisionProtocol, game: Game2x2):
             e212 = x if x > 0.0 else 0.0
             x = c1 - bar
             e221 = x if x > 0.0 else 0.0
-        else:  # imitation
-            e112 = q1 * (r2 + shift)
-            e121 = p1 * (r1 + shift)
-            e212 = q2 * (c2 + shift)
-            e221 = p2 * (c1 + shift)
+            return (e112, e121, e212, e221)
+
+        return bnn
+
+    shift = -game.min_payoff()
+
+    def imitation(p1: float, p2: float):
+        q2 = 1.0 - p2
+        r1 = a11 * p2 + a12 * q2
+        r2 = a21 * p2 + a22 * q2
+        q1 = 1.0 - p1
+        c1 = b11 * p1 + b21 * q1
+        c2 = b12 * p1 + b22 * q1
+        e112 = q1 * (r2 + shift)
+        e121 = p1 * (r1 + shift)
+        e212 = q2 * (c2 + shift)
+        e221 = p2 * (c1 + shift)
         return (e112, e121, e212, e221)
 
-    return rates
+    return imitation
 
 
 def _detect_cycle(
@@ -289,29 +329,31 @@ def _detect_cycle(
     are gathered again only when the cell changes, since the files change
     only then.  State i is filed before the gathering, but it never matches
     itself: its arc gap to itself is 0.
+
+    Cell (kx, ky) is filed under the integer kx * width + ky.  States lie in
+    [0, 1], so |ky| <= int(1 / |eps|) and every ky a neighbourhood reaches
+    fits in ``width`` consecutive integers: no two cells there share a key.
     """
     n = len(p1s)
     start = n // 10
     if n - start < 3:
         return (False, None)
+    # An eps of 0 or NaN raises here as x / eps would below.  1/|eps|
+    # overflows only for a subnormal eps, where |ky| <= int(float max).
+    width = int(min(1.0 / abs(eps), sys.float_info.max)) + 3
+    around = [dx * width + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
     min_gap = 10.0 * eps
-    episodes: dict[tuple[int, int], list[int]] = {}
-    last_key: tuple[int, int] | None = None
+    episodes: dict[int, list[int]] = {}
+    last_key: int | None = None
     candidates: list[int] = []
     for i in range(start, n):
         x = p1s[i]
         y = p2s[i]
-        key = (int(x / eps), int(y / eps))
+        key = int(x / eps) * width + int(y / eps)
         if key != last_key:
             episodes.setdefault(key, []).append(i)
             last_key = key
-            kx, ky = key
-            candidates = [
-                j
-                for dx in (-1, 0, 1)
-                for dy in (-1, 0, 1)
-                for j in episodes.get((kx + dx, ky + dy), ())
-            ]
+            candidates = [j for off in around for j in episodes.get(key + off, ())]
         ai = arc[i]
         for j in candidates:
             if ai - arc[j] > min_gap and abs(x - p1s[j]) < eps and abs(y - p2s[j]) < eps:
@@ -340,7 +382,12 @@ def simulate(
     if steps < 1:
         raise ValueError("steps must be at least 1")
     rates = _rate_closure(proto, game)
+    # A constant schedule's rate, and so the convergence threshold, is read
+    # once; a harmonic one is read per step.
+    varying = sched.kind != "constant"
     rate_of = sched.rate
+    lam = rate_of(0)
+    still = _CONV_TOL * lam
     p1 = s0.p1
     p2 = s0.p2
     p1s = [p1]
@@ -353,7 +400,9 @@ def simulate(
     consecutive = 0
     converged = False
     for t in range(steps):
-        lam = rate_of(t)
+        if varying:
+            lam = rate_of(t)
+            still = _CONV_TOL * lam
         e112, e121, e212, e221 = rates(p1, p2)
         # Compared inline: the builtin max() costs about a third more per step.
         mx = e112
@@ -383,7 +432,7 @@ def simulate(
         append2(p2)
         acc += delta
         append_arc(acc)
-        if delta < _CONV_TOL * lam:
+        if delta < still:
             consecutive += 1
             if consecutive >= _WINDOW:
                 converged = True

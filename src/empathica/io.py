@@ -133,17 +133,23 @@ def _f(v: float) -> str:
     return repr(float(v))
 
 
+# The row writers below format each float inline as {float(v)!r}, the text
+# _f gives, without a call per value.
+
+
 def trajectory_csv(traj: Trajectory) -> str:
     lines = ["t,p1,p2"]
-    for t, x, y in zip(range(len(traj)), traj.p1, traj.p2):
-        lines.append(f"{t},{_f(x)},{_f(y)}")
+    lines += [
+        f"{t},{x!r},{y!r}"
+        for t, x, y in zip(range(len(traj)), map(float, traj.p1), map(float, traj.p2))
+    ]
     return "\n".join(lines) + "\n"
 
 
 def vector_field_csv(field: VectorField) -> str:
     lines = ["p1,p2,dp1,dp2"]
     for p1, p2, d1, d2 in field.rows:
-        lines.append(f"{_f(p1)},{_f(p2)},{_f(d1)},{_f(d2)}")
+        lines.append(f"{float(p1)!r},{float(p2)!r},{float(d1)!r},{float(d2)!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -175,7 +181,8 @@ def hierarchy_csv(analysis: HierarchyAnalysis) -> str:
     for rec in analysis.levels:
         m = rec.lam_k
         lines.append(
-            f"{rec.k},{_f(m.l11)},{_f(m.l12)},{_f(m.l21)},{_f(m.l22)},{rec.signature}"
+            f"{rec.k},{float(m.l11)!r},{float(m.l12)!r},{float(m.l21)!r},{float(m.l22)!r},"
+            f"{rec.signature}"
         )
     return "\n".join(lines) + "\n"
 

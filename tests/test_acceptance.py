@@ -300,7 +300,9 @@ def test_criterion_6_convergence_to_pure_equilibria():
                 for (i, j) in (p.cell for p in pure_nash(g))
             ]
             for pname, proto in protos.items():
-                rng = random.Random(hash((name, pname)) & 0xFFFF)
+                # Seeded from a string, which hash randomization leaves
+                # alone, so every run draws the same 90 starts.
+                rng = random.Random(f"{name}/{pname}")
                 for _ in range(10):
                     s0 = PopulationState(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
                     traj = simulate(s0, proto, sched, g, steps=100_000,

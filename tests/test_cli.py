@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from empathica import hierarchy
+from empathica import LearningSchedule, PopulationState, RevisionProtocol, hierarchy, simulate
 from empathica.cli import main
 from empathica.io import (
     GameFileError,
@@ -12,6 +12,7 @@ from empathica.io import (
     fixtures_dir,
     load_game_file,
     resolve_input,
+    trajectory_csv,
     write_text,
 )
 
@@ -147,6 +148,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("empathica: cannot write: ") and err.count("\n") == 1
         assert [p.name for p in (tmp_path / "o").iterdir()] == [blocked]
+
+    @pytest.mark.parametrize(
+        "command, out",
+        [
+            (["simulate", "--input", "pd", "--steps", "5"], "same.json"),
+            (["simulate", "--input", "pd", "--steps", "5", "--svg"], "x.svg"),
+            (["field", "--input", "pd", "--svg"], "x.svg"),
+            (["hierarchy", "--input", "pd"], "h.json"),
+        ],
+        ids=["simulate", "simulate-svg", "field-svg", "hierarchy"],
+    )
+    def test_outputs_sharing_a_path_is_exit_2(self, tmp_path, capsys, command, out):
+        # A sibling derived from --out by its suffix is --out itself here, so
+        # one file would overwrite the other: nothing is written.
+        assert run(*command, "--out", str(tmp_path / out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("empathica: ") and str(tmp_path / out) in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_equal_constraint_coefficients_is_exit_2(self, capsys):
         code = run("ess", "--input", "pd", "--sigma", "1", "--mu", "0",
@@ -497,6 +516,17 @@ class TestCanonicalJson:
     def test_non_finite_floats_are_rejected(self, value):
         with pytest.raises(ValueError):
             canonical_json({"a": [1.0, value]})
+
+
+class TestTrajectoryCsv:
+    @pytest.mark.parametrize(
+        "start, row", [((0, 1), "0,0.0,1.0"), ((True, False), "0,1.0,0.0")],
+        ids=["int", "bool"],
+    )
+    def test_an_int_or_bool_start_is_written_as_a_float(self, pd, start, row):
+        traj = simulate(PopulationState(*start), RevisionProtocol.replicator(),
+                        LearningSchedule.constant(0.05), pd, 3)
+        assert trajectory_csv(traj).splitlines()[1] == row
 
 
 class TestWriteText:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -405,6 +406,48 @@ class TestCycleScan:
         p2s = [0.0] * 40
         got = _detect_cycle(p1s, p2s, self.arc_prefix(p1s, p2s), eps)
         assert got == reference_detect_cycle(p1s, p2s, eps) == (True, 21.0)
+
+    @pytest.mark.parametrize("eps", [1e-9, 2.5, math.inf, -0.25])
+    def test_extreme_and_negative_eps(self, mp, eps):
+        # 2.5 and inf put the whole square in one cell, 1e-9 spreads a run
+        # over about 1e9 cells per axis, and a negative eps matches nothing.
+        traj = simulate(PopulationState(0.3, 0.6), RevisionProtocol.replicator(),
+                        LearningSchedule.constant(0.05), mp, steps=3000, detect_cycles=False)
+        flip = [float(k % 2) for k in range(60)]
+        for p1s, p2s in ((list(traj.p1), list(traj.p2)), (flip, flip[::-1])):
+            got = _detect_cycle(p1s, p2s, self.arc_prefix(p1s, p2s), eps)
+            assert got == reference_detect_cycle(p1s, p2s, eps)
+
+    def test_cells_a_narrow_key_would_merge(self):
+        # At eps 1e-9 the row index ky runs from 0 to m = int(1 / eps).  Keyed
+        # as kx * w + ky with w <= m, cells (kx, m) and (kx + 1, m - w) would
+        # share a key: the step from a to b would not enter a cell, b would
+        # not be filed, and the return to b would go unseen.
+        eps = 1e-9
+        m = int(1.0 / eps)
+        kx = int(0.5 / eps)
+        for w in (1, 2, 3, m // 2, m - 1, m):
+            b = ((kx + 1.5) * eps, (m - w + 0.5) * eps)
+            assert (int(b[0] / eps), int(b[1] / eps)) == (kx + 1, m - w)
+            p1s = [0.5, b[0], 0.1, b[0]]
+            p2s = [1.0, b[1], 0.1, b[1]]
+            got = _detect_cycle(p1s, p2s, self.arc_prefix(p1s, p2s), eps)
+            assert got == reference_detect_cycle(p1s, p2s, eps) == (True, 2.0)
+
+    @pytest.mark.parametrize(
+        "p1s, eps",
+        [([0.1, 0.2, 0.3, 0.4], 0.0), ([0.1, 0.2, 0.3, 0.4], math.nan),
+         ([0.1, math.nan, 0.3, 0.4], 1e-3)],
+        ids=["eps-0", "eps-nan", "nan-state"],
+    )
+    def test_raises_as_the_reference(self, p1s, eps):
+        def raised(scan, *args):
+            with pytest.raises(Exception) as exc:
+                scan(p1s, p1s, *args, eps)
+            return (type(exc.value), str(exc.value))
+
+        got = raised(_detect_cycle, self.arc_prefix(p1s, p1s))
+        assert got == raised(reference_detect_cycle)
 
     @given(
         st.lists(
