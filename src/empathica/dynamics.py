@@ -32,6 +32,7 @@ _PROTOCOL_KINDS = ("replicator", "bnn", "smith", "imitation")
 _RATE_FLOOR = 2.220446049250313e-16  # machine epsilon floor for the step cap
 _CONV_TOL = 1e-9  # a step is still when its change is below this times its rate
 _WINDOW = 25  # consecutive still steps that declare convergence
+_RATES_OVERFLOW = "the switch rates overflow the float range for this game"
 
 
 @dataclass(frozen=True)
@@ -378,6 +379,8 @@ def simulate(
     (ignoring the first 10% of the run as transient) reports cycling.  The
     scan measures arc length by the running sum of the same max-norm state
     changes the convergence test reads, kept as a prefix list by the loop.
+    Switch rates past the float range turn the state NaN (a zero cap times
+    an infinite rate), and the run raises ValueError.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -440,6 +443,10 @@ def simulate(
         else:
             consecutive = 0
 
+    # A NaN coordinate stays NaN, so the final state shows any overflow.
+    if p1 != p1 or p2 != p2:
+        t = next(i for i, (x, y) in enumerate(zip(p1s, p2s)) if x != x or y != y)
+        raise ValueError(f"{_RATES_OVERFLOW}: the state is NaN from step {t}")
     cycle = False
     period: float | None = None
     if not converged and detect_cycles:
@@ -464,7 +471,7 @@ class VectorField:
 def vector_field(proto: RevisionProtocol, game: Game2x2, resolution: int) -> VectorField:
     """Evaluate the raw flow (1-p)*eta_in - p*eta_out on a uniform grid.
 
-    Rows are ordered p2-outer, p1-inner.
+    Rows are ordered p2-outer, p1-inner.  Overflowing rates raise ValueError.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -476,6 +483,8 @@ def vector_field(proto: RevisionProtocol, game: Game2x2, resolution: int) -> Vec
             e112, e121, e212, e221 = rates(p1, p2)
             dp1 = (1.0 - p1) * e121 - p1 * e112
             dp2 = (1.0 - p2) * e221 - p2 * e212
+            if not (math.isfinite(dp1) and math.isfinite(dp2)):
+                raise ValueError(f"{_RATES_OVERFLOW}: the flow at ({p1!r}, {p2!r}) is not finite")
             rows.append((p1, p2, dp1, dp2))
     return VectorField(resolution=resolution, rows=tuple(rows))
 

@@ -6,6 +6,7 @@ maps over the two cross-empathy weights.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -13,12 +14,15 @@ from .games import (
     CELLS,
     EmpathyMatrix,
     Game2x2,
+    GameKind,
     _differences,
     _transformed_differences,
+    _untied_class,
     transform,
 )
 
 Cell = tuple[int, int]
+PlayerKey = tuple[int, int, bool]
 
 
 @dataclass(frozen=True)
@@ -95,7 +99,7 @@ def _interior_root(d1: float, d2: float) -> float | None:
     return None
 
 
-def _player_key(d1: float, d2: float) -> tuple[int, int, bool]:
+def _player_key(d1: float, d2: float) -> PlayerKey:
     """What an equilibrium label reads of one player with payoff differences
     ``d1``, ``d2`` (as in ``_best_responses``): their signs, which fix its
     best responses, its class pattern and whether it is indifferent
@@ -273,6 +277,47 @@ def _label(cells, mixed: bool) -> str:
     return "+".join(parts) if parts else "none"
 
 
+def _key_mixed(row: PlayerKey, col: PlayerKey) -> str:
+    """The mixed token of ``equilibrium_signature`` for any game with these
+    ``_player_key``s, the one reader of their root bits: ``mixed_nash`` is
+    degenerate when both players are flat (both differences zero), yields
+    continua when one is, else one point when both have an interior root."""
+    row_flat = row[0] == row[1] == 0
+    col_flat = col[0] == col[1] == 0
+    if row_flat and col_flat:
+        return "0+deg"
+    if row_flat or col_flat:
+        return "0+cont"
+    return "1" if row[2] and col[2] else "0"
+
+
+def _key_cells(row: PlayerKey, col: PlayerKey) -> list[Cell]:
+    """``pure_nash``'s cells for any game with these ``_player_key``s."""
+    pure = _pure_equilibria(_best_responses(row[0], row[1]), _best_responses(col[0], col[1]))
+    return [p.cell for p in pure]
+
+
+# A player has 11 keys, so each key-pair cache holds at most 121 entries.
+@functools.cache
+def _key_label(row: PlayerKey, col: PlayerKey) -> str:
+    """``outcome_label`` of any game with these ``_player_key``s."""
+    return _label(_key_cells(row, col), _key_mixed(row, col) != "0")
+
+
+@functools.cache
+def _key_signature(row: PlayerKey, col: PlayerKey) -> str:
+    """``equilibrium_signature`` of any game with these ``_player_key``s;
+    ``classify`` (with no tie tolerance) reads only the difference signs."""
+    r1, r2, _ = row
+    c1, c2, _ = col
+    if r1 and r2 and c1 and c2:
+        cls = _untied_class(r1, r2, c1, c2).kind
+    else:
+        cls = GameKind.DEGENERATE
+    cells = ",".join(f"{i}{j}" for i, j in _key_cells(row, col))
+    return f"class={cls.value}|pure={cells or '-'}|mixed={_key_mixed(row, col)}"
+
+
 @dataclass(frozen=True)
 class RegionMap:
     """Grid of equilibrium-outcome labels over the two cross-empathy weights.
@@ -317,11 +362,11 @@ def region_map(
     The row player's transformed payoffs depend only on (l11, l12) and the
     column player's only on (l22, l21), and ``outcome_label`` reads only each
     player's ``_player_key``.  So the sweep makes n row solves and n column
-    solves, then fills the n^2 cells by lookup; each label equals
+    solves, then fills the n^2 cells from ``_key_label``; each label equals
     ``outcome_label(two_population_equilibria(g, EmpathyMatrix(l11, l12, l21,
     l22)))`` exactly.  A solve reads the payoff differences straight from the
-    four weights and the eight payoffs, with the float expressions of the
-    built game, and builds that game only where a difference is not finite.
+    four weights and the eight payoffs with ``_transformed_differences``,
+    which builds the game only where a difference is not finite.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -338,35 +383,24 @@ def region_map(
     l12s = _linspace(*l12_range, resolution)
     l21s = _linspace(*l21_range, resolution)
 
-    def differences(l12: float, l21: float) -> tuple[float, float, float, float]:
-        d = _transformed_differences(g, l11, l12, l21, l22)
-        # The sum is finite only when every difference is; rare finite
-        # differences whose sum overflows only cost a needless build.
-        if not math.isfinite(d[0] + d[1] + d[2] + d[3]):
-            transform(g, EmpathyMatrix(l11, l12, l21, l22))
-        return d
-
     # Each solve reads the four differences of the game at one grid cell,
     # pairing its value with the first value of the other axis.  That game
     # is built only where a difference is not finite, so an invalid weight
     # or an overflowing payoff raises at the same cell, with the same
     # message, as a row-major walk of every cell would.
-    row_keys = [_player_key(*differences(l12, l21s[0])[:2]) for l12 in l12s]
-    col_keys = [_player_key(*differences(l12s[0], l21)[2:]) for l21 in l21s]
+    row_keys = [
+        _player_key(*_transformed_differences(g, l11, l12, l21s[0], l22)[:2]) for l12 in l12s
+    ]
+    col_keys = [
+        _player_key(*_transformed_differences(g, l11, l12s[0], l21, l22)[2:]) for l21 in l21s
+    ]
     # A label depends only on the (row key, column key) pair, so each
-    # distinct pair is labelled once, and a row of the map depends only on
+    # distinct pair is looked up once, and a row of the map depends only on
     # its column key.
-    rows: dict[tuple[int, int, bool], tuple[str, ...]] = {}
-    for c1, c2, c_root in set(col_keys):
-        col = _best_responses(c1, c2)
-        by_row = {
-            (r1, r2, r_root): _label(
-                [p.cell for p in _pure_equilibria(_best_responses(r1, r2), col)],
-                r1 == r2 == 0 or c1 == c2 == 0 or (r_root and c_root),
-            )
-            for r1, r2, r_root in set(row_keys)
-        }
-        rows[c1, c2, c_root] = tuple(map(by_row.__getitem__, row_keys))
+    rows: dict[PlayerKey, tuple[str, ...]] = {}
+    for col in set(col_keys):
+        by_row = {row: _key_label(row, col) for row in set(row_keys)}
+        rows[col] = tuple(map(by_row.__getitem__, row_keys))
     return RegionMap(
         l12_values=l12s, l21_values=l21s, labels=tuple(rows[ck] for ck in col_keys)
     )

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .equilibria import _interior_root
 from .games import Game2x2
 
 Matrix2 = tuple[tuple[float, float], tuple[float, float]]
@@ -78,7 +79,7 @@ class SymmetricEquilibria:
 
 def symmetric_equilibria(red: DiagonalReduction) -> SymmetricEquilibria:
     """All symmetric equilibria: m=1 iff beta1 >= 0, m=0 iff beta2 >= 0, and
-    the interior indifference point when beta1, beta2 share a strict sign."""
+    ``mixed_nash``'s interior indifference point, when there is one."""
     b1, b2 = red.beta1, red.beta2
     if b1 == 0.0 and b2 == 0.0:
         return SymmetricEquilibria(points=(), degenerate=True)
@@ -87,8 +88,9 @@ def symmetric_equilibria(red: DiagonalReduction) -> SymmetricEquilibria:
         points.append(1.0)
     if b2 >= 0.0:
         points.append(0.0)
-    if b1 * b2 > 0.0:
-        points.append(b2 / (b1 + b2))
+    root = _interior_root(b1, b2)
+    if root is not None:
+        points.append(root)
     return SymmetricEquilibria(points=tuple(points))
 
 

@@ -179,16 +179,19 @@ def _transformed_differences(
     g: Game2x2, l11: float, l12: float, l21: float, l22: float
 ) -> tuple[float, float, float, float]:
     """``_differences(transform(g, EmpathyMatrix(l11, l12, l21, l22)))``
-    without building the matrix or the game: the same float expressions in
-    the same order, so bit for bit the same values, non-finite ones included,
-    and no weight or payoff check.  A non-finite weight or transformed payoff
-    always makes a difference non-finite."""
-    return (
-        (l11 * g.a11 + l12 * g.b11) - (l11 * g.a21 + l12 * g.b21),
-        (l11 * g.a22 + l12 * g.b22) - (l11 * g.a12 + l12 * g.b12),
-        (l22 * g.b11 + l21 * g.a11) - (l22 * g.b12 + l21 * g.a12),
-        (l22 * g.b22 + l21 * g.a22) - (l22 * g.b21 + l21 * g.a21),
-    )
+    with the same float expressions in the same order, so bit for bit the
+    same values.  Where a difference is not finite, as a non-finite weight
+    or transformed payoff always makes one, the game is built so that
+    ``transform`` raises its own error."""
+    d1 = (l11 * g.a11 + l12 * g.b11) - (l11 * g.a21 + l12 * g.b21)
+    d2 = (l11 * g.a22 + l12 * g.b22) - (l11 * g.a12 + l12 * g.b12)
+    d3 = (l22 * g.b11 + l21 * g.a11) - (l22 * g.b12 + l21 * g.a12)
+    d4 = (l22 * g.b22 + l21 * g.a22) - (l22 * g.b21 + l21 * g.a21)
+    # The sum is finite only when every difference is; rare finite
+    # differences whose sum overflows only cost a needless build.
+    if not math.isfinite(d1 + d2 + d3 + d4):
+        transform(g, EmpathyMatrix(l11, l12, l21, l22))
+    return (d1, d2, d3, d4)
 
 
 class GameKind(Enum):

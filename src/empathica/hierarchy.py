@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, tee
 
-from .equilibria import _best_responses, _player_key, _pure_equilibria
+from .equilibria import _key_signature, _player_key
 from .games import (
     EmpathyMatrix,
     Game2x2,
-    GameKind,
     anti_coordination_game,
     coordination_game,
     matching_pennies,
@@ -26,7 +25,6 @@ from .games import (
     transform,
     _differences,
     _transformed_differences,
-    _untied_class,
 )
 
 _DIVERGENCE_GUARD = 1e12
@@ -37,7 +35,6 @@ _CAUCHY_TOL = 1e-12
 
 # The entries (l11, l12, l21, l22) of a matrix power.
 Entries = tuple[float, float, float, float]
-PlayerKey = tuple[int, int, bool]
 
 
 def _powers(lam: EmpathyMatrix, k_max: int) -> Iterator[Entries]:
@@ -99,54 +96,14 @@ def equilibrium_signature(g: Game2x2) -> str:
     return _key_signature(_player_key(a1, a2), _player_key(c1, c2))
 
 
-def _key_signature(row: PlayerKey, col: PlayerKey) -> str:
-    """``equilibrium_signature`` of any game with these ``_player_key``s.
-
-    ``classify`` (with no tie tolerance) and ``pure_nash`` read only the
-    signs of the differences.  ``mixed_nash`` is degenerate when both players
-    are flat (both differences zero), yields continua when one is, and
-    otherwise yields one point exactly when both players have an interior
-    root.
-    """
-    r1, r2, r_root = row
-    c1, c2, c_root = col
-    if r1 and r2 and c1 and c2:
-        cls = _untied_class(r1, r2, c1, c2).kind
-    else:
-        cls = GameKind.DEGENERATE
-    pure = _pure_equilibria(_best_responses(r1, r2), _best_responses(c1, c2))
-    cells = ",".join(f"{i}{j}" for i, j in (p.cell for p in pure))
-    row_flat = r1 == r2 == 0
-    col_flat = c1 == c2 == 0
-    if row_flat and col_flat:
-        mixed = "0+deg"
-    elif row_flat or col_flat:
-        mixed = "0+cont"
-    else:
-        mixed = "1" if r_root and c_root else "0"
-    return f"class={cls.value}|pure={cells or '-'}|mixed={mixed}"
-
-
-def _level_signature(g: Game2x2, lam_k: Entries, memo: dict[tuple, str]) -> str:
+def _level_signature(g: Game2x2, lam_k: Entries) -> str:
     """``equilibrium_signature(transform(g, EmpathyMatrix(*lam_k)))`` for
-    finite entries ``lam_k``, without building the matrix or the level game.
-
-    The level game's payoff differences come from ``_transformed_differences``
-    and are read only through each player's ``_player_key``; the signature of
-    each distinct pair of keys is computed once per walk in ``memo``.  The
-    level game is built only when a difference is not finite, so that
-    ``transform`` raises its own error for a non-finite payoff.
-    """
+    finite entries ``lam_k``, without building the matrix or the level game
+    where every payoff difference is finite: the differences come from
+    ``_transformed_differences`` and are read only through each player's
+    ``_player_key``."""
     a1, a2, c1, c2 = _transformed_differences(g, *lam_k)
-    # The sum is finite only when every difference is; rare finite
-    # differences whose sum overflows only cost a needless build.
-    if not math.isfinite(a1 + a2 + c1 + c2):
-        transform(g, EmpathyMatrix(*lam_k))
-    key = (_player_key(a1, a2), _player_key(c1, c2))
-    sig = memo.get(key)
-    if sig is None:
-        sig = memo[key] = _key_signature(*key)
-    return sig
+    return _key_signature(_player_key(a1, a2), _player_key(c1, c2))
 
 
 @dataclass(frozen=True)
@@ -294,10 +251,8 @@ def check_consistency(
     mismatch, so the witness is the earliest offending level and, within it,
     the first offending game.  The same walk of powers feeds the structural
     fit, so each power is formed once.  Each level is labelled straight from
-    lam^k's four entries: the probe game's payoff differences at that level
-    give each player's key (payoff-difference signs and interior-root bit),
-    the signature is computed once per distinct pair of keys in the walk,
-    and a level game is built only where a difference is not finite.
+    lam^k's four entries by ``_level_signature``, which builds a level game
+    only where a payoff difference is not finite.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
@@ -305,9 +260,8 @@ def check_consistency(
     if not games:
         raise ValueError("battery must be non-empty")
 
-    memo: dict[tuple, str] = {}
     lam_1 = lam.entries()
-    probes = [(g, _level_signature(g, lam_1, memo)) for g in games]
+    probes = [(g, _level_signature(g, lam_1)) for g in games]
     witness: tuple[int, int, str] | None = None  # (k, battery index, sig_k)
     levels_checked = 1
     guard_hit = False
@@ -321,7 +275,7 @@ def check_consistency(
             break
         levels_checked = k
         for i, (g, sig1) in enumerate(probes):
-            sig = _level_signature(g, lam_k, memo)
+            sig = _level_signature(g, lam_k)
             if sig != sig1:
                 witness = (k, i, sig)
                 break
@@ -359,16 +313,13 @@ def analyze_hierarchy(g: Game2x2, lam: EmpathyMatrix, k_max: int) -> HierarchyAn
     """Walk the matrix powers up to ``k_max`` for a single game, recording the
     weight matrix and equilibrium signature at each level.
 
-    Each level is labelled straight from lam^k's four entries: the game's
-    payoff differences at that level give each player's key (payoff-difference
-    signs and interior-root bit), the signature is computed once per distinct
-    pair of keys in the walk, and a level game is built only where a
+    Each level is labelled straight from lam^k's four entries by
+    ``_level_signature``, which builds a level game only where a payoff
     difference is not finite."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    memo: dict[tuple, str] = {}
     levels = [
-        LevelRecord(k, lam if k == 1 else EmpathyMatrix(*lam_k), _level_signature(g, lam_k, memo))
+        LevelRecord(k, lam if k == 1 else EmpathyMatrix(*lam_k), _level_signature(g, lam_k))
         for k, lam_k in enumerate(_powers(lam, k_max), 1)
     ]
     consistent = all(rec.signature == levels[0].signature for rec in levels)

@@ -17,6 +17,8 @@ from empathica.io import (
 )
 
 PD_TEXT = '{"A": [[3, 0], [5, 1]], "B": [[3, 5], [0, 1]]}'
+# Payoffs whose switch rates overflow the float range.
+BIG_TEXT = '{"A": [[1e308, -1e308], [-1e308, 1e308]], "B": [[-1e308, 1e308], [1e308, -1e308]]}'
 
 
 def run(*argv):
@@ -392,6 +394,21 @@ class TestSimulateCommand:
         assert svg.startswith("<svg") and "polyline" in svg
 
 
+    @pytest.mark.parametrize(
+        "protocol", ["replicator", "smith", "bnn", "imitation", "hybrid:smith=0.5,bnn=0.5"]
+    )
+    def test_overflowing_rates_are_exit_2(self, tmp_path, capsys, protocol):
+        src = tmp_path / "big.json"
+        src.write_text(BIG_TEXT)
+        out = tmp_path / "run.csv"
+        assert run("simulate", "--input", str(src), "--protocol", protocol, "--rate", "25",
+                   "--start", "0.3", "0.6", "--steps", "50", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("empathica: the switch rates overflow the float range")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestFieldCommand:
     def test_csv_and_svg(self, tmp_path):
         out = tmp_path / "field.csv"
@@ -409,6 +426,14 @@ class TestFieldCommand:
             assert run("field", "--input", "matching_pennies", "--grid", "7",
                        "--out", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_overflowing_rates_are_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "big.json"
+        src.write_text(BIG_TEXT)
+        out = tmp_path / "field.csv"
+        assert run("field", "--input", str(src), "--grid", "3", "--out", str(out)) == 2
+        assert "switch rates overflow the float range" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweepCommand:

@@ -328,14 +328,20 @@ class TestKernelOracle:
         assert "cycle_detected=True" in got
 
     def test_overflowing_rates(self):
-        # Payoffs of 1e308 overflow the switch rates and the states turn NaN:
-        # each run raises, from its limit point or its cycle scan, or returns
-        # the NaN states.
+        # Payoffs of 1e308 overflow the switch rates and the reference's
+        # states turn NaN: it raises, from its limit point or its cycle scan,
+        # or returns the NaN states.  simulate raises one error for all.
         g = Game2x2(1e308, -1e308, -1e308, 1e308, -1e308, 1e308, 1e308, -1e308)
         for detect in (True, False):
             for proto in self.PROTOS:
-                self.assert_same(PopulationState(0.3, 0.6), proto,
-                                 LearningSchedule.constant(25.0), g, 50, detect_cycles=detect)
+                args = (PopulationState(0.3, 0.6), proto, LearningSchedule.constant(25.0), g, 50)
+                ref = self.outcome(reference_simulate, *args, detect_cycles=detect)
+                assert "nan" in ref.lower()
+                got = self.outcome(simulate, *args, detect_cycles=detect)
+                assert got.startswith(
+                    "raised the switch rates overflow the float range for this game: "
+                    "the state is NaN from step "
+                )
 
 
 class TestCycleScan:
@@ -501,6 +507,12 @@ class TestVectorField:
     def test_rejects_tiny_resolution(self, pd):
         with pytest.raises(ValueError):
             vector_field(RevisionProtocol.smith(), pd, resolution=1)
+
+    @pytest.mark.parametrize("proto", ALL_PROTOS, ids=lambda p: p.kind)
+    def test_overflowing_rates_raise(self, proto):
+        g = Game2x2(1e308, -1e308, -1e308, 1e308, -1e308, 1e308, 1e308, -1e308)
+        with pytest.raises(ValueError, match="switch rates overflow the float range"):
+            vector_field(proto, g, resolution=3)
 
 
 class TestStabilization:

@@ -523,13 +523,13 @@ class TestRegionMapBuildsNoGames:
     @pytest.fixture
     def built(self, monkeypatch):
         games = []
-        real = equilibria.transform
+        real = transform
 
         def counting(g, lam):
             games.append((g, lam))
             return real(g, lam)
 
-        monkeypatch.setattr(equilibria, "transform", counting)
+        monkeypatch.setattr("empathica.games.transform", counting)
         return games
 
     @pytest.mark.parametrize("n", [2, 61])

@@ -106,6 +106,34 @@ class TestSymmetricEquilibria:
     def test_degenerate(self):
         assert symmetric_equilibria(red_of(0.0, 0.0)).degenerate
 
+    @pytest.mark.parametrize(
+        "b1, b2, points",
+        [
+            # The root 1 / (1 + 1e-20) rounds to the corner m = 1.
+            (1e-20, 1.0, (1.0, 0.0)),
+            # beta1 + beta2 overflows, and the root rounds to 0.
+            (1e308, 1e308, (1.0, 0.0)),
+            # The root rounds to 0, which is no equilibrium: beta2 < 0.
+            (-1e308, -1e308, ()),
+        ],
+    )
+    def test_a_root_rounding_to_a_corner_is_not_listed(self, b1, b2, points):
+        assert symmetric_equilibria(red_of(b1, b2)).points == points
+
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=300, deadline=None)
+    def test_points_are_distinct_equilibria(self, b1, b2):
+        res = symmetric_equilibria(red_of(b1, b2))
+        assert len(set(res.points)) == len(res.points)
+        for m in res.points:
+            if m == 1.0:
+                assert b1 >= 0.0
+            elif m == 0.0:
+                assert b2 >= 0.0
+            else:
+                assert 0.0 < m < 1.0 and b1 * b2 > 0.0
+
     def test_reduction_soundness_against_grid_oracle(self):
         # Reduced-form equilibria must match a grid best-response search on
         # the full matrix; near-degenerate draws are resampled since a grid

@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import math
 import random
 
 import pytest
@@ -13,6 +12,9 @@ from empathica import (
     LimitKind,
     analyze_hierarchy,
     anti_coordination_game,
+    outcome_label,
+    region_map,
+    two_population_equilibria,
     check_consistency,
     consistent_family,
     coordination_game,
@@ -26,10 +28,9 @@ from empathica import (
     structural_epsilons,
     transform,
 )
-from empathica import hierarchy
-from empathica.equilibria import _player_key
+from empathica.equilibria import _key_label, _key_signature, _player_key
 from empathica.games import _differences, _transformed_differences
-from empathica.io import hierarchy_csv
+from empathica.io import hierarchy_csv, region_csv
 from oracles import (
     edge_games,
     reference_check_consistency,
@@ -40,7 +41,7 @@ from oracles import (
 
 
 def level_key(g: Game2x2) -> tuple:
-    """The memo key of a level game: both players' ``_player_key``."""
+    """The key-pair cache key of a level game: both players' ``_player_key``."""
     a1, a2, c1, c2 = _differences(g)
     return (_player_key(a1, a2), _player_key(c1, c2))
 
@@ -221,13 +222,13 @@ class TestLevelsAreLabelledWithoutLevelGames:
     @pytest.fixture
     def built(self, monkeypatch):
         games = []
-        real = hierarchy.transform
+        real = transform
 
         def counting(g, lam):
             games.append((g, lam))
             return real(g, lam)
 
-        monkeypatch.setattr(hierarchy, "transform", counting)
+        monkeypatch.setattr("empathica.games.transform", counting)
         return games
 
     def test_check_consistency(self, built):
@@ -266,13 +267,13 @@ class TestTransformedDifferences:
     @example(Game2x2(-0.0, 0.0, 0.0, -0.0, 0.0, -0.0, -0.0, 0.0), EmpathyMatrix(-1.0, 0.0, 0.0, -1.0))
     @settings(max_examples=300, deadline=None)
     def test_bit_for_bit_the_level_games_differences(self, g, lam):
-        fast = _transformed_differences(g, *lam.entries())
+        fast = _outcome(_transformed_differences, g, *lam.entries())
         try:
             built = transform(g, lam)
-        except ValueError:
+        except ValueError as exc:
             # A non-finite payoff makes a difference non-finite, which sends
-            # the labelling to ``transform`` and its error.
-            assert not math.isfinite(sum(fast))
+            # ``_transformed_differences`` to ``transform`` and its error.
+            assert fast == f"ValueError: {exc}"
             return
         assert [x.hex() for x in fast] == [x.hex() for x in _differences(built)]
 
@@ -652,6 +653,57 @@ class TestSignatureMatchesReference:
     @settings(max_examples=500, deadline=None)
     def test_edge_games(self, g):
         assert equilibrium_signature(g) == reference_equilibrium_signature(g)
+
+
+class TestKeyLabelMatchesReference:
+    """``region_map`` labels every cell from ``_key_label``; it must equal
+    the ``outcome_label`` of the full equilibrium analysis for every pair of
+    keys."""
+
+    def test_every_key_pair(self):
+        by_key = _player_payoffs()
+        identity = EmpathyMatrix.identity()
+        for (row_key, row), (col_key, col) in itertools.product(by_key.items(), repeat=2):
+            for a, b in itertools.product(row[:6], col[:6]):
+                # The column player's payoffs transposed, as above.
+                g = Game2x2(*a, b[0], b[2], b[1], b[3])
+                expected = outcome_label(two_population_equilibria(g, identity))
+                assert _key_label(row_key, col_key) == expected
+
+
+def _sweeps_and_walks():
+    """Region and hierarchy CSVs of seeded games and weights, of the
+    ``ROOT_BIT_EDGE_GAMES`` and of one game per pair of player keys."""
+    rng = random.Random(13)
+    by_key = _player_payoffs()
+    keyed = [
+        Game2x2(*row[0], col[0][0], col[0][2], col[0][1], col[0][3])
+        for row, col in itertools.product(by_key.values(), repeat=2)
+    ]
+    seeded = [Game2x2(*(rng.randint(-3, 3) for _ in range(8))) for _ in range(20)]
+    out = []
+    for g in [*ROOT_BIT_EDGE_GAMES, *keyed, *seeded]:
+        lam = EmpathyMatrix(*(rng.uniform(-1.5, 1.5) for _ in range(4)))
+        out.append(_outcome(lambda: region_csv(region_map(g, (-2, 2), (-2, 2), 9))))
+        out.append(_outcome(lambda: hierarchy_csv(analyze_hierarchy(g, lam, 12))))
+        out.append(_outcome(check_consistency, lam, 12, [g, *default_battery()]))
+    return out
+
+
+class TestKeyPairCaches:
+    """The key-pair labels and signatures are cached once per process: the
+    caches stay within the 11 x 11 key pairs, and warm caches give the same
+    outputs as cold ones."""
+
+    def test_bounded_and_pure(self):
+        _key_label.cache_clear()
+        _key_signature.cache_clear()
+        cold = _sweeps_and_walks()
+        assert _key_label.cache_info().currsize <= 11 * 11
+        assert _key_signature.cache_info().currsize <= 11 * 11
+        # Every pair was met: one game per pair of keys is swept and walked.
+        assert _key_label.cache_info().currsize == 11 * 11
+        assert _sweeps_and_walks() == cold
 
 
 class TestOverflowParity:
