@@ -149,11 +149,7 @@ def cmd_simulate(args) -> int:
     game, lam = _load(args)
     played = transform(game, lam)
     proto = dynamics.RevisionProtocol.parse(args.protocol)
-    sched = (
-        dynamics.LearningSchedule.harmonic(args.rate)
-        if args.schedule == "harmonic"
-        else dynamics.LearningSchedule.constant(args.rate)
-    )
+    sched = dynamics.LearningSchedule(args.schedule, args.rate)
     if args.start is not None:
         s0 = dynamics.PopulationState(args.start[0], args.start[1])
     else:

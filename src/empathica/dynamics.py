@@ -7,8 +7,9 @@ determined by a revision protocol, and the state updates as
 
 with the learning rate capped per step so the state never leaves [0, 1]^2.
 That kernel (cap, update, clamp) is written once, in ``simulate``'s loop.
-Each step calls one rate closure, built once per run for the protocol's
-kind, and a constant schedule's rate is read once per run.
+Each step forms the four expected payoffs once and calls one rate rule per
+population, built once per run for the protocol's kind; a constant
+schedule's rate is read once per run.
 Population 1 plays the row role against population 2's mix, and vice versa.
 
 Supported protocols (pi_a is the expected payoff of action a against the
@@ -143,13 +144,14 @@ def switch_rates(
 ) -> tuple[float, float]:
     """Nonnegative switch rates (eta_12, eta_21) for one population.
 
-    Evaluates the same rate rules as ``simulate``'s kernel, so the values are
-    exactly those a simulation step uses.
+    Evaluates the rate rule and the payoff expressions of ``simulate``'s
+    kernel, so the values are exactly those a simulation step uses.
     """
     if pop not in (1, 2):
         raise ValueError("pop must be 1 or 2")
-    rates = _rate_closure(proto, game)(state.p1, state.p2)
-    return rates[:2] if pop == 1 else rates[2:]
+    r1, r2, c1, c2 = _payoffs(game, state.p1, state.p2)
+    m, u1, u2 = (state.p1, r1, r2) if pop == 1 else (state.p2, c1, c2)
+    return _rate_rule(proto, game)(m, 1.0 - m, u1, u2)
 
 
 def step(
@@ -206,115 +208,82 @@ class Trajectory:
         return len(self.p1)
 
 
-def _rate_closure(proto: RevisionProtocol, game: Game2x2):
-    """Specialized (p1, p2) -> (eta1_12, eta1_21, eta2_12, eta2_21).
+def _rate_rule(proto: RevisionProtocol, game: Game2x2):
+    """Specialized (m, n, u1, u2) -> (eta_12, eta_21) for one population:
+    ``m`` is its mass on action 1, ``n = 1 - m``, and ``u1``, ``u2`` are its
+    actions' expected payoffs against the other population's mix.
 
     The one place where each protocol's rates and the hybrid weighting are
     written; ``simulate`` (and so ``step``), ``switch_rates`` and
-    ``vector_field`` all evaluate it.  The protocol is dispatched here, once:
-    each kind gets its own closure, so a call runs no test of the kind.  A
-    hybrid sums its members' rates, weighted, in its component order.
+    ``vector_field`` call it once per population.  The protocol is
+    dispatched here, once: each kind gets its own rule, so a call runs no
+    test of the kind.  A hybrid sums its members' rates, weighted, in its
+    component order.
     """
-    a11, a12, a21, a22 = game.a11, game.a12, game.a21, game.a22
-    b11, b12, b21, b22 = game.b11, game.b12, game.b21, game.b22
     kind = proto.kind
 
     if kind == "hybrid":
         total = sum(w for _, w in proto.components)
         members = [
-            (_rate_closure(RevisionProtocol(name), game), w / total)
+            (_rate_rule(RevisionProtocol(name), game), w / total)
             for name, w in proto.components
         ]
 
-        def hybrid(p1: float, p2: float):
-            e112 = e121 = e212 = e221 = 0.0
-            for fn, w in members:
-                r112, r121, r212, r221 = fn(p1, p2)
-                e112 += w * r112
-                e121 += w * r121
-                e212 += w * r212
-                e221 += w * r221
-            return (e112, e121, e212, e221)
+        def hybrid(m: float, n: float, u1: float, u2: float):
+            e12 = e21 = 0.0
+            for rule, w in members:
+                r12, r21 = rule(m, n, u1, u2)
+                e12 += w * r12
+                e21 += w * r21
+            return (e12, e21)
 
         return hybrid
 
     if kind == "replicator":
 
-        def replicator(p1: float, p2: float):
-            q2 = 1.0 - p2
-            r1 = a11 * p2 + a12 * q2
-            r2 = a21 * p2 + a22 * q2
-            q1 = 1.0 - p1
-            c1 = b11 * p1 + b21 * q1
-            c2 = b12 * p1 + b22 * q1
-            d = r2 - r1
-            e112 = q1 * d if d > 0.0 else 0.0
-            e121 = p1 * -d if d < 0.0 else 0.0
-            d = c2 - c1
-            e212 = q2 * d if d > 0.0 else 0.0
-            e221 = p2 * -d if d < 0.0 else 0.0
-            return (e112, e121, e212, e221)
+        def replicator(m: float, n: float, u1: float, u2: float):
+            d = u2 - u1
+            return (n * d if d > 0.0 else 0.0, m * -d if d < 0.0 else 0.0)
 
         return replicator
 
     if kind == "smith":
 
-        def smith(p1: float, p2: float):
-            q2 = 1.0 - p2
-            r1 = a11 * p2 + a12 * q2
-            r2 = a21 * p2 + a22 * q2
-            q1 = 1.0 - p1
-            c1 = b11 * p1 + b21 * q1
-            c2 = b12 * p1 + b22 * q1
-            d = r2 - r1
-            e112 = d if d > 0.0 else 0.0
-            e121 = -d if d < 0.0 else 0.0
-            d = c2 - c1
-            e212 = d if d > 0.0 else 0.0
-            e221 = -d if d < 0.0 else 0.0
-            return (e112, e121, e212, e221)
+        def smith(m: float, n: float, u1: float, u2: float):
+            d = u2 - u1
+            return (d if d > 0.0 else 0.0, -d if d < 0.0 else 0.0)
 
         return smith
 
     if kind == "bnn":
 
-        def bnn(p1: float, p2: float):
-            q2 = 1.0 - p2
-            r1 = a11 * p2 + a12 * q2
-            r2 = a21 * p2 + a22 * q2
-            q1 = 1.0 - p1
-            c1 = b11 * p1 + b21 * q1
-            c2 = b12 * p1 + b22 * q1
-            bar = p1 * r1 + q1 * r2
-            x = r2 - bar
-            e112 = x if x > 0.0 else 0.0
-            x = r1 - bar
-            e121 = x if x > 0.0 else 0.0
-            bar = p2 * c1 + q2 * c2
-            x = c2 - bar
-            e212 = x if x > 0.0 else 0.0
-            x = c1 - bar
-            e221 = x if x > 0.0 else 0.0
-            return (e112, e121, e212, e221)
+        def bnn(m: float, n: float, u1: float, u2: float):
+            bar = m * u1 + n * u2
+            x = u2 - bar
+            y = u1 - bar
+            return (x if x > 0.0 else 0.0, y if y > 0.0 else 0.0)
 
         return bnn
 
     shift = -game.min_payoff()
 
-    def imitation(p1: float, p2: float):
-        q2 = 1.0 - p2
-        r1 = a11 * p2 + a12 * q2
-        r2 = a21 * p2 + a22 * q2
-        q1 = 1.0 - p1
-        c1 = b11 * p1 + b21 * q1
-        c2 = b12 * p1 + b22 * q1
-        e112 = q1 * (r2 + shift)
-        e121 = p1 * (r1 + shift)
-        e212 = q2 * (c2 + shift)
-        e221 = p2 * (c1 + shift)
-        return (e112, e121, e212, e221)
+    def imitation(m: float, n: float, u1: float, u2: float):
+        return (n * (u2 + shift), m * (u1 + shift))
 
     return imitation
+
+
+def _payoffs(game: Game2x2, p1: float, p2: float) -> tuple[float, float, float, float]:
+    """Payoffs (r1, r2) of the row actions against mix ``p2`` and (c1, c2) of
+    the column actions against mix ``p1``, as ``simulate``'s loop forms them."""
+    q2 = 1.0 - p2
+    q1 = 1.0 - p1
+    return (
+        game.a11 * p2 + game.a12 * q2,
+        game.a21 * p2 + game.a22 * q2,
+        game.b11 * p1 + game.b21 * q1,
+        game.b12 * p1 + game.b22 * q1,
+    )
 
 
 def _detect_cycle(
@@ -384,7 +353,9 @@ def simulate(
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    rates = _rate_closure(proto, game)
+    rule = _rate_rule(proto, game)
+    a11, a12, a21, a22 = game.a11, game.a12, game.a21, game.a22
+    b11, b12, b21, b22 = game.b11, game.b12, game.b21, game.b22
     # A constant schedule's rate, and so the convergence threshold, is read
     # once; a harmonic one is read per step.
     varying = sched.kind != "constant"
@@ -406,7 +377,10 @@ def simulate(
         if varying:
             lam = rate_of(t)
             still = _CONV_TOL * lam
-        e112, e121, e212, e221 = rates(p1, p2)
+        q1 = 1.0 - p1
+        q2 = 1.0 - p2
+        e112, e121 = rule(p1, q1, a11 * p2 + a12 * q2, a21 * p2 + a22 * q2)
+        e212, e221 = rule(p2, q2, b11 * p1 + b21 * q1, b12 * p1 + b22 * q1)
         # Compared inline: the builtin max() costs about a third more per step.
         mx = e112
         if e121 > mx:
@@ -418,8 +392,8 @@ def simulate(
         if mx < _RATE_FLOOR:
             mx = _RATE_FLOOR
         cap = lam if lam * mx <= 1.0 else 1.0 / mx
-        n1 = p1 + cap * (1.0 - p1) * e121 - cap * p1 * e112
-        n2 = p2 + cap * (1.0 - p2) * e221 - cap * p2 * e212
+        n1 = p1 + cap * q1 * e121 - cap * p1 * e112
+        n2 = p2 + cap * q2 * e221 - cap * p2 * e212
         n1 = 0.0 if n1 < 0.0 else 1.0 if n1 > 1.0 else n1
         n2 = 0.0 if n2 < 0.0 else 1.0 if n2 > 1.0 else n2
         d1 = n1 - p1
@@ -475,14 +449,20 @@ def vector_field(proto: RevisionProtocol, game: Game2x2, resolution: int) -> Vec
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    rates = _rate_closure(proto, game)
+    rule = _rate_rule(proto, game)
     coords = [k / (resolution - 1) for k in range(resolution)]
+    # Row payoffs depend on p2 alone and column payoffs on p1 alone, so each
+    # grid value's payoffs are formed once, for both axes.
+    pays = [_payoffs(game, v, v) for v in coords]
     rows = []
-    for p2 in coords:
-        for p1 in coords:
-            e112, e121, e212, e221 = rates(p1, p2)
-            dp1 = (1.0 - p1) * e121 - p1 * e112
-            dp2 = (1.0 - p2) * e221 - p2 * e212
+    for p2, (r1, r2, _, _) in zip(coords, pays):
+        q2 = 1.0 - p2
+        for p1, (_, _, c1, c2) in zip(coords, pays):
+            q1 = 1.0 - p1
+            e112, e121 = rule(p1, q1, r1, r2)
+            e212, e221 = rule(p2, q2, c1, c2)
+            dp1 = q1 * e121 - p1 * e112
+            dp2 = q2 * e221 - p2 * e212
             if not (math.isfinite(dp1) and math.isfinite(dp2)):
                 raise ValueError(f"{_RATES_OVERFLOW}: the flow at ({p1!r}, {p2!r}) is not finite")
             rows.append((p1, p2, dp1, dp2))

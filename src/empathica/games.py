@@ -134,11 +134,13 @@ class EmpathyMatrix:
         )
 
     def power(self, k: int) -> "EmpathyMatrix":
-        """k-th matrix power by repeated left-multiplication (k >= 0)."""
+        """k-th matrix power (k >= 0): the matrix itself for k = 1, and each
+        later power as ``self @ acc``, so a zero entry keeps the sign the
+        hierarchy walks give it."""
         if k < 0:
             raise ValueError("power requires k >= 0")
-        acc = EmpathyMatrix.identity()
-        for _ in range(k):
+        acc = self if k else EmpathyMatrix.identity()
+        for _ in range(k - 1):
             acc = self @ acc
         return acc
 

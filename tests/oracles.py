@@ -11,11 +11,14 @@ per-player keys that ``equilibrium_signature`` reads.
 payoff-subtraction forms of ``classify`` and ``mixed_nash``, each player
 written out on its own, which the library must match bit for bit.
 ``reference_region_csv`` writes the region CSV one line per cell.
-``reference_simulate`` evaluates the library's rate closure, which it does
-not test, and writes out the step kernel and the loop around it.
+``reference_rates`` forms every protocol's switch rates for both
+populations from the state; ``reference_simulate`` writes out the step
+kernel and the loop around it on those rates, and ``reference_vector_field``
+the raw flow on a grid.
 """
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -35,13 +38,13 @@ from empathica import (
     RegionMap,
     RevisionProtocol,
     Trajectory,
+    VectorField,
     classify,
     default_battery,
     mixed_nash,
     pure_nash,
     transform,
 )
-from empathica.dynamics import _rate_closure
 from empathica.hierarchy import LevelRecord
 
 CELLS = ((1, 1), (1, 2), (2, 1), (2, 2))
@@ -273,6 +276,115 @@ def reference_detect_cycle(
     return (False, None)
 
 
+def reference_rates(proto: RevisionProtocol, game: Game2x2):
+    """Specialized (p1, p2) -> (eta1_12, eta1_21, eta2_12, eta2_21): every
+    protocol's rates for both populations, each kind in its own closure that
+    forms all four expected payoffs itself.  A hybrid sums its members'
+    rates, weighted, in its component order.  ``simulate``,
+    ``switch_rates`` and ``vector_field`` must give these rates bit for bit.
+    """
+    a11, a12, a21, a22 = game.a11, game.a12, game.a21, game.a22
+    b11, b12, b21, b22 = game.b11, game.b12, game.b21, game.b22
+    kind = proto.kind
+
+    if kind == "hybrid":
+        total = sum(w for _, w in proto.components)
+        members = [
+            (reference_rates(RevisionProtocol(name), game), w / total)
+            for name, w in proto.components
+        ]
+
+        def hybrid(p1: float, p2: float):
+            e112 = e121 = e212 = e221 = 0.0
+            for fn, w in members:
+                r112, r121, r212, r221 = fn(p1, p2)
+                e112 += w * r112
+                e121 += w * r121
+                e212 += w * r212
+                e221 += w * r221
+            return (e112, e121, e212, e221)
+
+        return hybrid
+
+    if kind == "replicator":
+
+        def replicator(p1: float, p2: float):
+            q2 = 1.0 - p2
+            r1 = a11 * p2 + a12 * q2
+            r2 = a21 * p2 + a22 * q2
+            q1 = 1.0 - p1
+            c1 = b11 * p1 + b21 * q1
+            c2 = b12 * p1 + b22 * q1
+            d = r2 - r1
+            e112 = q1 * d if d > 0.0 else 0.0
+            e121 = p1 * -d if d < 0.0 else 0.0
+            d = c2 - c1
+            e212 = q2 * d if d > 0.0 else 0.0
+            e221 = p2 * -d if d < 0.0 else 0.0
+            return (e112, e121, e212, e221)
+
+        return replicator
+
+    if kind == "smith":
+
+        def smith(p1: float, p2: float):
+            q2 = 1.0 - p2
+            r1 = a11 * p2 + a12 * q2
+            r2 = a21 * p2 + a22 * q2
+            q1 = 1.0 - p1
+            c1 = b11 * p1 + b21 * q1
+            c2 = b12 * p1 + b22 * q1
+            d = r2 - r1
+            e112 = d if d > 0.0 else 0.0
+            e121 = -d if d < 0.0 else 0.0
+            d = c2 - c1
+            e212 = d if d > 0.0 else 0.0
+            e221 = -d if d < 0.0 else 0.0
+            return (e112, e121, e212, e221)
+
+        return smith
+
+    if kind == "bnn":
+
+        def bnn(p1: float, p2: float):
+            q2 = 1.0 - p2
+            r1 = a11 * p2 + a12 * q2
+            r2 = a21 * p2 + a22 * q2
+            q1 = 1.0 - p1
+            c1 = b11 * p1 + b21 * q1
+            c2 = b12 * p1 + b22 * q1
+            bar = p1 * r1 + q1 * r2
+            x = r2 - bar
+            e112 = x if x > 0.0 else 0.0
+            x = r1 - bar
+            e121 = x if x > 0.0 else 0.0
+            bar = p2 * c1 + q2 * c2
+            x = c2 - bar
+            e212 = x if x > 0.0 else 0.0
+            x = c1 - bar
+            e221 = x if x > 0.0 else 0.0
+            return (e112, e121, e212, e221)
+
+        return bnn
+
+    shift = -game.min_payoff()
+
+    def imitation(p1: float, p2: float):
+        q2 = 1.0 - p2
+        r1 = a11 * p2 + a12 * q2
+        r2 = a21 * p2 + a22 * q2
+        q1 = 1.0 - p1
+        c1 = b11 * p1 + b21 * q1
+        c2 = b12 * p1 + b22 * q1
+        e112 = q1 * (r2 + shift)
+        e121 = p1 * (r1 + shift)
+        e212 = q2 * (c2 + shift)
+        e221 = p2 * (c1 + shift)
+        return (e112, e121, e212, e221)
+
+    return imitation
+
+
 def _reference_update(rates, p1: float, p2: float, lam: float) -> tuple[float, float]:
     """One synchronous update at scheduled rate ``lam``: the rate is capped at
     1 / max(switch rates, machine epsilon) and the new state is clamped to
@@ -307,7 +419,7 @@ def reference_simulate(
     diagnostics bit for bit, or raise the same error."""
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    rates = _rate_closure(proto, game)
+    rates = reference_rates(proto, game)
     p1s = [s0.p1]
     p2s = [s0.p2]
     consecutive = 0
@@ -339,6 +451,29 @@ def reference_simulate(
         cycle_period_estimate=period,
     )
     return Trajectory(p1=tuple(p1s), p2=tuple(p2s), diagnostics=diag)
+
+
+def reference_vector_field(proto: RevisionProtocol, game: Game2x2, resolution: int) -> VectorField:
+    """``vector_field`` with ``reference_rates`` evaluated at every grid
+    point; rows p2-outer, p1-inner, and the same error for a flow that is
+    not finite."""
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
+    rates = reference_rates(proto, game)
+    coords = [k / (resolution - 1) for k in range(resolution)]
+    rows = []
+    for p2 in coords:
+        for p1 in coords:
+            e112, e121, e212, e221 = rates(p1, p2)
+            dp1 = (1.0 - p1) * e121 - p1 * e112
+            dp2 = (1.0 - p2) * e221 - p2 * e212
+            if not (math.isfinite(dp1) and math.isfinite(dp2)):
+                raise ValueError(
+                    "the switch rates overflow the float range for this game: "
+                    f"the flow at ({p1!r}, {p2!r}) is not finite"
+                )
+            rows.append((p1, p2, dp1, dp2))
+    return VectorField(resolution=resolution, rows=tuple(rows))
 
 
 def reference_equilibrium_signature(g: Game2x2) -> str:

@@ -22,7 +22,13 @@ from empathica import (
     vector_field,
 )
 from empathica.dynamics import _detect_cycle
-from oracles import random_game, reference_detect_cycle, reference_simulate
+from oracles import (
+    random_game,
+    reference_detect_cycle,
+    reference_rates,
+    reference_simulate,
+    reference_vector_field,
+)
 
 ALL_PROTOS = (
     RevisionProtocol.replicator(),
@@ -281,6 +287,50 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(PopulationState(0.5, 0.5), RevisionProtocol.smith(),
                      LearningSchedule.constant(0.1), pd, steps=0)
+
+
+class TestRateOracle:
+    """switch_rates and vector_field against reference_rates, which forms
+    every protocol's rates for both populations from the state in one
+    closure per kind: the same floats (compared by repr, so that -0.0 and
+    NaN must match too), or the same error text."""
+
+    PROTOS = ALL_PROTOS + (RevisionProtocol.parse("hybrid:smith=0.5,bnn=0.3,imitation=0.2"),)
+
+    @staticmethod
+    def games():
+        rng = random.Random(1414)
+        games = [random_game(rng) for _ in range(4)]
+        for span in (1e300, 1e308):
+            games += [Game2x2(*(rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 1.0) * span
+                                for _ in range(8))) for _ in range(2)]
+        for big in (1e300, 1e308):  # 1e308 overflows the rates
+            games.append(Game2x2(big, -big, -big, big, -big, big, big, -big))
+        return rng, games
+
+    @pytest.mark.parametrize("proto", PROTOS, ids=lambda p: p.kind)
+    def test_switch_rates(self, proto):
+        rng, games = self.games()
+        corners = [(x, y) for x in (0.0, 1.0) for y in (0.0, 1.0)]
+        for g in games:
+            ref = reference_rates(proto, g)
+            for p1, p2 in corners + [(rng.random(), rng.random()) for _ in range(20)]:
+                s = PopulationState(p1, p2)
+                got = switch_rates(proto, g, s, 1) + switch_rates(proto, g, s, 2)
+                assert repr(got) == repr(ref(p1, p2))
+
+    @pytest.mark.parametrize("proto", PROTOS, ids=lambda p: p.kind)
+    def test_vector_field_rows(self, proto):
+        _, games = self.games()
+        for g in games:
+            for resolution in range(2, 22):
+                outcomes = []
+                for fn in (vector_field, reference_vector_field):
+                    try:
+                        outcomes.append(repr(fn(proto, g, resolution)))
+                    except ValueError as exc:
+                        outcomes.append("raised " + str(exc))
+                assert outcomes[0] == outcomes[1]
 
 
 class TestKernelOracle:

@@ -30,6 +30,7 @@ from empathica import (
 )
 from empathica.equilibria import _key_label, _key_signature, _player_key
 from empathica.games import _differences, _transformed_differences
+from empathica.hierarchy import _powers
 from empathica.io import hierarchy_csv, region_csv
 from oracles import (
     edge_games,
@@ -447,6 +448,23 @@ class TestAnalyzeHierarchy:
         for rec in analysis.levels:
             assert max_diff(rec.lam_k, lam.power(rec.k)) < 1e-12
         assert analysis.consistent_up_to_k
+
+    def test_level_one_game_is_the_transform_bit_for_bit(self):
+        # A -0.0 weight gives a11 = -0.0 * -3 + 0 * -3 = 0.0 in the
+        # transform; lam^1 must keep that entry, not form identity @ lam.
+        lam = EmpathyMatrix(-0.0, 0.0, 0.0, 1.0)
+        g = Game2x2(-3, 1, 2, 0, -3, 5, 1, 2)
+        assert repr(level_game(g, lam, 1)) == repr(transform(g, lam))
+
+    def test_power_is_the_walk_power_bit_for_bit(self):
+        # Each power is lam @ lam^(k-1), as the hierarchy walks form it, so
+        # zero entries keep their sign (compared by repr: -0.0 != 0.0 there).
+        rng = random.Random(1402)
+        for _ in range(2000):
+            lam = EmpathyMatrix(*(rng.choice((0.0, -0.0, rng.uniform(-2, 2))) for _ in range(4)))
+            walk = list(_powers(lam, 10))
+            for k in range(1, 11):
+                assert repr(lam.power(k).entries()) == repr(walk[k - 1])
 
     def test_level_one_keeps_the_given_matrix(self, pd):
         lam = EmpathyMatrix(0.9, 0.3, -0.2, 1.1)
