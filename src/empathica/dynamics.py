@@ -27,7 +27,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .games import Classification, EmpathyMatrix, Game2x2, GameKind, classify, transform
+from .games import Classification, EmpathyMatrix, Game2x2, GameKind, _payoffs, classify, transform
 
 _PROTOCOL_KINDS = ("replicator", "bnn", "smith", "imitation")
 _RATE_FLOOR = 2.220446049250313e-16  # machine epsilon floor for the step cap
@@ -69,8 +69,11 @@ class RevisionProtocol:
                     raise ValueError(f"unknown protocol component {name!r}")
                 if not (math.isfinite(w) and w >= 0.0):
                     raise ValueError("hybrid weights must be nonnegative")
-            if sum(w for _, w in self.components) <= 0.0:
+            total = sum(w for _, w in self.components)
+            if total <= 0.0:
                 raise ValueError("hybrid weights must not all be zero")
+            if not math.isfinite(total):  # every share w / total would be 0
+                raise ValueError("hybrid weights must have a finite sum")
         elif self.kind not in _PROTOCOL_KINDS:
             raise ValueError(f"unknown protocol {self.kind!r}")
 
@@ -271,19 +274,6 @@ def _rate_rule(proto: RevisionProtocol, game: Game2x2):
         return (n * (u2 + shift), m * (u1 + shift))
 
     return imitation
-
-
-def _payoffs(game: Game2x2, p1: float, p2: float) -> tuple[float, float, float, float]:
-    """Payoffs (r1, r2) of the row actions against mix ``p2`` and (c1, c2) of
-    the column actions against mix ``p1``, as ``simulate``'s loop forms them."""
-    q2 = 1.0 - p2
-    q1 = 1.0 - p1
-    return (
-        game.a11 * p2 + game.a12 * q2,
-        game.a21 * p2 + game.a22 * q2,
-        game.b11 * p1 + game.b21 * q1,
-        game.b12 * p1 + game.b22 * q1,
-    )
 
 
 def _detect_cycle(

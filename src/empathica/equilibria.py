@@ -15,7 +15,9 @@ from .games import (
     EmpathyMatrix,
     Game2x2,
     GameKind,
+    _best_responses,
     _differences,
+    _payoffs,
     _transformed_differences,
     _untied_class,
     transform,
@@ -73,19 +75,6 @@ class EquilibriumSet:
     @property
     def has_mixed(self) -> bool:
         return bool(self.mixed) or bool(self.mixed_continua) or self.mixed_degenerate
-
-
-def _best_responses(d1: float, d2: float) -> tuple[tuple[bool, bool], tuple[bool, bool]]:
-    """One player's weak best responses, from its two payoff differences.
-
-    ``d1`` is the player's gain from action 1 over action 2 when the opponent
-    plays action 1, ``d2`` its gain from action 2 over action 1 when the
-    opponent plays action 2.  Entry ``[own - 1][opp - 1]`` is True when action
-    ``own`` is a weak best response to the opponent's action ``opp``.  For
-    finite payoffs the sign of a float difference is the sign of the exact
-    one, so this agrees with comparing the payoffs themselves.
-    """
-    return ((d1 >= 0.0, d2 <= 0.0), (d1 <= 0.0, d2 >= 0.0))
 
 
 def _interior_root(d1: float, d2: float) -> float | None:
@@ -250,12 +239,9 @@ def two_population_equilibria(g: Game2x2, lam: EmpathyMatrix) -> EquilibriumSet:
 def deviation_gain(g: Game2x2, x: float, y: float) -> float:
     """Largest payoff improvement either player could get by deviating
     unilaterally from the profile (x, y).  Zero (up to float error) exactly
-    at Nash equilibria."""
-    r1 = g.a11 * y + g.a12 * (1.0 - y)
-    r2 = g.a21 * y + g.a22 * (1.0 - y)
+    at Nash equilibria.  The actions' expected payoffs are ``_payoffs``."""
+    r1, r2, c1, c2 = _payoffs(g, x, y)
     row_value = x * r1 + (1.0 - x) * r2
-    c1 = g.b11 * x + g.b21 * (1.0 - x)
-    c2 = g.b12 * x + g.b22 * (1.0 - x)
     col_value = y * c1 + (1.0 - y) * c2
     return max(max(r1, r2) - row_value, max(c1, c2) - col_value)
 

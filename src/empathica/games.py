@@ -10,6 +10,7 @@ negative diagonal weight a self-abnegating player.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -134,21 +135,55 @@ class EmpathyMatrix:
         )
 
     def power(self, k: int) -> "EmpathyMatrix":
-        """k-th matrix power (k >= 0): the matrix itself for k = 1, and each
-        later power as ``self @ acc``, so a zero entry keeps the sign the
-        hierarchy walks give it."""
+        """k-th matrix power (k >= 0): the identity for k = 0, the matrix
+        itself for k = 1, and otherwise the k-th power of ``_powers``, the
+        walk the hierarchy reads, so bit for bit its entries."""
         if k < 0:
             raise ValueError("power requires k >= 0")
-        acc = self if k else EmpathyMatrix.identity()
-        for _ in range(k - 1):
-            acc = self @ acc
-        return acc
+        if k < 2:
+            return self if k else EmpathyMatrix.identity()
+        for last in _powers(self, k):
+            pass
+        return EmpathyMatrix(*last)
 
     def trace(self) -> float:
         return self.l11 + self.l22
 
     def det(self) -> float:
         return self.l11 * self.l22 - self.l12 * self.l21
+
+
+# The entries (l11, l12, l21, l22) of a matrix power.
+Entries = tuple[float, float, float, float]
+
+
+def _powers(lam: EmpathyMatrix, k_max: int) -> Iterator[Entries]:
+    """Yield the entries of lam^1 ... lam^k_max, each power formed as
+    ``lam @ lam^(k-1)`` with the products and sums of
+    ``EmpathyMatrix.__matmul__`` in its order, so bit for bit its entries.
+    The one walk of matrix powers: ``EmpathyMatrix.power`` and every
+    hierarchy function read it.
+
+    A power is formed only when the consumer asks for it, so a walk that
+    stops early never forms a later, possibly overflowing, product.  A power
+    with an entry that is not finite is built as an ``EmpathyMatrix``, which
+    raises the product's own error.
+    """
+    cur = lam.entries()
+    yield cur
+    s11, s12, s21, s22 = c11, c12, c21, c22 = cur
+    for _ in range(1, k_max):
+        c11, c12, c21, c22 = (
+            s11 * c11 + s12 * c21,
+            s11 * c12 + s12 * c22,
+            s21 * c11 + s22 * c21,
+            s21 * c12 + s22 * c22,
+        )
+        # The sum is finite only when every entry is; rare finite entries
+        # whose sum overflows only cost a needless build.
+        if not math.isfinite(c11 + c12 + c21 + c22):
+            EmpathyMatrix(c11, c12, c21, c22)
+        yield (c11, c12, c21, c22)
 
 
 def transform(g: Game2x2, lam: EmpathyMatrix) -> Game2x2:
@@ -175,6 +210,32 @@ def _differences(g: Game2x2) -> tuple[float, float, float, float]:
     action 2 when the opponent plays action 1, ``d2`` the gain from action 2
     over action 1 when the opponent plays action 2."""
     return (g.a11 - g.a21, g.a22 - g.a12, g.b11 - g.b12, g.b22 - g.b21)
+
+
+def _payoffs(g: Game2x2, p1: float, p2: float) -> tuple[float, float, float, float]:
+    """The actions' expected payoffs against a mix: (r1, r2) of the row
+    actions against column mix ``p2``, (c1, c2) of the column actions against
+    row mix ``p1``.  ``simulate``'s loop writes the same expressions inline."""
+    q2 = 1.0 - p2
+    q1 = 1.0 - p1
+    return (
+        g.a11 * p2 + g.a12 * q2,
+        g.a21 * p2 + g.a22 * q2,
+        g.b11 * p1 + g.b21 * q1,
+        g.b12 * p1 + g.b22 * q1,
+    )
+
+
+def _best_responses(d1: float, d2: float) -> tuple[tuple[bool, bool], tuple[bool, bool]]:
+    """One player's weak best responses, from its two payoff differences
+    (as in ``_differences``).
+
+    Entry ``[own - 1][opp - 1]`` is True when action ``own`` is a weak best
+    response to the opponent's action ``opp``.  For finite payoffs the sign
+    of a float difference is the sign of the exact one, so this agrees with
+    comparing the payoffs themselves.
+    """
+    return ((d1 >= 0.0, d2 <= 0.0), (d1 <= 0.0, d2 >= 0.0))
 
 
 def _transformed_differences(
@@ -268,28 +329,17 @@ class DominatedAction:
 
 
 def dominated_actions(g: Game2x2) -> list[DominatedAction]:
-    """List weakly dominated actions per player.
-
-    Action k is weakly dominated when the other action does at least as well
-    against every opponent action and strictly better against at least one;
-    ``strict`` is set when it does strictly better against both.
-    """
+    """List weakly dominated actions per player, from its ``_best_responses``:
+    action k is dominated when the other action is a weak best response to
+    every opponent action and k is not, and ``strict`` when k is a best
+    response to neither."""
     out: list[DominatedAction] = []
-    rows = {1: (g.a11, g.a12), 2: (g.a21, g.a22)}
-    cols = {1: (g.b11, g.b21), 2: (g.b12, g.b22)}
-    for payoffs, player in ((rows, 1), (cols, 2)):
+    d1, d2, d3, d4 = _differences(g)
+    for player, best in ((1, _best_responses(d1, d2)), (2, _best_responses(d3, d4))):
         for action, other in ((1, 2), (2, 1)):
-            pk = payoffs[action]
-            po = payoffs[other]
-            if po[0] >= pk[0] and po[1] >= pk[1] and (po[0] > pk[0] or po[1] > pk[1]):
-                out.append(
-                    DominatedAction(
-                        player=player,
-                        action=action,
-                        dominated_by=other,
-                        strict=po[0] > pk[0] and po[1] > pk[1],
-                    )
-                )
+            mine = best[action - 1]
+            if all(best[other - 1]) and not all(mine):
+                out.append(DominatedAction(player, action, other, strict=not any(mine)))
     return out
 
 

@@ -9,7 +9,7 @@ matrix itself.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, tee
@@ -17,6 +17,7 @@ from itertools import islice, tee
 from .equilibria import _key_signature, _player_key
 from .games import (
     EmpathyMatrix,
+    Entries,
     Game2x2,
     anti_coordination_game,
     coordination_game,
@@ -24,6 +25,7 @@ from .games import (
     prisoners_dilemma,
     transform,
     _differences,
+    _powers,
     _transformed_differences,
 )
 
@@ -32,36 +34,6 @@ _DIVERGENCE_GUARD = 1e12
 _UNIT_RADIUS_BAND = 1e-12
 _EPS_FIT_RESIDUAL = 1e-9
 _CAUCHY_TOL = 1e-12
-
-# The entries (l11, l12, l21, l22) of a matrix power.
-Entries = tuple[float, float, float, float]
-
-
-def _powers(lam: EmpathyMatrix, k_max: int) -> Iterator[Entries]:
-    """Yield the entries of lam^1 ... lam^k_max, each power formed as
-    ``lam @ lam^(k-1)`` with the products and sums of
-    ``EmpathyMatrix.__matmul__`` in its order, so bit for bit its entries.
-
-    A power is formed only when the consumer asks for it, so a walk that
-    stops early never forms a later, possibly overflowing, product.  A power
-    with an entry that is not finite is built as an ``EmpathyMatrix``, which
-    raises the product's own error.
-    """
-    cur = lam.entries()
-    yield cur
-    s11, s12, s21, s22 = c11, c12, c21, c22 = cur
-    for _ in range(1, k_max):
-        c11, c12, c21, c22 = (
-            s11 * c11 + s12 * c21,
-            s11 * c12 + s12 * c22,
-            s21 * c11 + s22 * c21,
-            s21 * c12 + s22 * c22,
-        )
-        # The sum is finite only when every entry is; rare finite entries
-        # whose sum overflows only cost a needless build.
-        if not math.isfinite(c11 + c12 + c21 + c22):
-            EmpathyMatrix(c11, c12, c21, c22)
-        yield (c11, c12, c21, c22)
 
 
 def _overflows(m: Entries) -> bool:

@@ -46,8 +46,8 @@ def resolve_input(name_or_path: str) -> Path:
 
 
 def _number(value) -> float:
-    # float(True) is 1.0, but a JSON boolean is not a number.
-    if isinstance(value, bool):
+    # A JSON number only: float() also takes a numeric string or a boolean.
+    if type(value) not in (int, float):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
 
@@ -56,7 +56,7 @@ def _matrix(obj, key: str) -> list[list[float]]:
     try:
         rows = obj[key]
         out = [[_number(rows[i][j]) for j in range(2)] for i in range(2)]
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise GameFileError(f"field {key!r} must be a 2x2 numeric matrix") from exc
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise GameFileError(f"field {key!r} must be a 2x2 numeric matrix")
@@ -129,14 +129,6 @@ def write_text(path: str | Path, text: str) -> None:
         os.close(fd)
 
 
-def _f(v: float) -> str:
-    return repr(float(v))
-
-
-# The row writers below format each float inline as {float(v)!r}, the text
-# _f gives, without a call per value.
-
-
 def trajectory_csv(traj: Trajectory) -> str:
     lines = ["t,p1,p2"]
     lines += [
@@ -161,7 +153,7 @@ def region_csv(rmap: RegionMap) -> str:
     ``l12_0``, ``label_0 + "\\n" + l12_1``, ..., ``label_-1``, and every map
     row with those labels is those pieces joined by its ``,l21,``.
     """
-    l12s = [_f(l12) for l12 in rmap.l12_values]
+    l12s = [repr(float(l12)) for l12 in rmap.l12_values]
     layouts: dict[tuple[str, ...], list[str]] = {}
     lines = ["l12,l21,label"]
     for l21, labels in zip(rmap.l21_values, rmap.labels):
@@ -172,7 +164,7 @@ def region_csv(rmap: RegionMap) -> str:
                 *map("{}\n{}".format, labels, l12s[1:]),
                 labels[-1],
             ]
-        lines.append(f",{_f(l21)},".join(pieces))
+        lines.append(f",{float(l21)!r},".join(pieces))
     return "\n".join(lines) + "\n"
 
 

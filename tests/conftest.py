@@ -7,7 +7,7 @@ from empathica import (
     matching_pennies,
     prisoners_dilemma,
 )
-from empathica import hierarchy
+from empathica import games, hierarchy
 
 
 @pytest.fixture
@@ -33,11 +33,12 @@ def anti():
 @pytest.fixture
 def products(monkeypatch):
     """Every matrix product formed during the test, one entry each: the
-    products of the hierarchy's power walk (each power after the first) and
-    every ``EmpathyMatrix`` product."""
+    products of the power walk ``games._powers`` (each power after the
+    first), in every module that looks the walk up, and every
+    ``EmpathyMatrix`` product."""
     formed = []
     matmul = EmpathyMatrix.__matmul__
-    walk = hierarchy._powers
+    walk = games._powers
 
     def counting(self, other):
         formed.append(other)
@@ -51,5 +52,6 @@ def products(monkeypatch):
             yield power
 
     monkeypatch.setattr(EmpathyMatrix, "__matmul__", counting)
-    monkeypatch.setattr(hierarchy, "_powers", counting_walk)
+    for module in (games, hierarchy):
+        monkeypatch.setattr(module, "_powers", counting_walk)
     return formed

@@ -11,6 +11,9 @@ per-player keys that ``equilibrium_signature`` reads.
 payoff-subtraction forms of ``classify`` and ``mixed_nash``, each player
 written out on its own, which the library must match bit for bit.
 ``reference_region_csv`` writes the region CSV one line per cell.
+``reference_dominated_actions`` compares each player's payoffs directly and
+``reference_deviation_gain`` writes out its four expected payoffs; the
+library, which reads both from ``games``, must match them exactly.
 ``reference_rates`` forms every protocol's switch rates for both
 populations from the state; ``reference_simulate`` writes out the step
 kernel and the loop around it on those rates, and ``reference_vector_field``
@@ -28,6 +31,7 @@ from empathica import (
     Classification,
     ConsistencyVerdict,
     Diagnostics,
+    DominatedAction,
     EmpathyMatrix,
     Game2x2,
     GameKind,
@@ -669,3 +673,42 @@ def reference_region_csv(rmap: RegionMap) -> str:
         l21_text = repr(float(l21))
         lines.extend(f"{l12},{l21_text},{label}" for l12, label in zip(l12s, labels))
     return "\n".join(lines) + "\n"
+
+
+def reference_dominated_actions(g: Game2x2) -> list[DominatedAction]:
+    """List weakly dominated actions per player.
+
+    Action k is weakly dominated when the other action does at least as well
+    against every opponent action and strictly better against at least one;
+    ``strict`` is set when it does strictly better against both.
+    """
+    out: list[DominatedAction] = []
+    rows = {1: (g.a11, g.a12), 2: (g.a21, g.a22)}
+    cols = {1: (g.b11, g.b21), 2: (g.b12, g.b22)}
+    for payoffs, player in ((rows, 1), (cols, 2)):
+        for action, other in ((1, 2), (2, 1)):
+            pk = payoffs[action]
+            po = payoffs[other]
+            if po[0] >= pk[0] and po[1] >= pk[1] and (po[0] > pk[0] or po[1] > pk[1]):
+                out.append(
+                    DominatedAction(
+                        player=player,
+                        action=action,
+                        dominated_by=other,
+                        strict=po[0] > pk[0] and po[1] > pk[1],
+                    )
+                )
+    return out
+
+
+def reference_deviation_gain(g: Game2x2, x: float, y: float) -> float:
+    """Largest payoff improvement either player could get by deviating
+    unilaterally from the profile (x, y).  Zero (up to float error) exactly
+    at Nash equilibria."""
+    r1 = g.a11 * y + g.a12 * (1.0 - y)
+    r2 = g.a21 * y + g.a22 * (1.0 - y)
+    row_value = x * r1 + (1.0 - x) * r2
+    c1 = g.b11 * x + g.b21 * (1.0 - x)
+    c2 = g.b12 * x + g.b22 * (1.0 - x)
+    col_value = y * c1 + (1.0 - y) * c2
+    return max(max(r1, r2) - row_value, max(c1, c2) - col_value)

@@ -218,14 +218,23 @@ class TestExitCodes:
         [
             '{"A": [[true, 0], [5, 1]], "B": [[3,5],[0,1]]}',
             '{"A": [[3,0],[5,1]], "B": [[3,5],[0,1]], "Lambda": [[1,false],[0,1]]}',
+            # float() takes a numeric string, but a JSON string is no number.
+            pytest.param('{"A": [["3","0"],["5","1"]], "B": [[3,5],[0,1]]}', id="string"),
+            # float() raises OverflowError on an integer past the float range.
+            pytest.param(
+                '{"A": [[1' + "0" * 400 + ', 0], [5, 1]], "B": [[3,5],[0,1]]}',
+                id="integer-past-float-range",
+            ),
         ],
     )
-    def test_boolean_entry_is_exit_1(self, tmp_path, text):
+    def test_boolean_entry_is_exit_1(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         with pytest.raises(GameFileError):
             load_game_file(bad)
         assert run("solve", "--input", str(bad)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("empathica: field ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "game, ranges",
@@ -393,6 +402,14 @@ class TestSimulateCommand:
         svg = (tmp_path / "run.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
+
+    def test_hybrid_weights_with_an_infinite_sum_are_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        assert run("simulate", "--input", "matching_pennies",
+                   "--protocol", "hybrid:smith=1e308,bnn=1e308",
+                   "--steps", "50", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "empathica: hybrid weights must have a finite sum\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "protocol", ["replicator", "smith", "bnn", "imitation", "hybrid:smith=0.5,bnn=0.5"]

@@ -80,6 +80,23 @@ class TestSwitchRates:
             assert e[0] == pytest.approx(0.25 * a[0] + 0.75 * b[0])
             assert e[1] == pytest.approx(0.25 * a[1] + 0.75 * b[1])
 
+    def test_hybrid_weights_must_have_a_finite_sum(self, mp):
+        # Each weight is finite, but their sum is not: every member's share
+        # w / total would be 0, and the run would freeze at its start.
+        with pytest.raises(ValueError, match="hybrid weights must have a finite sum"):
+            RevisionProtocol.hybrid(("smith", 1e308), ("bnn", 1e308))
+        with pytest.raises(ValueError, match="hybrid weights must not all be zero"):
+            RevisionProtocol.hybrid(("smith", 0.0), ("bnn", 0.0))
+        # The largest weights whose sum is finite still split the rates evenly.
+        hybrid = RevisionProtocol.hybrid(("smith", 8e307), ("bnn", 8e307))
+        s = PopulationState(0.2, 0.6)
+        smith = switch_rates(RevisionProtocol.smith(), mp, s, 1)
+        bnn = switch_rates(RevisionProtocol.bnn(), mp, s, 1)
+        assert switch_rates(hybrid, mp, s, 1) == (
+            smith[0] * 0.5 + bnn[0] * 0.5,
+            smith[1] * 0.5 + bnn[1] * 0.5,
+        )
+
     def test_protocol_parsing(self):
         assert RevisionProtocol.parse("smith") == RevisionProtocol.smith()
         h = RevisionProtocol.parse("hybrid:replicator=0.5,smith=0.5")

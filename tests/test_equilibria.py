@@ -33,6 +33,7 @@ from oracles import (
     pd_threshold,
     random_game,
     random_pd,
+    reference_deviation_gain,
     reference_mixed_nash,
     reference_region_csv,
 )
@@ -132,6 +133,18 @@ class TestMixedNashMatchesReference:
     def test_zero_root_keeps_its_sign(self):
         res = mixed_nash(Game2x2(1.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0))
         assert res.continua[0][0].x.hex() == "-0x0.0p+0"
+
+
+class TestDeviationGainMatchesReference:
+    """``deviation_gain`` reads the actions' expected payoffs from
+    ``games._payoffs``; the gain must be the written-out formula's float."""
+
+    mix = st.sampled_from([0.0, -0.0, 1.0, 0.5]) | st.floats(min_value=0.0, max_value=1.0)
+
+    @given(edge_games(), mix, mix)
+    @settings(max_examples=500)
+    def test_same_float(self, g, x, y):
+        assert repr(deviation_gain(g, x, y)) == repr(reference_deviation_gain(g, x, y))
 
 
 class TestBerge:

@@ -24,6 +24,7 @@ from oracles import (
     pd_threshold,
     random_pd,
     reference_classify,
+    reference_dominated_actions,
 )
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
@@ -224,6 +225,16 @@ class TestDominatedActions:
         assert listed == brute_dominated(g)
 
 
+class TestDominatedActionsMatchReference:
+    """``dominated_actions`` reads each player's ``_best_responses``; it must
+    list what the direct payoff comparisons list, in the same order."""
+
+    @given(edge_games())
+    @settings(max_examples=500)
+    def test_same_list(self, g):
+        assert dominated_actions(g) == reference_dominated_actions(g)
+
+
 class TestSymmetryReport:
     def test_identity_preserves_symmetry(self, pd):
         rep = symmetry_report(pd, EmpathyMatrix.identity())
@@ -314,6 +325,11 @@ class TestMatrixAlgebra:
         assert lam.power(1) == lam
         sq = lam @ lam
         assert lam.power(2) == sq
+
+    def test_overflowing_power_names_the_entry(self):
+        # lam^2 has l11 = 1e400, past the float range.
+        with pytest.raises(ValueError, match="^l11 must be a finite real number, got inf$"):
+            EmpathyMatrix(1e200, 0, 0, 1).power(2)
 
     def test_power_rejects_negative(self):
         with pytest.raises(ValueError):

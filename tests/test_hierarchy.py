@@ -29,8 +29,7 @@ from empathica import (
     transform,
 )
 from empathica.equilibria import _key_label, _key_signature, _player_key
-from empathica.games import _differences, _transformed_differences
-from empathica.hierarchy import _powers
+from empathica.games import _differences, _powers, _transformed_differences
 from empathica.io import hierarchy_csv, region_csv
 from oracles import (
     edge_games,
