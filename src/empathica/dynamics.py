@@ -67,7 +67,9 @@ class RevisionProtocol:
             for name, w in self.components:
                 if name not in _PROTOCOL_KINDS:
                     raise ValueError(f"unknown protocol component {name!r}")
-                if not (math.isfinite(w) and w >= 0.0):
+                if not math.isfinite(w):
+                    raise ValueError("hybrid weights must be finite")
+                if w < 0.0:
                     raise ValueError("hybrid weights must be nonnegative")
             total = sum(w for _, w in self.components)
             if total <= 0.0:

@@ -362,7 +362,6 @@ class InequalityVerdict(Enum):
     REDUCED = "Reduced"
     INCREASED = "Increased"
     UNCHANGED = "Unchanged"
-    UNDEFINED = "Undefined"
 
 
 _GAP_TOL = 1e-12

@@ -4,15 +4,14 @@ The level-k game applies the k-th matrix power of the empathy weights to the
 payoff vector.  An empathy structure is consistent when the equilibrium
 structure of every level-k game matches the level-1 game; a game-independent
 sufficient condition is that every power is a positive multiple of the
-matrix itself.
+matrix itself.  By Cayley-Hamilton (lam^2 = tr*lam - det*I) that holds
+exactly when lam = c*I with c > 0 or lam has rank one and a positive trace.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice, tee
 
 from .equilibria import _key_signature, _player_key
 from .games import (
@@ -32,7 +31,8 @@ from .games import (
 _DIVERGENCE_GUARD = 1e12
 # Spectral radii within this distance of one count as unit radius.
 _UNIT_RADIUS_BAND = 1e-12
-_EPS_FIT_RESIDUAL = 1e-9
+# det/tr, a rank-one lam's second eigenvalue, is zero within 1e-12 of a row.
+_BAND_NUM, _BAND_DEN = (1e-12).as_integer_ratio()
 _CAUCHY_TOL = 1e-12
 
 
@@ -139,43 +139,46 @@ def spectral_limit(lam: EmpathyMatrix, k_max: int) -> SpectralRecord:
     return SpectralRecord(ev, rho, LimitKind.OSCILLATES, None)
 
 
-def structural_epsilons(lam: EmpathyMatrix, k_max: int) -> tuple[float, ...] | None:
-    """Per-level scalars eps_k with lam^k = eps_k * lam, when they exist.
+def _structural_base(lam: EmpathyMatrix) -> float | None:
+    """The eps > 0 with lam^k = eps^(k-1) * lam at every level, or None.
 
-    Each eps_k is the least-squares fit of the k-th power against the matrix;
-    the fit must leave a residual below 1e-9 and be strictly positive at
-    every level up to ``k_max``, otherwise None is returned.
+    lam = c*I gives eps = c.  Otherwise eps = tr, and the det*I term of
+    lam^2 = tr*lam - det*I must vanish at every level: the second eigenvalue,
+    about det/tr, is within the band of each row's largest entry m_i,
+    |det| <= 1e-12 * tr * min(m1, m2), and at most a fifth of the first,
+    8*|det| <= tr^2.  Both are decided exactly, on the entries as integers
+    over a common power of two, so nothing rounds, overflows or underflows.
     """
-    # lam^(k_max+1) is formed only for the overflow guard.
-    return _fit_epsilons(lam, _powers(lam, k_max + 1), k_max)
-
-
-def _fit_epsilons(
-    lam: EmpathyMatrix, powers: Iterable[Entries], k_max: int
-) -> tuple[float, ...] | None:
-    """``structural_epsilons`` over a given walk of lam^1 ... lam^(k_max+1)."""
-    # ``sum`` and ``max`` over the four entry terms in entry order, as over
-    # ``entries()``, so every fit is bit for bit the reference's on every
-    # Python version (``sum`` of floats is compensated from 3.12 on).
-    b11, b12, b21, b22 = lam.l11, lam.l12, lam.l21, lam.l22
-    den = sum((b11 * b11, b12 * b12, b21 * b21, b22 * b22))
-    if den == 0.0:
+    l11, l12, l21, l22 = lam.l11, lam.l12, lam.l21, lam.l22
+    if l12 == 0.0 == l21 and l11 == l22:
+        return l11 if l11 > 0.0 else None
+    ratios = [x.as_integer_ratio() for x in (l11, l12, l21, l22)]
+    scale = max(d for _, d in ratios)  # every denominator is a power of two
+    x11, x12, x21, x22 = (n * (scale // d) for n, d in ratios)
+    det, tr = abs(x11 * x22 - x12 * x21), x11 + x22
+    m = min(max(abs(x11), abs(x12)), max(abs(x21), abs(x22)))
+    if det * _BAND_DEN > _BAND_NUM * tr * m or 8 * det > tr * tr:
         return None
-    eps: list[float] = []
-    for k, cur in enumerate(powers, 1):
-        if k > 1 and _overflows(cur):
-            return None
-        if k > k_max:
-            break
-        c11, c12, c21, c22 = cur
-        fit = sum((c11 * b11, c12 * b12, c21 * b21, c22 * b22)) / den
-        residual = max(
-            abs(c11 - fit * b11), abs(c12 - fit * b12), abs(c21 - fit * b21), abs(c22 - fit * b22)
-        )
-        if residual >= _EPS_FIT_RESIDUAL or fit <= 0.0:
-            return None
-        eps.append(fit)
-    return tuple(eps)
+    eps = l11 + l22
+    return eps if eps > 0.0 else None
+
+
+def structural_epsilons(lam: EmpathyMatrix, k_max: int) -> tuple[float, ...] | None:
+    """Per-level scalars eps_k with lam^k = eps_k * lam for k = 1..k_max: (1,
+    eps, eps^2, ...) of ``_structural_base``'s eps, by repeated products.  None
+    when there is no eps, or when a scalar leaves the float range."""
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+    return _epsilon_powers(_structural_base(lam), k_max)
+
+
+def _epsilon_powers(eps: float | None, k_max: int) -> tuple[float, ...] | None:
+    if eps is None:
+        return None
+    out = [1.0]
+    while len(out) < k_max and 0.0 < out[-1] < math.inf:
+        out.append(out[-1] * eps)
+    return tuple(out) if 0.0 < out[-1] < math.inf else None
 
 
 @dataclass(frozen=True)
@@ -187,8 +190,9 @@ class ConsistencyVerdict:
     ``levels_checked`` is the highest level whose battery signatures were
     compared (``k_max`` on a full walk, ``first_bad_k`` on a mismatch), and
     ``guard_hit`` says whether the overflow guard stopped the battery walk
-    before that.  ``structurally_consistent`` reports the game-independent
-    positive-scaling property with its fitted scalars.
+    before that.  ``structurally_consistent`` is the game-independent property
+    lam^k = eps_k * lam, read from lam alone, so the same at every ``k_max``;
+    ``epsilons`` are its scalars, None also when one leaves the float range.
     """
 
     k_max: int
@@ -215,16 +219,16 @@ def check_consistency(
     lam: EmpathyMatrix, k_max: int, battery: list[Game2x2] | None = None
 ) -> ConsistencyVerdict:
     """Compare the equilibrium signature of every level-k game (k = 2..k_max)
-    against the level-1 game over a battery of probe games, and additionally
-    run the game-independent structural test lam^k = eps_k * lam.
+    against the level-1 game over a battery of probe games, and run the
+    game-independent structural test lam^k = eps_k * lam, which reads lam
+    alone (``structural_epsilons``).
 
-    The matrix powers are walked once, level by level, and every battery game
-    is probed at each level in battery order; the walk stops at the first
-    mismatch, so the witness is the earliest offending level and, within it,
-    the first offending game.  The same walk of powers feeds the structural
-    fit, so each power is formed once.  Each level is labelled straight from
-    lam^k's four entries by ``_level_signature``, which builds a level game
-    only where a payoff difference is not finite.
+    The matrix powers are walked once, level by level (k_max - 1 products),
+    and every battery game is probed at each level in battery order; the walk
+    stops at the first mismatch, so the witness is the earliest offending
+    level and, within it, the first offending game.  Each level is labelled
+    straight from lam^k's four entries by ``_level_signature``, which builds a
+    level game only where a payoff difference is not finite.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
@@ -237,11 +241,9 @@ def check_consistency(
     witness: tuple[int, int, str] | None = None  # (k, battery index, sig_k)
     levels_checked = 1
     guard_hit = False
-    # One walk to lam^(k_max+1): the battery reads up to k_max, the structural
-    # fit one further for its guard.
-    battery_powers, fit_powers = tee(_powers(lam, k_max + 1))
-    next(battery_powers)  # level 1 is the reference
-    for k, lam_k in enumerate(islice(battery_powers, k_max - 1), 2):
+    powers = _powers(lam, k_max)
+    next(powers)  # level 1 is the reference
+    for k, lam_k in enumerate(powers, 2):
         if _overflows(lam_k):
             guard_hit = True
             break
@@ -254,8 +256,8 @@ def check_consistency(
         if witness is not None:
             break
 
-    eps = _fit_epsilons(lam, fit_powers, k_max)
     k, idx, sig_k = witness or (None, None, None)
+    eps = _structural_base(lam)
     return ConsistencyVerdict(
         k_max=k_max,
         consistent_up_to_k=witness is None,
@@ -266,7 +268,7 @@ def check_consistency(
         levels_checked=levels_checked,
         guard_hit=guard_hit,
         structurally_consistent=eps is not None,
-        epsilons=eps,
+        epsilons=_epsilon_powers(eps, k_max),
     )
 
 
@@ -307,13 +309,14 @@ def analyze_hierarchy(g: Game2x2, lam: EmpathyMatrix, k_max: int) -> HierarchyAn
 def consistent_family(epsilon: float, y: float) -> list[EmpathyMatrix]:
     """Representative empathy matrices solving lam^2 = epsilon * lam.
 
-    The diagonal entries are roots of x^2 - epsilon*x + y = 0 (their sum is
-    pinned to epsilon whenever the off-diagonal entries are nonzero) and the
-    off-diagonal product is y, realized canonically as l12 = sqrt(|y|),
-    l21 = y / l12.  For y = 0 the off-diagonals vanish and the diagonal
-    entries may be chosen independently among the roots {0, epsilon};
-    epsilon times the identity is listed first.  Raises ValueError when
-    epsilon^2 < 4y (no real roots).
+    The diagonal entries are the roots of x^2 - epsilon*x + y = 0, the larger
+    as (epsilon + sqrt(epsilon^2 - 4y)) / 2 and the smaller as y over it, so
+    neither cancels; the off-diagonal product is y, realized as
+    l12 = sqrt(|y|), l21 = y / l12.  So each member's det is a few ulp of y,
+    and ``structural_epsilons`` reads eps = trace, epsilon up to the roots'
+    rounding.  For y = 0 the off-diagonals vanish and each diagonal entry
+    is 0 or epsilon, epsilon times the identity first.  Raises ValueError
+    when epsilon^2 < 4y (no real roots).
     """
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError("epsilon must be positive and finite")
@@ -323,29 +326,25 @@ def consistent_family(epsilon: float, y: float) -> list[EmpathyMatrix]:
     if disc < 0.0:
         raise ValueError("no real solution: requires epsilon^2 >= 4*y")
 
-    out: list[EmpathyMatrix] = []
     if y == 0.0:
-        out.append(EmpathyMatrix(epsilon, 0.0, 0.0, epsilon))
-        out.append(EmpathyMatrix(epsilon, 0.0, 0.0, 0.0))
-        out.append(EmpathyMatrix(0.0, 0.0, 0.0, epsilon))
-    else:
-        s = math.sqrt(disc)
-        roots = ((epsilon + s) / 2.0, (epsilon - s) / 2.0)
-        l12 = math.sqrt(abs(y))
-        l21 = y / l12
-        pairs = [(roots[0], roots[1])]
-        if roots[0] != roots[1]:
-            pairs.append((roots[1], roots[0]))
-        for d1, d2 in pairs:
-            out.append(EmpathyMatrix(d1, l12, l21, d2))
-    return out
+        return [EmpathyMatrix(epsilon, 0.0, 0.0, epsilon), EmpathyMatrix(epsilon, 0.0, 0.0, 0.0),
+                EmpathyMatrix(0.0, 0.0, 0.0, epsilon)]
+    big = (epsilon + math.sqrt(disc)) / 2.0
+    small = y / big
+    l12 = math.sqrt(abs(y))
+    l21 = y / l12
+    pairs = [(big, small), (small, big)] if big != small else [(big, small)]
+    return [EmpathyMatrix(d1, l12, l21, d2) for d1, d2 in pairs]
 
 
 def infinitely_consistent(l11: float, l21: float) -> EmpathyMatrix:
     """The idempotent empathy profile with given first column: trace one,
-    determinant zero, so every power equals the matrix itself.  The identity
-    matrix (EmpathyMatrix.identity()) is the only other profile whose powers
-    all preserve the equilibrium structure."""
+    determinant zero, so every power equals the matrix itself.  In floats the
+    rounding of l12 leaves det a few ulp of l11^2, within the band for
+    |l11| <= 1e3, so ``structural_epsilons`` reads eps = trace (one to
+    rounding); from |l11| near 3e3 on it can exceed the band (None).
+    The identity matrix (EmpathyMatrix.identity()) is the only other profile
+    whose powers all preserve the equilibrium structure."""
     if l21 == 0.0:
         raise ValueError("l21 must be nonzero")
     return EmpathyMatrix(l11, l11 * (1.0 - l11) / l21, l21, 1.0 - l11)

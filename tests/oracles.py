@@ -14,6 +14,9 @@ written out on its own, which the library must match bit for bit.
 ``reference_dominated_actions`` compares each player's payoffs directly and
 ``reference_deviation_gain`` writes out its four expected payoffs; the
 library, which reads both from ``games``, must match them exactly.
+``reference_structural_epsilons`` is the least-squares fit that once decided
+structural consistency; ``reference_structural_base`` decides it exactly,
+in ``Fraction`` arithmetic on the float entries.
 ``reference_rates`` forms every protocol's switch rates for both
 populations from the state; ``reference_simulate`` writes out the step
 kernel and the loop around it on those rates, and ``reference_vector_field``
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -533,11 +537,44 @@ def reference_structural_epsilons(lam: EmpathyMatrix, k_max: int):
     return tuple(eps)
 
 
+def reference_structural_base(lam: EmpathyMatrix):
+    """The eps > 0 with lam^k = eps^(k-1) * lam at every level, or None,
+    decided exactly on the float entries: lam = c*I gives c; otherwise the
+    exact det and trace must satisfy |det| <= 1e-12 * tr * min(m1, m2), m_i
+    the largest entry of row i and 1e-12 the float constant exactly, and
+    8*|det| <= tr^2, and then eps is the float trace, whose sign is the exact
+    trace's."""
+    l11, l12, l21, l22 = (Fraction(e) for e in lam.entries())
+    if l12 == 0 == l21 and l11 == l22:
+        eps = lam.l11
+    else:
+        det, tr = l11 * l22 - l12 * l21, l11 + l22
+        m = min(max(abs(l11), abs(l12)), max(abs(l21), abs(l22)))
+        if abs(det) > Fraction(1e-12) * tr * m or 8 * abs(det) > tr * tr:
+            return None
+        eps = lam.l11 + lam.l22
+    return eps if eps > 0.0 else None
+
+
+def reference_exact_epsilons(lam: EmpathyMatrix, k_max: int):
+    """(1, eps, eps^2, ...) up to k_max as repeated products of
+    ``reference_structural_base``'s eps, or None when there is none or one
+    leaves the float range."""
+    base = reference_structural_base(lam)
+    if base is None:
+        return None
+    eps = [1.0]
+    for _ in range(k_max - 1):
+        eps.append(eps[-1] * base)
+    return tuple(eps) if all(0.0 < e < math.inf for e in eps) else None
+
+
 def reference_check_consistency(lam: EmpathyMatrix, k_max: int, battery=None) -> ConsistencyVerdict:
     """``check_consistency`` with a full ``reference_equilibrium_signature``
     call on every level game: levels k = 2..k_max in order, battery games in order
     within a level, stopping at the first mismatch or at the first power
-    past the 1e12 guard."""
+    past the 1e12 guard.  The structural fields come from
+    ``reference_structural_base`` and ``reference_exact_epsilons``."""
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
     games = default_battery() if battery is None else list(battery)
@@ -561,7 +598,6 @@ def reference_check_consistency(lam: EmpathyMatrix, k_max: int, battery=None) ->
         levels_checked = k
         if witness is not None:
             break
-    eps = reference_structural_epsilons(lam, k_max)
     k, idx, sig_k = witness or (None, None, None)
     return ConsistencyVerdict(
         k_max=k_max,
@@ -572,8 +608,8 @@ def reference_check_consistency(lam: EmpathyMatrix, k_max: int, battery=None) ->
         witness_signatures=None if idx is None else (sig1[idx], sig_k),
         levels_checked=levels_checked,
         guard_hit=guard_hit,
-        structurally_consistent=eps is not None,
-        epsilons=eps,
+        structurally_consistent=reference_structural_base(lam) is not None,
+        epsilons=reference_exact_epsilons(lam, k_max),
     )
 
 

@@ -405,11 +405,16 @@ class TestSimulateCommand:
 
     def test_hybrid_weights_with_an_infinite_sum_are_exit_2(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
-        assert run("simulate", "--input", "matching_pennies",
-                   "--protocol", "hybrid:smith=1e308,bnn=1e308",
-                   "--steps", "50", "--out", str(out)) == 2
-        assert capsys.readouterr().err == "empathica: hybrid weights must have a finite sum\n"
-        assert not out.exists()
+        for protocol, message in [
+            ("hybrid:smith=1e308,bnn=1e308", "must have a finite sum"),
+            ("hybrid:smith=inf", "must be finite"),
+            ("hybrid:smith=nan,bnn=1", "must be finite"),
+            ("hybrid:smith=-1,bnn=2", "must be nonnegative"),
+        ]:
+            assert run("simulate", "--input", "matching_pennies", "--protocol", protocol,
+                       "--steps", "50", "--out", str(out)) == 2
+            assert capsys.readouterr().err == f"empathica: hybrid weights {message}\n"
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "protocol", ["replicator", "smith", "bnn", "imitation", "hybrid:smith=0.5,bnn=0.5"]
@@ -504,19 +509,35 @@ class TestHierarchyCommand:
                    "--kmax", "6", "--out", str(out)) == 0
         verdict = json.loads((tmp_path / "h.json").read_text())
         assert (verdict["levels_checked"], verdict["guard_hit"]) == (6, False)
-        # lam^2 is past the overflow guard, so only level 1 was compared.
+        # lam^2 is past the overflow guard, so only level 1 was compared; the
+        # structural test reads lam = 1e7 * I alone.
         assert run("hierarchy", "--input", "pd", "--lambda", "1e7", "0", "0", "1e7",
                    "--kmax", "5", "--out", str(out)) == 0
         verdict = json.loads((tmp_path / "h.json").read_text())
-        assert verdict["verdict"] == "ConsistentUpToK"
+        assert verdict["verdict"] == "StructurallyConsistent"
         assert (verdict["levels_checked"], verdict["guard_hit"]) == (1, True)
 
+    def test_structural_verdict_reads_lambda_alone(self, tmp_path):
+        out = tmp_path / "h.csv"
+        assert run("hierarchy", "--input", "pd", "--lambda", "2", "0", "0", "2",
+                   "--kmax", "50", "--out", str(out)) == 0
+        verdict = json.loads((tmp_path / "h.json").read_text())
+        assert verdict["verdict"] == "StructurallyConsistent"
+        assert verdict["epsilons"] == [2.0**k for k in range(50)]
+        # Every fit residual of this matrix is below 1e-9, yet its rows are
+        # far from parallel.
+        assert run("hierarchy", "--input", "pd", "--lambda", "1e-5", "1e-6", "0", "2e-5",
+                   "--kmax", "10", "--out", str(out)) == 0
+        verdict = json.loads((tmp_path / "h.json").read_text())
+        assert verdict["verdict"] == "Inconsistent"
+        assert (verdict["structurally_consistent"], verdict["epsilons"]) == (False, None)
+
     def test_each_power_is_formed_once_per_walk(self, tmp_path, products):
-        # analyze_hierarchy forms lam^2..lam^200 (199), check_consistency
-        # lam^2..lam^201 in one walk (200), spectral_limit lam^2 (1).
+        # analyze_hierarchy and check_consistency each form lam^2..lam^200
+        # (199), spectral_limit lam^2 (1).
         assert run("hierarchy", "--input", "pd", "--lambda", "0.5", "0.5", "0.5", "0.5",
                    "--kmax", "200", "--out", str(tmp_path / "h.csv")) == 0
-        assert len(products) == 400
+        assert len(products) == 399
 
     def test_trace_past_the_square_root_of_the_float_range(self, tmp_path):
         # tr^2 = 4e308 overflows, while lam^2 is finite: the radius is 1e154.

@@ -87,6 +87,12 @@ class TestSwitchRates:
             RevisionProtocol.hybrid(("smith", 1e308), ("bnn", 1e308))
         with pytest.raises(ValueError, match="hybrid weights must not all be zero"):
             RevisionProtocol.hybrid(("smith", 0.0), ("bnn", 0.0))
+        # A weight that is not finite is named as such; a negative one too.
+        for text in ("hybrid:smith=inf", "hybrid:smith=nan", "hybrid:smith=-inf,bnn=1"):
+            with pytest.raises(ValueError, match="hybrid weights must be finite"):
+                RevisionProtocol.parse(text)
+        with pytest.raises(ValueError, match="hybrid weights must be nonnegative"):
+            RevisionProtocol.parse("hybrid:smith=-1,bnn=2")
         # The largest weights whose sum is finite still split the rates evenly.
         hybrid = RevisionProtocol.hybrid(("smith", 8e307), ("bnn", 8e307))
         s = PopulationState(0.2, 0.6)

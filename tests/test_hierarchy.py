@@ -36,6 +36,8 @@ from oracles import (
     reference_check_consistency,
     reference_equilibrium_signature,
     reference_levels,
+    reference_exact_epsilons,
+    reference_structural_base,
     reference_structural_epsilons,
 )
 
@@ -148,13 +150,13 @@ class TestCheckConsistency:
         assert verdict.levels_checked == 1
         assert verdict.guard_hit
 
-    def test_one_power_walk_feeds_the_battery_and_the_fit(self, products):
+    def test_one_power_walk_forms_k_max_minus_one_products(self, products):
         # Every power of this matrix equals the matrix, so the battery walks
-        # all 200 levels and the fit reads lam^201 for its guard: 200
-        # products, each formed once.
+        # all 200 levels: lam^2 .. lam^200, each formed once.  The structural
+        # test reads lam alone.
         verdict = check_consistency(ones(1.0), k_max=200)
         assert verdict.label == "StructurallyConsistent"
-        assert len(products) == 200
+        assert len(products) == 199
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -175,9 +177,7 @@ class TestCheckConsistency:
                 lam = infinitely_consistent(rng.uniform(-1, 2), rng.uniform(0.1, 2))
             else:
                 lam = EmpathyMatrix.homogeneous(rng.uniform(0.1, 1.5), 0.0)
-            eps = structural_epsilons(lam, 8)
-            if eps is None:
-                continue
+            assert structural_epsilons(lam, 8) is not None
             verdict = check_consistency(lam, k_max=8)
             assert verdict.consistent_up_to_k
             found += 1
@@ -197,22 +197,177 @@ fit_entries = st.one_of(
 )
 
 
+def _six_families(rng: random.Random) -> EmpathyMatrix:
+    """Small-integer weights, either family's outputs, multiples of I,
+    rank-one products, and nilpotent rank-one products plus t on l22, whose
+    trace t (1e-16 to 1) is small next to their entries."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return EmpathyMatrix(*(rng.randint(-3, 3) for _ in range(4)))
+    if kind == 1:
+        eps = rng.uniform(0.05, 3.0)
+        return rng.choice(consistent_family(eps, rng.uniform(-3.0, eps * eps / 4.0)))
+    if kind == 2:
+        l11 = rng.uniform(-3, 3)
+        return infinitely_consistent(l11, rng.uniform(0.05, 3) * rng.choice((-1, 1)))
+    if kind == 3:
+        c = rng.uniform(-3, 3)
+        return EmpathyMatrix(c, 0.0, 0.0, c)
+    (u1, u2), (v1, v2) = [[rng.uniform(-2, 2) for _ in range(2)] for _ in range(2)]
+    if kind == 4:
+        return EmpathyMatrix(u1 * v1, u1 * v2, u2 * v1, u2 * v2)
+    t = 10.0 ** rng.uniform(-16, 0) * rng.choice((-1, 1))
+    return EmpathyMatrix(-u1 * u2 * v1, u1 * u1 * v1, -u2 * u2 * v1, u1 * u2 * v1 + t)
+
+
 class TestStructuralFit:
+    """The closed-form structural test against its exact form and against
+    the least-squares fit it replaced."""
+
     @given(st.builds(EmpathyMatrix, *([fit_entries] * 4)), st.integers(1, 30))
-    @example(EmpathyMatrix(1e-170, -1e-165, 0.0, 1e-163), 3)  # squares all underflow
-    @example(EmpathyMatrix(1e-160, 0.0, -0.0, 1e-160), 3)  # subnormal sum of squares
+    @example(EmpathyMatrix(1e-170, -1e-165, 0.0, 1e-163), 3)
+    @example(EmpathyMatrix(1e-160, 0.0, -0.0, 1e-160), 3)
     @example(EmpathyMatrix(-0.0, 0.0, -0.0, 0.0), 2)
     @example(EmpathyMatrix(0.5, 0.5, 0.5, 0.5), 30)
     @example(EmpathyMatrix(1e150, 0.0, 0.0, 1e-150), 2)
+    @example(EmpathyMatrix(1e150, 1e140, 1e-150, 1e-160), 2)  # rows 300 decades apart
+    @example(EmpathyMatrix(1.0, 0.0, 1.0, 1e-12), 2)  # |det| at the band, tr = 1 + 1e-12
+    @example(EmpathyMatrix(1e150, 1e150, 1e150, 1e150), 3)  # eps = 2e150, eps^2 overflows
+    @example(EmpathyMatrix(1e-160, 1e-160, 1e-160, 1e-160), 3)  # eps^2 underflows to 0
+    @example(EmpathyMatrix(1.0, 1.0, -1.0, -1.0 + 1e-13), 3)  # nearly nilpotent
+    @example(EmpathyMatrix(8.3e-147, -7.1e207, 0.0, 8.8e-168), 3)  # rows 354 decades wide
     @settings(max_examples=300, deadline=None)
-    def test_fit_matches_the_reference_exactly(self, lam, k_max):
-        assert _outcome(structural_epsilons, lam, k_max) == _outcome(
-            reference_structural_epsilons, lam, k_max
-        )
+    def test_rule_matches_the_exact_oracle(self, lam, k_max):
+        assert structural_epsilons(lam, k_max) == reference_exact_epsilons(lam, k_max)
+
+    def test_rule_against_the_fit_on_six_families(self):
+        # Draws whose powers pass the fit's 1e12 guard are skipped: the fit
+        # gave None there whatever the matrix.  Every disagreement must be
+        # explained by the walk itself: where only the rule gives scalars,
+        # every power is within 1e-12 of them times lam, yet the fit's
+        # absolute 1e-9 residual is below the rounding of its large powers
+        # (at this seed one rank-one product with trace 6.3 at k_max 10,
+        # whose powers reach 5e7); where only the fit does, a row of some
+        # power is off its fitted multiple of lam's row by more than 1e-9 of
+        # the row (at this seed 381 nilpotent draws plus t, whose powers'
+        # det*I terms are below the fit's absolute residual).
+        rng = random.Random(17)
+        disagreements, explained, both = [], [], 0
+        for i in range(20_000):
+            lam = _six_families(rng)
+            k_max = rng.randint(2, 10)
+            walk = list(_powers(lam, k_max + 1))
+            if max(max(map(abs, p)) for p in walk[1:]) > 1e12:
+                continue
+            got = structural_epsilons(lam, k_max)
+            fit = reference_structural_epsilons(lam, k_max)
+            if (got is None) != (fit is None):
+                disagreements.append(i)
+                if got is not None and all(
+                    max(abs(c - e * b) for c, b in zip(p, walk[0])) <= 1e-12 * max(map(abs, p))
+                    for p, e in zip(walk, got)
+                ):
+                    explained.append(i)
+                if fit is not None and any(
+                    max(abs(p[j] - e * walk[0][j]) for j in row) > 1e-9 * max(abs(p[j]) for j in row)
+                    for p, e in zip(walk, fit)
+                    for row in ((0, 1), (2, 3))
+                ):
+                    explained.append(i)
+            elif got is not None:
+                both += 1
+                assert got == pytest.approx(fit, rel=1e-10)
+        assert both > 10_000
+        assert disagreements == explained
 
     def test_zero_sum_of_squares_has_no_fit(self):
         assert structural_epsilons(EmpathyMatrix(1e-170, 0.0, 0.0, -1e-170), 4) is None
         assert structural_epsilons(EmpathyMatrix(-0.0, -0.0, 0.0, -0.0), 4) is None
+
+    @pytest.mark.parametrize(
+        "lam", [EmpathyMatrix(2.0, 0.0, 0.0, 2.0), EmpathyMatrix(2.0, 2.0, 0.0, 0.0)]
+    )
+    def test_exact_doubling_at_every_k_max(self, lam):
+        # lam^k = 2^(k-1) * lam exactly; the fit's guard on lam^(k_max+1)
+        # used to read ConsistentUpToK from k_max 39 on.
+        for k_max in (2, 10, 39, 50):
+            verdict = check_consistency(lam, k_max)
+            assert verdict.label == "StructurallyConsistent"
+            assert verdict.epsilons == tuple(2.0**k for k in range(k_max))
+
+    def test_ten_times_identity(self):
+        lam = EmpathyMatrix(10.0, 0.0, 0.0, 10.0)
+        verdict = check_consistency(lam, 12)
+        assert verdict.label == "StructurallyConsistent"
+        assert verdict.epsilons == tuple(10.0**k for k in range(12))
+        # 10^319 leaves the float range: no scalars, still consistent, and no
+        # error although lam^309 would overflow.
+        verdict = check_consistency(lam, 320)
+        assert verdict.label == "StructurallyConsistent"
+        assert verdict.structurally_consistent and verdict.epsilons is None
+        assert (verdict.levels_checked, verdict.guard_hit) == (12, True)
+
+    def test_small_matrices_are_not_scaled_by_an_absolute_residual(self):
+        # Every residual of this matrix is below 1e-9, but lam^2 is not a
+        # multiple of lam: its rows are far from parallel.
+        verdict = check_consistency(EmpathyMatrix(1e-5, 1e-6, 0.0, 2e-5), 10)
+        assert verdict.label == "Inconsistent"
+        assert not verdict.structurally_consistent and verdict.epsilons is None
+
+    def test_large_rows_do_not_widen_the_band(self):
+        # Against the largest entry squared, |det| = 1e20 would look tiny;
+        # against tr times the smaller row's largest entry it is not.
+        assert structural_epsilons(EmpathyMatrix(1e20, 0.0, 1.0, -1.0), 2) is None
+
+    def test_a_near_nilpotent_lam_is_not_scaled(self):
+        # Rows parallel to 1e-13 and trace 1e-13: lam^2 = tr*lam - det*I is
+        # about 1e-13 * (0, 1; -1, -2), and lam^3 a negative multiple of lam.
+        verdict = check_consistency(EmpathyMatrix(1.0, 1.0, -1.0, -1.0 + 1e-13), 10)
+        assert not verdict.structurally_consistent and verdict.epsilons is None
+
+    def test_same_verdict_at_every_k_max(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            lam = _six_families(rng)
+            verdicts = [check_consistency(lam, k) for k in range(2, 41)]
+            assert len({v.structurally_consistent for v in verdicts}) == 1
+            full = structural_epsilons(lam, 40)
+            for k, v in zip(range(2, 41), verdicts):
+                assert v.epsilons == structural_epsilons(lam, k)
+                if full is not None:
+                    assert v.epsilons == full[:k]
+
+    def test_rejects_k_max_below_one(self):
+        with pytest.raises(ValueError, match="k_max must be at least 1"):
+            structural_epsilons(EmpathyMatrix.identity(), 0)
+
+
+# Either family over wide magnitudes: epsilon from 1e-100 to 1e100 and y
+# down to 1e-14 * epsilon^2 or up to -1e6 * epsilon^2; idempotent profiles
+# with |l11| <= 1e3 and first columns over 1e-50 .. 1e50.
+family_outputs = st.tuples(
+    st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-100, 100)),
+    st.one_of(st.just(0.0), st.just(0.25), st.builds(
+        lambda sign, u: sign * 10.0**u, st.sampled_from([1.0, -1.0]), st.floats(-14.0, 6.0)
+    ).map(lambda t: min(t, 0.25))),
+).flatmap(lambda t: st.sampled_from(consistent_family(t[0], t[1] * t[0] * t[0])))
+idempotent_outputs = st.builds(
+    infinitely_consistent,
+    st.builds(lambda sign, u: sign * 10.0**u, st.sampled_from([1.0, -1.0]), st.floats(-20, 3)),
+    st.builds(lambda sign, u: sign * 10.0**u, st.sampled_from([1.0, -1.0]), st.floats(-50, 50)),
+)
+
+
+class TestFamiliesAreStructurallyConsistent:
+    @given(st.one_of(family_outputs, idempotent_outputs), st.integers(2, 400))
+    @example(consistent_family(1.0, 1e-12)[1], 400)
+    @example(infinitely_consistent(1e3, 0.5), 2)
+    @example(infinitely_consistent(-1e3, -1e-50), 2)
+    @settings(max_examples=200, deadline=None)
+    def test_at_every_k_max(self, lam, k_max):
+        verdict = check_consistency(lam, k_max)
+        assert verdict.structurally_consistent
+        assert verdict.epsilons == reference_exact_epsilons(lam, k_max)
 
 
 class TestLevelsAreLabelledWithoutLevelGames:
@@ -311,6 +466,15 @@ class TestConsistentFamily:
     def test_zero_product_includes_scaled_identity(self):
         fams = consistent_family(0.7, 0.0)
         assert EmpathyMatrix(0.7, 0.0, 0.0, 0.7) in fams
+
+    def test_small_root_without_cancellation(self):
+        # x^2 - x + 1e-12 has roots 1 - 1.000000000001e-12 and
+        # 1.000000000001e-12 to 16 digits; (1 - sqrt(1 - 4e-12)) / 2 keeps
+        # only 5 of them.
+        big, small = consistent_family(1.0, 1e-12)
+        assert (big.l11, big.l22) == (small.l22, small.l11)
+        assert big.l22 == pytest.approx(1.000000000001e-12, rel=1e-15, abs=0.0)
+        assert check_consistency(big, 10).label == "StructurallyConsistent"
 
     def test_mixed_sign_roots(self):
         fams = consistent_family(1.0, -2.0)
