@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .games import (
     CELLS,
@@ -24,7 +24,7 @@ from .games import (
 )
 
 Cell = tuple[int, int]
-PlayerKey = tuple[int, int, bool]
+PlayerKey = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -78,24 +78,23 @@ class EquilibriumSet:
 
 
 def _interior_root(d1: float, d2: float) -> float | None:
-    """The opponent's probability of action 1 at which a player with payoff
-    differences ``d1``, ``d2`` (as in ``_best_responses``) is indifferent,
-    when it lies strictly inside (0, 1); otherwise None."""
-    if d1 * d2 > 0.0:
-        root = d2 / (d1 + d2)
-        if 0.0 < root < 1.0:
-            return root
-    return None
+    """``d2 / (d1 + d2)``, the opponent's mix at which a player with finite
+    payoff differences ``d1``, ``d2`` is indifferent, as it rounds, when they
+    share a strict sign, which puts the exact root in (0, 1); else None."""
+    if not (d1 > 0.0 and d2 > 0.0 or d1 < 0.0 and d2 < 0.0):
+        return None
+    if math.isinf(d1 + d2):
+        # Both are past half the float range, so halving them is exact.
+        d1, d2 = 0.5 * d1, 0.5 * d2
+    return d2 / (d1 + d2)
 
 
 def _player_key(d1: float, d2: float) -> PlayerKey:
     """What an equilibrium label reads of one player with payoff differences
     ``d1``, ``d2`` (as in ``_best_responses``): their signs, which fix its
-    best responses, its class pattern and whether it is indifferent
-    everywhere, and whether it has an interior indifference point.  The root
-    bit is needed on its own: ``d1 * d2`` can underflow, or the root round to
-    0 or 1, with the signs unchanged."""
-    return ((d1 > 0.0) - (d1 < 0.0), (d2 > 0.0) - (d2 < 0.0), _interior_root(d1, d2) is not None)
+    best responses, its class pattern, whether it is indifferent everywhere
+    and whether it has an interior indifference point."""
+    return ((d1 > 0.0) - (d1 < 0.0), (d2 > 0.0) - (d2 < 0.0))
 
 
 def _pure_equilibria(row, col) -> list[PureEquilibrium]:
@@ -129,7 +128,8 @@ def mixed_nash(g: Game2x2) -> MixedNashResult:
     The row player is indifferent when the opponent mixes at
     y* = (a22 - a12) / ((a11 - a21) + (a22 - a12)) and symmetrically
     x* = (b22 - b21) / ((b11 - b12) + (b22 - b21)) for the column player;
-    a strictly interior profile exists when both ratios lie in (0, 1).
+    a strictly interior profile exists when each player's two differences
+    share a strict sign, which puts its ratio inside (0, 1).
     A player whose two payoff differences both vanish is indifferent
     everywhere, producing equilibrium continua instead of points.
     """
@@ -150,12 +150,16 @@ def mixed_nash(g: Game2x2) -> MixedNashResult:
             pref0, pref1 = g.b21 - g.b22, g.b11 - g.b12
         else:
             pref0, pref1 = g.a12 - g.a22, g.a11 - g.a21
+        if math.isinf(pref1 - pref0):
+            # The payoffs times 0.25, exact for normal payoffs, keep the
+            # continua and bring the slope within the float range.
+            return mixed_nash(Game2x2(*(0.25 * v for v in astuple(g))))
         slope = pref1 - pref0
-        root = -pref0 / slope if slope != 0.0 else None
-        if root is not None and 0.0 <= root <= 1.0:
-            # Where the other player strictly prefers an action, the flat
-            # player is free and v is pinned; at the root the other player is
-            # indifferent too.
+        if not (pref0 > 0.0 and pref1 > 0.0 or pref0 < 0.0 and pref1 < 0.0):
+            # The preference changes sign: where the other player strictly
+            # prefers an action, the flat player is free and v is pinned; at
+            # the root the other player is indifferent too.
+            root = -pref0 / slope
             lo_side, hi_side = (0.0, 1.0) if slope > 0.0 else (1.0, 0.0)
             segments = [(root, 0.0, root, 1.0)]
             if root > 0.0:
@@ -177,6 +181,15 @@ def mixed_nash(g: Game2x2) -> MixedNashResult:
     x_star = _interior_root(gamma1, gamma2)
     if x_star is None or y_star is None:
         return MixedNashResult(points=())
+    if math.isinf(alpha1 + alpha2) or math.isinf(gamma1 + gamma2):
+        # An infinite difference keeps its sign, not its size: the root comes
+        # from the payoffs times 0.25, exact for normal payoffs, or is the
+        # corner it rounds to where a quarter difference vanishes.
+        q1, q2, q3, q4 = _differences(Game2x2(*(0.25 * v for v in astuple(g))))
+        if math.isinf(alpha1 + alpha2):
+            y_star = _interior_root(q1, q2) or float(q1 == 0.0)
+        if math.isinf(gamma1 + gamma2):
+            x_star = _interior_root(q3, q4) or float(q3 == 0.0)
     return MixedNashResult(points=(MixedProfile(x=x_star, y=y_star),))
 
 
@@ -265,16 +278,16 @@ def _label(cells, mixed: bool) -> str:
 
 def _key_mixed(row: PlayerKey, col: PlayerKey) -> str:
     """The mixed token of ``equilibrium_signature`` for any game with these
-    ``_player_key``s, the one reader of their root bits: ``mixed_nash`` is
-    degenerate when both players are flat (both differences zero), yields
-    continua when one is, else one point when both have an interior root."""
+    ``_player_key``s: ``mixed_nash`` is degenerate when both players are flat
+    (both differences zero), yields continua when one is, else one point when
+    each player's two signs are equal and nonzero."""
     row_flat = row[0] == row[1] == 0
     col_flat = col[0] == col[1] == 0
     if row_flat and col_flat:
         return "0+deg"
     if row_flat or col_flat:
         return "0+cont"
-    return "1" if row[2] and col[2] else "0"
+    return "1" if row[0] == row[1] and col[0] == col[1] else "0"
 
 
 def _key_cells(row: PlayerKey, col: PlayerKey) -> list[Cell]:
@@ -283,7 +296,7 @@ def _key_cells(row: PlayerKey, col: PlayerKey) -> list[Cell]:
     return [p.cell for p in pure]
 
 
-# A player has 11 keys, so each key-pair cache holds at most 121 entries.
+# A player has 9 keys, so each key-pair cache holds at most 81 entries.
 @functools.cache
 def _key_label(row: PlayerKey, col: PlayerKey) -> str:
     """``outcome_label`` of any game with these ``_player_key``s."""
@@ -294,12 +307,8 @@ def _key_label(row: PlayerKey, col: PlayerKey) -> str:
 def _key_signature(row: PlayerKey, col: PlayerKey) -> str:
     """``equilibrium_signature`` of any game with these ``_player_key``s;
     ``classify`` (with no tie tolerance) reads only the difference signs."""
-    r1, r2, _ = row
-    c1, c2, _ = col
-    if r1 and r2 and c1 and c2:
-        cls = _untied_class(r1, r2, c1, c2).kind
-    else:
-        cls = GameKind.DEGENERATE
+    (r1, r2), (c1, c2) = row, col
+    cls = _untied_class(r1, r2, c1, c2).kind if r1 and r2 and c1 and c2 else GameKind.DEGENERATE
     cells = ",".join(f"{i}{j}" for i, j in _key_cells(row, col))
     return f"class={cls.value}|pure={cells or '-'}|mixed={_key_mixed(row, col)}"
 

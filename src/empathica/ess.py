@@ -79,7 +79,7 @@ class SymmetricEquilibria:
 
 def symmetric_equilibria(red: DiagonalReduction) -> SymmetricEquilibria:
     """All symmetric equilibria: m=1 iff beta1 >= 0, m=0 iff beta2 >= 0, and
-    ``mixed_nash``'s interior indifference point, when there is one."""
+    ``_interior_root``'s point unless it rounds to a corner already listed."""
     b1, b2 = red.beta1, red.beta2
     if b1 == 0.0 and b2 == 0.0:
         return SymmetricEquilibria(points=(), degenerate=True)
@@ -89,7 +89,7 @@ def symmetric_equilibria(red: DiagonalReduction) -> SymmetricEquilibria:
     if b2 >= 0.0:
         points.append(0.0)
     root = _interior_root(b1, b2)
-    if root is not None:
+    if root is not None and root not in points:
         points.append(root)
     return SymmetricEquilibria(points=tuple(points))
 
@@ -230,8 +230,8 @@ def constrained_ess(red: DiagonalReduction, con: Constraint) -> EssResult:
 
     * hi, when d(hi) > 0 (or d(hi) = 0 with beta1 + beta2 < 0);
     * lo, when d(lo) < 0 (or d(lo) = 0 with beta1 + beta2 < 0);
-    * the interior indifference point beta2/(beta1+beta2) strictly inside
-      (lo, hi), when beta1 + beta2 < 0 (both betas negative).
+    * the indifference point beta2/(beta1+beta2), as ``_interior_root``
+      rounds it, strictly inside (lo, hi), when both betas are negative.
 
     This reproduces the standard sign-pattern case table: under a type-I
     constraint [0, alpha], (beta1>0, beta2<=0) gives {alpha},
@@ -272,9 +272,8 @@ def constrained_ess(red: DiagonalReduction, con: Constraint) -> EssResult:
     d_lo = red.preference(lo)
     if d_lo < 0.0 or (d_lo == 0.0 and s < 0.0):
         points.append(EssPoint(lo, kind_of(lo)))
-    if s < 0.0:
-        m_star = b2 / s
-        if lo < m_star < hi:
-            points.append(EssPoint(m_star, EssKind.INTERIOR))
+    m_star = _interior_root(b1, b2)
+    if b1 < 0.0 and m_star is not None and lo < m_star < hi:
+        points.append(EssPoint(m_star, EssKind.INTERIOR))
     points.sort(key=lambda p: p.m)
     return EssResult(points=tuple(points), exists=bool(points))

@@ -9,7 +9,9 @@ library's ``classify``, ``pure_nash`` and ``mixed_nash``, not through the
 per-player keys that ``equilibrium_signature`` reads.
 ``reference_classify`` and ``reference_mixed_nash`` are the direct
 payoff-subtraction forms of ``classify`` and ``mixed_nash``, each player
-written out on its own, which the library must match bit for bit.
+written out on its own, which the library must match bit for bit, apart
+from the interior point: ``exact_interior_point`` places it in ``Fraction``
+arithmetic, and the library's float must lie within a few ulps of it.
 ``reference_region_csv`` writes the region CSV one line per cell.
 ``reference_dominated_actions`` compares each player's payoffs directly and
 ``reference_deviation_gain`` writes out its four expected payoffs; the
@@ -644,9 +646,29 @@ def reference_classify(g: Game2x2, tie_tol: float = 0.0) -> Classification:
     return Classification(GameKind.DISCOORDINATION)
 
 
+def exact_interior_point(g: Game2x2) -> tuple[Fraction, Fraction] | None:
+    """The interior mixed equilibrium (x*, y*) of ``g`` in exact arithmetic
+    on its float payoffs, or None: it exists when each player's two exact
+    payoff differences share a strict sign."""
+    a11, a12, a21, a22, b11, b12, b21, b22 = (
+        Fraction(v) for v in (g.a11, g.a12, g.a21, g.a22, g.b11, g.b12, g.b21, g.b22)
+    )
+
+    def root_of(d1, d2):
+        if (d1 > 0 and d2 > 0) or (d1 < 0 and d2 < 0):
+            return d2 / (d1 + d2)
+        return None
+
+    y_star, x_star = root_of(a11 - a21, a22 - a12), root_of(b11 - b12, b22 - b21)
+    if x_star is None or y_star is None:
+        return None
+    return (x_star, y_star)
+
+
 def reference_mixed_nash(g: Game2x2) -> MixedNashResult:
     """``mixed_nash`` with the row-flat and column-flat continua written out
-    separately in (x, y) coordinates."""
+    separately in (x, y) coordinates, and the interior point, when the exact
+    differences place one, at ``exact_interior_point`` correctly rounded."""
     alpha1, alpha2 = g.a11 - g.a21, g.a22 - g.a12
     gamma1, gamma2 = g.b11 - g.b12, g.b22 - g.b21
     row_flat = alpha1 == 0.0 and alpha2 == 0.0
@@ -658,14 +680,19 @@ def reference_mixed_nash(g: Game2x2) -> MixedNashResult:
         return (MixedProfile(x0, y0), MixedProfile(x1, y1))
 
     if row_flat or col_flat:
+        q = [0.25 * v for v in (g.b21, g.b22, g.b11, g.b12, g.a12, g.a22, g.a11, g.a21)]
         if row_flat:
             pref0, pref1 = g.b21 - g.b22, g.b11 - g.b12  # column, at x = 0, 1
+            if not math.isfinite(pref1 - pref0):
+                pref0, pref1 = q[0] - q[1], q[2] - q[3]
         else:
             pref0, pref1 = g.a12 - g.a22, g.a11 - g.a21  # row, at y = 0, 1
+            if not math.isfinite(pref1 - pref0):
+                pref0, pref1 = q[4] - q[5], q[6] - q[7]
         out = []
         slope = pref1 - pref0
-        root = -pref0 / slope if slope != 0.0 else None
-        if root is not None and 0.0 <= root <= 1.0:
+        if (pref0 <= 0.0 <= pref1) or (pref1 <= 0.0 <= pref0):
+            root = -pref0 / slope
             lo, hi = (0.0, 1.0) if slope > 0.0 else (1.0, 0.0)
             if row_flat:
                 out.append(seg(root, 0.0, root, 1.0))
@@ -687,17 +714,10 @@ def reference_mixed_nash(g: Game2x2) -> MixedNashResult:
                 out.append(seg(pinned, 0.0, pinned, 1.0))
         return MixedNashResult(points=(), continua=tuple(out))
 
-    def root_of(d1, d2):
-        if d1 * d2 > 0.0:
-            r = d2 / (d1 + d2)
-            if 0.0 < r < 1.0:
-                return r
-        return None
-
-    y_star, x_star = root_of(alpha1, alpha2), root_of(gamma1, gamma2)
-    if x_star is None or y_star is None:
+    point = exact_interior_point(g)
+    if point is None:
         return MixedNashResult(points=())
-    return MixedNashResult(points=(MixedProfile(x=x_star, y=y_star),))
+    return MixedNashResult(points=(MixedProfile(x=float(point[0]), y=float(point[1])),))
 
 
 def reference_region_csv(rmap: RegionMap) -> str:

@@ -10,6 +10,7 @@ from empathica import (
     EmpathyMatrix,
     Game2x2,
     GameKind,
+    MixedProfile,
     RegionMap,
     berge_solutions,
     classify,
@@ -29,6 +30,7 @@ from oracles import (
     brute_pareto,
     brute_pure_nash,
     edge_games,
+    exact_interior_point,
     indifference_residual,
     pd_threshold,
     random_game,
@@ -117,18 +119,75 @@ def _hexed(res):
     return (points, continua, res.degenerate)
 
 
+# The bound on an interior coordinate d2 / (d1 + d2): each difference, their
+# sum and the quotient round once, a relative error below 4 * 2^-53, which
+# is at most 4 ulps of the float result (halving and quartering are exact).
+POINT_ULPS = 4
+
+
+def assert_within_ulps(got: float, exact: Fraction, ulps: int = POINT_ULPS) -> None:
+    assert abs(Fraction(got) - exact) <= ulps * Fraction(math.ulp(got)), (got, float(exact))
+
+
 class TestMixedNashMatchesReference:
     """``mixed_nash`` writes the flat-player continua once for both players;
-    they must keep the per-player segments bit for bit."""
+    they must keep the per-player segments bit for bit.  It reports an
+    interior point exactly when each player's differences share a strict
+    sign, within ``POINT_ULPS`` of the exact root."""
 
     # A zero root keeps its sign: -0.0 here, +0.0 in the column mirror.
     @example(Game2x2(1.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0))
     @example(Game2x2(2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0))
     @example(Game2x2(0.0, 0.0, -0.0, -0.0, 0.0, -0.0, 0.0, -0.0))
+    # The column player's slope, and then its preference at x = 0, overflow.
+    @example(Game2x2(0.0, 0.0, 0.0, 0.0, 1e308, 0.0, -1e308, 0.0))
+    @example(Game2x2(0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1e308, -1e308))
+    @example(Game2x2(0.0, -0.0, 0.0, -0.0, 1e308, -1e308, -0.0, 0.0))
+    @example(Game2x2(0.0, 0.0, 0.0, 0.0, 0.0, 1.0, -9007199254740996.0, 0.0))
     @given(edge_games())
     @settings(max_examples=500)
     def test_bit_for_bit(self, g):
-        assert _hexed(mixed_nash(g)) == _hexed(reference_mixed_nash(g))
+        got, want = mixed_nash(g), reference_mixed_nash(g)
+        assert _hexed(got)[1:] == _hexed(want)[1:]
+        assert len(got.points) == len(want.points)
+
+    # d1 * d2 underflows; d1 + d2 overflows; a difference is infinite; an
+    # infinite difference meets one whose quarter vanishes; the root rounds
+    # to 1.
+    @example(Game2x2(1e-200, 0.0, 0.0, 1e-200, 0.0, 1e-200, 1e-200, 0.0))
+    @example(Game2x2(1e308, 0.0, 0.0, 1e308, 0.0, 1e308, 1e308, 0.0))
+    @example(Game2x2(1e308, -1e308, -1e308, 1e308, -1e308, 1e308, 1e308, -1e308))
+    @example(Game2x2(1e308, 0.0, -1e308, 5e-324, 0.0, 1.0, 1.0, 0.0))
+    @example(Game2x2(5e-324, 1e308, 0.0, -1e308, 0.0, 1.0, 1.0, 0.0))
+    @example(Game2x2(8.9e-16, 0.0, 0.0, 13.7, 0.0, 1.0, 1.0, 0.0))
+    @given(edge_games())
+    @settings(max_examples=500)
+    def test_interior_point_against_exact_oracle(self, g):
+        exact = exact_interior_point(g)
+        points = mixed_nash(g).points
+        if exact is None:
+            assert points == ()
+        else:
+            (p,) = points
+            assert_within_ulps(p.x, exact[0])
+            assert_within_ulps(p.y, exact[1])
+
+    def test_an_overflowing_slope_keeps_the_indifference_line(self):
+        # At unit stakes the column player is indifferent at x = 1/2; the
+        # slope 1e308 - (-1e308) overflows at these stakes, which once put
+        # the line at x = 0 and dropped a segment.
+        unit = mixed_nash(Game2x2(0.0, 0.0, 0.0, 0.0, 1.0, 0.0, -1.0, 0.0))
+        big = mixed_nash(Game2x2(0.0, 0.0, 0.0, 0.0, 1e308, 0.0, -1e308, 0.0))
+        assert big == unit
+        assert big.continua[0] == (MixedProfile(0.5, 0.0), MixedProfile(0.5, 1.0))
+
+    def test_a_preference_of_one_sign_has_no_indifference_line(self):
+        # The column player prefers action 2 at both ends, by 2^53 + 4 and
+        # by 1.  The slope 2^53 + 3 rounds to 2^53 + 4, which once put the
+        # root at x = 1 and added a line there; relabelling the row
+        # player's actions, which puts the root below 0, added none.
+        res = mixed_nash(Game2x2(0.0, 0.0, 0.0, 0.0, 0.0, 1.0, -9007199254740996.0, 0.0))
+        assert res.continua == ((MixedProfile(0.0, 0.0), MixedProfile(1.0, 0.0)),)
 
     def test_zero_root_keeps_its_sign(self):
         res = mixed_nash(Game2x2(1.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0))
@@ -263,6 +322,32 @@ class TestTwoPopulationEquilibria:
                 assert deviation_gain(played, x, y) <= 1e-10
             for m in eqs.mixed:
                 assert deviation_gain(played, m.x, m.y) <= 1e-8
+
+    @pytest.mark.parametrize("stake", [1e-200, 1.0, 1e308])
+    def test_matching_pennies_at_any_stakes(self, stake):
+        # d1 * d2 underflows at 1e-200, and every difference overflows at
+        # 1e308; the equilibrium stays at (1/2, 1/2).
+        g = Game2x2.zero_sum([[stake, -stake], [-stake, stake]])
+        eqs = two_population_equilibria(g, EmpathyMatrix.identity())
+        assert outcome_label(eqs) == "mixed"
+        assert eqs.mixed == (MixedProfile(0.5, 0.5),)
+
+    # Nash's theorem: every game has an equilibrium.
+    @example(Game2x2.zero_sum([[1e-200, -1e-200], [-1e-200, 1e-200]]), EmpathyMatrix.identity())
+    @example(Game2x2.zero_sum([[1e308, -1e308], [-1e308, 1e308]]), EmpathyMatrix.identity())
+    @example(Game2x2.symmetric([[0.0, 1e-200], [1e-200, 0.0]]), EmpathyMatrix.identity())
+    @example(Game2x2.symmetric([[0.0, 1e308], [1e308, 0.0]]), EmpathyMatrix.identity())
+    @given(
+        edge_games(),
+        st.builds(EmpathyMatrix, *([st.sampled_from([0.0, -0.5, 1.0, 0.25, 1e-100])] * 4)),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_every_game_has_an_equilibrium(self, g, lam):
+        try:
+            eqs = two_population_equilibria(g, lam)
+        except ValueError:
+            return  # a transformed payoff overflows
+        assert eqs.pure or eqs.mixed or eqs.mixed_continua or eqs.mixed_degenerate
 
     def test_class_equilibrium_count_consistency(self):
         rng = random.Random(17)

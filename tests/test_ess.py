@@ -1,8 +1,9 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from empathica import (
@@ -111,10 +112,9 @@ class TestSymmetricEquilibria:
         [
             # The root 1 / (1 + 1e-20) rounds to the corner m = 1.
             (1e-20, 1.0, (1.0, 0.0)),
-            # beta1 + beta2 overflows, and the root rounds to 0.
-            (1e308, 1e308, (1.0, 0.0)),
-            # The root rounds to 0, which is no equilibrium: beta2 < 0.
-            (-1e308, -1e308, ()),
+            # beta1 + beta2 overflows; halving both keeps the root at 1/2.
+            (1e308, 1e308, (1.0, 0.0, 0.5)),
+            (-1e308, -1e308, (0.5,)),
         ],
     )
     def test_a_root_rounding_to_a_corner_is_not_listed(self, b1, b2, points):
@@ -126,13 +126,39 @@ class TestSymmetricEquilibria:
     def test_points_are_distinct_equilibria(self, b1, b2):
         res = symmetric_equilibria(red_of(b1, b2))
         assert len(set(res.points)) == len(res.points)
+        # A root is listed as it rounds, at a corner too.
+        root = (b1 > 0.0 and b2 > 0.0) or (b1 < 0.0 and b2 < 0.0)
         for m in res.points:
             if m == 1.0:
-                assert b1 >= 0.0
+                assert b1 >= 0.0 or root
             elif m == 0.0:
-                assert b2 >= 0.0
+                assert b2 >= 0.0 or root
             else:
-                assert 0.0 < m < 1.0 and b1 * b2 > 0.0
+                assert 0.0 < m < 1.0 and root
+
+    # Every symmetric game has a symmetric equilibrium; the anti-coordination
+    # betas' product underflows, then their sum overflows.
+    @example(-1e-200, -1e-200)
+    @example(-1e308, -1e308)
+    @example(-1e-300, -1e300)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=300, deadline=None)
+    def test_every_game_has_a_symmetric_equilibrium(self, b1, b2):
+        res = symmetric_equilibria(red_of(b1, b2))
+        assert res.points or (res.degenerate and b1 == b2 == 0.0)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=300, deadline=None)
+    def test_the_root_is_listed_near_its_exact_value(self, b1, b2):
+        # Betas of one strict sign have an exact root in (0, 1); the list
+        # holds a value within 4 ulps of it, a corner when it rounds to one.
+        e1, e2 = Fraction(b1), Fraction(b2)
+        if (e1 > 0 and e2 > 0) or (e1 < 0 and e2 < 0):
+            exact = e2 / (e1 + e2)
+            points = symmetric_equilibria(red_of(b1, b2)).points
+            assert any(abs(Fraction(m) - exact) <= 4 * Fraction(math.ulp(m)) for m in points)
 
     def test_reduction_soundness_against_grid_oracle(self):
         # Reduced-form equilibria must match a grid best-response search on
@@ -268,6 +294,26 @@ class TestConstrainedEss:
     def test_unconstrained_hawk_dove_center(self):
         res = constrained_ess(red_of(-1.0, -1.0), Constraint.unconstrained())
         assert [(p.m, p.kind) for p in res.points] == [(0.5, EssKind.INTERIOR)]
+
+    @pytest.mark.parametrize("stake", [1e-200, 1.0, 1e308])
+    def test_anti_coordination_at_any_stakes(self, stake):
+        # A = (0, s; s, 0) at sigma 1, mu 0: beta1 = beta2 = -s.  The ESS at
+        # 1/2 is a symmetric equilibrium at every stake; beta1 * beta2
+        # underflows at 1e-200 and beta1 + beta2 overflows at 1e308.
+        g = Game2x2.symmetric([[0.0, stake], [stake, 0.0]])
+        red = diagonal_reduction(homogeneous_payoff(g, 1.0, 0.0))
+        res = constrained_ess(red, Constraint.unconstrained())
+        assert [(p.m, p.kind) for p in res.points] == [(0.5, EssKind.INTERIOR)]
+        assert symmetric_equilibria(red).points == (0.5,)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=300, deadline=None)
+    def test_every_unconstrained_ess_is_a_symmetric_equilibrium(self, b1, b2):
+        red = red_of(b1, b2)
+        points = symmetric_equilibria(red).points
+        for p in constrained_ess(red, Constraint.unconstrained()).points:
+            assert p.m in points
 
     def test_degenerate_has_no_ess(self):
         res = constrained_ess(red_of(0.0, 0.0), type1(0.5))

@@ -107,6 +107,13 @@ class TestCheckConsistency:
         for k, eps in enumerate(verdict.epsilons, start=1):
             assert eps == pytest.approx(0.8 ** (k - 1), abs=1e-9)
 
+    def test_small_equal_weights_keep_the_interior_root(self):
+        # Every power of this Λ is 0.1^(k-1) times it.  From k = 162 a
+        # probe's d1 * d2 underflowed, and the walk read Inconsistent there.
+        verdict = check_consistency(EmpathyMatrix(0.05, 0.05, 0.05, 0.05), k_max=300)
+        assert verdict.label == "StructurallyConsistent"
+        assert verdict.levels_checked == 300
+
     def test_negative_equal_weights_fail_at_level_two(self):
         verdict = check_consistency(ones(-0.8), k_max=10)
         assert verdict.label == "Inconsistent"
@@ -677,9 +684,10 @@ def assert_walks_match_reference(g, lam, k_max, battery=None):
 
 
 # A plain discoordination game (the second) and games whose row player has
-# the same difference signs but no interior root: d1 * d2 underflows, the
-# root rounds to zero, or a difference overflows to inf.
-ROOT_BIT_EDGE_GAMES = [
+# two differences of one strict sign, so an interior root, where d1 * d2
+# underflows, the root rounds to zero, a difference overflows to inf, or
+# d1 + d2 does.
+INTERIOR_ROOT_EDGE_GAMES = [
     Game2x2(1e-200, 0.0, 0.0, 1e-200, 0.0, 1.0, 1.0, 0.0),
     Game2x2(1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0),
     Game2x2(1e300, 0.0, 0.0, 1e-300, 0.0, 1.0, 1.0, 0.0),
@@ -761,7 +769,7 @@ class TestMemoisedWalksMatchReference:
             lam = EmpathyMatrix(*(rng.randint(-5, 5) / 10 for _ in range(4)))
             assert_walks_match_reference(g, lam, 3, [g])
 
-    @pytest.mark.parametrize("g", ROOT_BIT_EDGE_GAMES)
+    @pytest.mark.parametrize("g", INTERIOR_ROOT_EDGE_GAMES)
     @pytest.mark.parametrize(
         "lam",
         [
@@ -774,7 +782,7 @@ class TestMemoisedWalksMatchReference:
         ],
     )
     def test_root_bit_edge_games(self, g, lam):
-        battery = [*ROOT_BIT_EDGE_GAMES, *default_battery()]
+        battery = [*INTERIOR_ROOT_EDGE_GAMES, *default_battery()]
         for k_max in (2, 12, 320):
             assert_walks_match_reference(g, lam, k_max, battery)
             assert_walks_match_reference(g, lam, k_max, [g])
@@ -788,21 +796,20 @@ class TestMemoisedWalksMatchReference:
         for a1, a2, c1, c2 in itertools.product(values, repeat=4):
             g = Game2x2(a1, 0.0, 0.0, a2, c1, 0.0, 0.0, c2)
             by_key.setdefault(level_key(g), set()).add(equilibrium_signature(g))
-        # 3^4 sign patterns; each player's root bit can be set only when its
-        # two differences share a nonzero sign (2 of 9 sign pairs), so 11
-        # facts per player.
-        assert len(by_key) == 11 * 11
+        # 3^4 sign patterns: a player's two signs are all that a label
+        # reads of it, so 9 facts per player.
+        assert len(by_key) == 9 * 9
         assert all(len(sigs) == 1 for sigs in by_key.values())
 
 
 def _player_payoffs():
     """Row-player payoffs (a11, a12, a21, a22) by ``_player_key``, every key
-    a player can have: differences of every sign with roots that exist,
-    underflow or round to zero, and the row players of
-    ``ROOT_BIT_EDGE_GAMES`` and their negations, whose two differences share
-    a sign but have no interior root, one of them infinite."""
+    a player can have: differences of every sign and magnitude, and the row
+    players of ``INTERIOR_ROOT_EDGE_GAMES`` and their negations, whose two
+    differences share a sign with a product that underflows, a root that
+    rounds to zero, or a difference or a sum that overflows."""
     values = [0.0, -0.0, 1.0, -1.0, 1e-200, -1e-200, 1e300, -1e300, 1e-300, 1e308]
-    edge = [(e.a11, e.a12, e.a21, e.a22) for e in ROOT_BIT_EDGE_GAMES]
+    edge = [(e.a11, e.a12, e.a21, e.a22) for e in INTERIOR_ROOT_EDGE_GAMES]
     quads = [*edge, *(tuple(-v for v in q) for q in edge)]
     quads += [(d1, 0.0, 0.0, d2) for d1, d2 in itertools.product(values, repeat=2)]
     by_key: dict = {}
@@ -819,10 +826,11 @@ class TestSignatureMatchesReference:
 
     def test_every_key_pair(self):
         by_key = _player_payoffs()
-        # 3^2 sign pairs per player, plus the root bit set for (1, 1) and
-        # (-1, -1); both are also met with the root bit clear.
-        assert len(by_key) == 11
-        assert {(1, 1, False), (-1, -1, False)} <= by_key.keys()
+        # 3^2 sign pairs per player; (1, 1) is also met with the edge rows,
+        # and (-1, -1) with their negations.
+        assert len(by_key) == 9
+        edge = [(e.a11 - e.a21, e.a22 - e.a12) for e in INTERIOR_ROOT_EDGE_GAMES]
+        assert {_player_key(*d) for d in edge} == {(1, 1)}
         for row, col in itertools.product(by_key.values(), repeat=2):
             for a, b in itertools.product(row[:6], col[:6]):
                 # The column player's payoffs transposed, so its differences
@@ -854,7 +862,7 @@ class TestKeyLabelMatchesReference:
 
 def _sweeps_and_walks():
     """Region and hierarchy CSVs of seeded games and weights, of the
-    ``ROOT_BIT_EDGE_GAMES`` and of one game per pair of player keys."""
+    ``INTERIOR_ROOT_EDGE_GAMES`` and of one game per pair of player keys."""
     rng = random.Random(13)
     by_key = _player_payoffs()
     keyed = [
@@ -863,7 +871,7 @@ def _sweeps_and_walks():
     ]
     seeded = [Game2x2(*(rng.randint(-3, 3) for _ in range(8))) for _ in range(20)]
     out = []
-    for g in [*ROOT_BIT_EDGE_GAMES, *keyed, *seeded]:
+    for g in [*INTERIOR_ROOT_EDGE_GAMES, *keyed, *seeded]:
         lam = EmpathyMatrix(*(rng.uniform(-1.5, 1.5) for _ in range(4)))
         out.append(_outcome(lambda: region_csv(region_map(g, (-2, 2), (-2, 2), 9))))
         out.append(_outcome(lambda: hierarchy_csv(analyze_hierarchy(g, lam, 12))))
@@ -873,17 +881,17 @@ def _sweeps_and_walks():
 
 class TestKeyPairCaches:
     """The key-pair labels and signatures are cached once per process: the
-    caches stay within the 11 x 11 key pairs, and warm caches give the same
+    caches stay within the 9 x 9 key pairs, and warm caches give the same
     outputs as cold ones."""
 
     def test_bounded_and_pure(self):
         _key_label.cache_clear()
         _key_signature.cache_clear()
         cold = _sweeps_and_walks()
-        assert _key_label.cache_info().currsize <= 11 * 11
-        assert _key_signature.cache_info().currsize <= 11 * 11
+        assert _key_label.cache_info().currsize <= 9 * 9
+        assert _key_signature.cache_info().currsize <= 9 * 9
         # Every pair was met: one game per pair of keys is swept and walked.
-        assert _key_label.cache_info().currsize == 11 * 11
+        assert _key_label.cache_info().currsize == 9 * 9
         assert _sweeps_and_walks() == cold
 
 
