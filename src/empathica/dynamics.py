@@ -8,7 +8,8 @@ determined by a revision protocol, and the state updates as
 with the learning rate capped per step so the state never leaves [0, 1]^2.
 That kernel (cap, update, clamp) is written once, in ``simulate``'s loop.
 Each step forms the four expected payoffs once and calls one rate rule per
-population, built once per run for the protocol's kind; a constant
+population, built once per run for the protocol's kind and reused while the
+same protocol and game come back (``step`` replaying a run); a constant
 schedule's rate is read once per run.
 Population 1 plays the row role against population 2's mix, and vice versa.
 
@@ -156,7 +157,7 @@ def switch_rates(
         raise ValueError("pop must be 1 or 2")
     r1, r2, c1, c2 = _payoffs(game, state.p1, state.p2)
     m, u1, u2 = (state.p1, r1, r2) if pop == 1 else (state.p2, c1, c2)
-    return _rate_rule(proto, game)(m, 1.0 - m, u1, u2)
+    return _rule_for(proto, game)(m, 1.0 - m, u1, u2)
 
 
 def step(
@@ -213,6 +214,25 @@ class Trajectory:
         return len(self.p1)
 
 
+_last_rule: tuple = (None, None, None)  # (protocol, game, rule) of the last _rule_for
+
+
+def _rule_for(proto: RevisionProtocol, game: Game2x2):
+    """``_rate_rule(proto, game)``, reused while the same protocol and game
+    objects come back, as when ``step`` replays a trajectory.
+
+    A one-entry memo keyed on identity, so games that differ only in the
+    sign of a zero never share a rule.  It holds both objects, so neither
+    id can pass to another object while it is the key.
+    """
+    global _last_rule
+    last_proto, last_game, rule = _last_rule
+    if last_proto is not proto or last_game is not game:
+        rule = _rate_rule(proto, game)
+        _last_rule = (proto, game, rule)
+    return rule
+
+
 def _rate_rule(proto: RevisionProtocol, game: Game2x2):
     """Specialized (m, n, u1, u2) -> (eta_12, eta_21) for one population:
     ``m`` is its mass on action 1, ``n = 1 - m``, and ``u1``, ``u2`` are its
@@ -220,9 +240,9 @@ def _rate_rule(proto: RevisionProtocol, game: Game2x2):
 
     The one place where each protocol's rates and the hybrid weighting are
     written; ``simulate`` (and so ``step``), ``switch_rates`` and
-    ``vector_field`` call it once per population.  The protocol is
-    dispatched here, once: each kind gets its own rule, so a call runs no
-    test of the kind.  A hybrid sums its members' rates, weighted, in its
+    ``vector_field`` take it through ``_rule_for`` and call it once per
+    population.  The protocol is dispatched here, once: each kind gets its
+    own rule, so a call runs no test of the kind.  A hybrid sums its members' rates, weighted, in its
     component order.
     """
     kind = proto.kind
@@ -345,7 +365,7 @@ def simulate(
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    rule = _rate_rule(proto, game)
+    rule = _rule_for(proto, game)
     a11, a12, a21, a22 = game.a11, game.a12, game.a21, game.a22
     b11, b12, b21, b22 = game.b11, game.b12, game.b21, game.b22
     # A constant schedule's rate, and so the convergence threshold, is read
@@ -441,7 +461,7 @@ def vector_field(proto: RevisionProtocol, game: Game2x2, resolution: int) -> Vec
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    rule = _rate_rule(proto, game)
+    rule = _rule_for(proto, game)
     coords = [k / (resolution - 1) for k in range(resolution)]
     # Row payoffs depend on p2 alone and column payoffs on p1 alone, so each
     # grid value's payoffs are formed once, for both axes.

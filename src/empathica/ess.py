@@ -231,7 +231,9 @@ def constrained_ess(red: DiagonalReduction, con: Constraint) -> EssResult:
     * hi, when d(hi) > 0 (or d(hi) = 0 with beta1 + beta2 < 0);
     * lo, when d(lo) < 0 (or d(lo) = 0 with beta1 + beta2 < 0);
     * the indifference point beta2/(beta1+beta2), as ``_interior_root``
-      rounds it, strictly inside (lo, hi), when both betas are negative.
+      rounds it, when both betas are negative and the exact point lies
+      strictly inside (lo, hi); it is then the only ESS, and otherwise the
+      nearer endpoint is.
 
     This reproduces the standard sign-pattern case table: under a type-I
     constraint [0, alpha], (beta1>0, beta2<=0) gives {alpha},
@@ -265,6 +267,24 @@ def constrained_ess(red: DiagonalReduction, con: Constraint) -> EssResult:
         # immune to (nonexistent) feasible invaders.
         return EssResult(points=(EssPoint(lo, EssKind.CONSTRAINT_BOUNDARY),), exists=True)
 
+    if b1 < 0.0 and b2 < 0.0:
+        # d falls from -beta2 > 0 to beta1 < 0 through the exact root r*, so
+        # the one stable point is lo when r* <= lo, hi when r* >= hi, and
+        # else the root itself, whatever it rounds to.  Each comparison
+        # (lo*s <= beta2, hi*s >= beta2) is decided exactly, on the values
+        # as integers over a common power of two.
+        ratios = [x.as_integer_ratio() for x in (lo, hi, b1, b2)]
+        scale = max(d for _, d in ratios)  # every denominator is a power of two
+        x_lo, x_hi, x1, x2 = (n * (scale // d) for n, d in ratios)
+        root = x2 * scale
+        if x_lo * (x1 + x2) <= root:
+            point = EssPoint(lo, kind_of(lo))
+        elif x_hi * (x1 + x2) >= root:
+            point = EssPoint(hi, kind_of(hi))
+        else:
+            point = EssPoint(_interior_root(b1, b2), EssKind.INTERIOR)
+        return EssResult(points=(point,), exists=True)
+
     points: list[EssPoint] = []
     d_hi = red.preference(hi)
     if d_hi > 0.0 or (d_hi == 0.0 and s < 0.0):
@@ -272,8 +292,5 @@ def constrained_ess(red: DiagonalReduction, con: Constraint) -> EssResult:
     d_lo = red.preference(lo)
     if d_lo < 0.0 or (d_lo == 0.0 and s < 0.0):
         points.append(EssPoint(lo, kind_of(lo)))
-    m_star = _interior_root(b1, b2)
-    if b1 < 0.0 and m_star is not None and lo < m_star < hi:
-        points.append(EssPoint(m_star, EssKind.INTERIOR))
     points.sort(key=lambda p: p.m)
     return EssResult(points=tuple(points), exists=bool(points))

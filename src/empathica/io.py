@@ -6,6 +6,9 @@ the empathy weight matrix; numbers are IEEE-754 doubles.  A game file is JSON
 in UTF-8, UTF-16 or UTF-32, and every output is UTF-8, whatever the locale.
 All writers emit deterministic bytes for identical inputs: floats are
 serialized with shortest round-trip formatting and JSON keys are sorted.
+JSON reports are written by this module's own emitter, ``canonical_json``,
+byte-identical to ``json.dumps(obj, indent=2, sort_keys=True,
+allow_nan=False)`` plus a newline; their keys must be str.
 """
 from __future__ import annotations
 
@@ -45,22 +48,20 @@ def resolve_input(name_or_path: str) -> Path:
     raise GameFileError(f"no such game file or fixture: {name_or_path}")
 
 
-def _number(value) -> float:
-    # A JSON number only: float() also takes a numeric string or a boolean.
-    if type(value) not in (int, float):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
+_NUMBER = (int, float)
 
 
-def _matrix(obj, key: str) -> list[list[float]]:
+def _matrix(obj, key: str) -> tuple[float, float, float, float]:
+    """The entries of ``obj[key]``, a 2x2 matrix of JSON numbers, row by row."""
     try:
-        rows = obj[key]
-        out = [[_number(rows[i][j]) for j in range(2)] for i in range(2)]
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+        (a, b), (c, d) = obj[key]
+        # A JSON number only: float() also takes a numeric string or a boolean.
+        if not (type(a) in _NUMBER and type(b) in _NUMBER and type(c) in _NUMBER
+                and type(d) in _NUMBER):
+            raise TypeError(f"expected numbers, got {[[a, b], [c, d]]!r}")
+        return float(a), float(b), float(c), float(d)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GameFileError(f"field {key!r} must be a 2x2 numeric matrix") from exc
-    if len(rows) != 2 or any(len(r) != 2 for r in rows):
-        raise GameFileError(f"field {key!r} must be a 2x2 numeric matrix")
-    return out
 
 
 def load_game_file(path: str | Path) -> tuple[Game2x2, EmpathyMatrix]:
@@ -79,10 +80,10 @@ def load_game_file(path: str | Path) -> tuple[Game2x2, EmpathyMatrix]:
         raise GameFileError("game file must be a JSON object")
     a = _matrix(obj, "A")
     b = _matrix(obj, "B")
-    lam_rows = _matrix(obj, "Lambda") if "Lambda" in obj else [[1.0, 0.0], [0.0, 1.0]]
+    lam_entries = _matrix(obj, "Lambda") if "Lambda" in obj else (1.0, 0.0, 0.0, 1.0)
     try:
-        lam = EmpathyMatrix.from_rows(lam_rows)
-        game = Game2x2.from_matrices(a, b)
+        lam = EmpathyMatrix(*lam_entries)
+        game = Game2x2(*a, *b)
     except ValueError as exc:
         raise GameFileError(str(exc)) from exc
     return game, lam
@@ -96,13 +97,71 @@ def game_file_dict(g: Game2x2, lam: EmpathyMatrix) -> dict:
     }
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
 def canonical_json(obj) -> str:
     """Deterministic JSON text: sorted keys, two-space indent, trailing newline.
 
-    A float that is not finite has no JSON form, so it raises ValueError
-    instead of being written as ``Infinity`` or ``NaN``.
+    The text is ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``
+    plus a newline, written directly: json's indented form runs its
+    pure-Python encoder.  Values are tested in json's order (str, None, True,
+    False, int, float, list or tuple, dict) and anything else raises
+    TypeError.  Every key must be a str, else TypeError.  A float that is not
+    finite has no JSON form, so it raises ValueError instead of being written
+    as ``Infinity`` or ``NaN``.
     """
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    out: list[str] = []
+    _emit(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit(o, out: list[str], newline: str) -> None:
+    """Append the JSON text of ``o`` to ``out``; ``newline`` is the line
+    break and indent of the line ``o`` starts on."""
+    if isinstance(o, str):
+        out.append(_encode_str(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        if not -_INF < o < _INF:
+            raise ValueError("Out of range float values are not JSON compliant: " + repr(o))
+        out.append(float.__repr__(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _emit(v, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        for k in o:
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {k.__class__.__name__}")
+        inner = newline + "  "
+        sep = "{" + inner
+        for k in sorted(o):
+            out.append(sep + _encode_str(k) + ": ")
+            _emit(o[k], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC

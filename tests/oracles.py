@@ -23,9 +23,15 @@ in ``Fraction`` arithmetic on the float entries.
 populations from the state; ``reference_simulate`` writes out the step
 kernel and the loop around it on those rates, and ``reference_vector_field``
 the raw flow on a grid.
+``reference_canonical_json`` is the standard library's indented JSON, which
+``io.canonical_json`` must match byte for byte, and
+``reference_load_game_file`` reads a game file by indexing each entry and
+converting it twice, as ``io.load_game_file`` once did: the two must return
+the same game and weights, or raise the same ``GameFileError`` text.
 """
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -56,6 +62,7 @@ from empathica import (
     transform,
 )
 from empathica.hierarchy import LevelRecord
+from empathica.io import GameFileError
 
 CELLS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
@@ -768,3 +775,50 @@ def reference_deviation_gain(g: Game2x2, x: float, y: float) -> float:
     c2 = g.b12 * x + g.b22 * (1.0 - x)
     col_value = y * c1 + (1.0 - y) * c2
     return max(max(r1, r2) - row_value, max(c1, c2) - col_value)
+
+
+def reference_canonical_json(obj) -> str:
+    """Deterministic JSON text as the standard library writes it."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _reference_number(value) -> float:
+    # A JSON number only: float() also takes a numeric string or a boolean.
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _reference_matrix(obj, key: str) -> list[list[float]]:
+    try:
+        rows = obj[key]
+        out = [[_reference_number(rows[i][j]) for j in range(2)] for i in range(2)]
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+        raise GameFileError(f"field {key!r} must be a 2x2 numeric matrix") from exc
+    if len(rows) != 2 or any(len(r) != 2 for r in rows):
+        raise GameFileError(f"field {key!r} must be a 2x2 numeric matrix")
+    return out
+
+
+def reference_load_game_file(path) -> tuple[Game2x2, EmpathyMatrix]:
+    """Read a game description; a missing Lambda defaults to the identity."""
+    try:
+        with open(path, "rb", buffering=0) as f:
+            data = f.readall()
+    except OSError as exc:
+        raise GameFileError(f"cannot read {path}: {exc}") from exc
+    try:
+        obj = json.loads(data)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise GameFileError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise GameFileError("game file must be a JSON object")
+    a = _reference_matrix(obj, "A")
+    b = _reference_matrix(obj, "B")
+    lam_rows = _reference_matrix(obj, "Lambda") if "Lambda" in obj else [[1.0, 0.0], [0.0, 1.0]]
+    try:
+        lam = EmpathyMatrix.from_rows(lam_rows)
+        game = Game2x2.from_matrices(a, b)
+    except ValueError as exc:
+        raise GameFileError(str(exc)) from exc
+    return game, lam

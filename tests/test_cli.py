@@ -1,8 +1,11 @@
 import dataclasses
 import json
+import math
 import pathlib
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from empathica import LearningSchedule, PopulationState, RevisionProtocol, hierarchy, simulate
 from empathica.cli import main
@@ -15,6 +18,7 @@ from empathica.io import (
     trajectory_csv,
     write_text,
 )
+from oracles import reference_canonical_json, reference_load_game_file
 
 PD_TEXT = '{"A": [[3, 0], [5, 1]], "B": [[3, 5], [0, 1]]}'
 # Payoffs whose switch rates overflow the float range.
@@ -579,6 +583,102 @@ class TestCanonicalJson:
     def test_non_finite_floats_are_rejected(self, value):
         with pytest.raises(ValueError):
             canonical_json({"a": [1.0, value]})
+
+
+# Every character, control characters and lone surrogates included.
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308, 1.7976931348623157e308]
+)
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**400), 10**400)
+    | _FLOATS | _TEXT
+)
+
+
+def _nested(leaves):
+    return st.recursive(
+        leaves,
+        lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+        | st.dictionaries(_TEXT, kids, max_size=4),
+        max_leaves=25,
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except GameFileError as exc:
+        return f"GameFileError: {exc}"
+
+
+class TestCanonicalJsonOracle:
+    @example({"a": [], "b": {}, "c": (), "d": [[], {}]})
+    @given(_nested(_SCALARS))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_standard_library(self, obj):
+        assert canonical_json(obj) == reference_canonical_json(obj)
+
+    @given(_nested(_SCALARS | st.sampled_from([math.nan, math.inf, -math.inf])
+                   | st.builds(set) | st.builds(bytes) | st.builds(object)))
+    @settings(max_examples=400, deadline=None)
+    def test_raises_as_the_standard_library(self, obj):
+        try:
+            expected = reference_canonical_json(obj)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)) as got:
+                canonical_json(obj)
+            assert str(got.value) == str(exc)
+        else:
+            assert canonical_json(obj) == expected
+
+    @pytest.mark.parametrize("key", [1, 1.5, None, True, (1, 2)])
+    def test_a_key_that_is_not_a_str_raises_type_error(self, key):
+        with pytest.raises(TypeError, match="keys must be str"):
+            canonical_json({"a": 0, key: 1})
+
+
+# Entries that are no JSON number: booleans, numeric strings, integers past
+# the float range, null and containers.
+_WRONG = (
+    st.booleans() | st.none() | st.integers(10**308, 10**400) | st.integers(-(10**400), -(10**308))
+    | st.sampled_from(["3", "1.5", "NaN", "", [], {}, [1.0], {"0": 1.0}])
+)
+# A finite number; NaN or an infinity (json.dumps writes it as a NaN or
+# Infinity token) one time in twenty, and a wrong entry one time in twenty.
+_ENTRIES = st.integers(0, 19).flatmap(
+    lambda k: st.sampled_from([math.nan, math.inf, -math.inf]) if k == 0
+    else _WRONG if k == 1 else _FLOATS | st.integers(-10, 10)
+)
+_ROW = st.lists(_ENTRIES, min_size=2, max_size=2)
+_BAD_SHAPE = (
+    st.lists(_ENTRIES, max_size=3) | st.dictionaries(st.sampled_from(["0", "1", "ab"]), _ENTRIES)
+    | st.text(max_size=3) | _ENTRIES
+)
+# Two rows of two entries four times in five, so that B and Lambda are
+# reached too; else rows of the wrong number or shape.
+_MATRIX = st.integers(0, 4).flatmap(
+    lambda k: st.lists(_ROW, min_size=2, max_size=2) if k
+    else st.lists(_ROW | _BAD_SHAPE, min_size=2, max_size=2) | st.lists(_ROW, max_size=3) | _BAD_SHAPE
+)
+_GAME_FILES = st.fixed_dictionaries(
+    {"A": _MATRIX, "B": _MATRIX}, optional={"Lambda": _MATRIX, "note": _TEXT}
+)
+
+
+class TestGameFileOracle:
+    @example({"A": [[3, 0], [5, 1]], "B": [[3, 5], [0, 1]], "Lambda": [[math.nan, 0], [0, 1]]})
+    @example({"A": [[3, 0], [5, 1]], "B": [[math.inf, 5], [0, 1]], "Lambda": [[1, 0], [0, -math.inf]]})
+    @example({"A": [[3, 0], [5, 1]], "B": {"0": [1, 2], "1": [3, 4]}})
+    @example({"A": [[3, 0], "ab"], "B": [[3, 5], [0, 1]]})
+    @example({"A": [[3, 0], [5, 1]], "B": [[3, 5], [True, 1]]})
+    @example([[[3, 0], [5, 1]], [[3, 5], [0, 1]]])
+    @given(_GAME_FILES)
+    @settings(max_examples=600, deadline=None)
+    def test_matches_the_reference_reader(self, tmp_path_factory, obj):
+        path = tmp_path_factory.getbasetemp() / "game.json"
+        path.write_text(json.dumps(obj))
+        assert _outcome(load_game_file, path) == _outcome(reference_load_game_file, path)
 
 
 class TestTrajectoryCsv:

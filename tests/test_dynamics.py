@@ -21,6 +21,7 @@ from empathica import (
     transform,
     vector_field,
 )
+from empathica import dynamics
 from empathica.dynamics import _detect_cycle
 from oracles import (
     random_game,
@@ -167,6 +168,42 @@ class TestStep:
                     s = PopulationState(traj.p1[t], traj.p2[t])
                     nxt = step(s, proto, sched, pd, t)
                     assert (nxt.p1, nxt.p2) == (traj.p1[t + 1], traj.p2[t + 1]), (proto, sched, t)
+
+    def test_a_replay_builds_the_hybrid_rule_once(self, mp, monkeypatch):
+        # Replaying a run step by step reuses the rule while the same
+        # protocol and game objects come back, and every state stays that of
+        # reference_simulate, bit for bit.
+        proto = RevisionProtocol.parse("hybrid:smith=0.5,bnn=0.3,imitation=0.2")
+        sched = LearningSchedule.constant(0.05)
+        ref = reference_simulate(PopulationState(0.9, 0.2), proto, sched, mp, 1000,
+                                 detect_cycles=False)
+        assert len(ref) == 1001
+        built = []
+        rate_rule = dynamics._rate_rule
+
+        def counting(p, g):
+            built.append(p.kind)
+            return rate_rule(p, g)
+
+        monkeypatch.setattr(dynamics, "_rate_rule", counting)
+        s = PopulationState(ref.p1[0], ref.p2[0])
+        for t in range(1000):
+            s = step(s, proto, sched, mp, t)
+            assert repr((s.p1, s.p2)) == repr((ref.p1[t + 1], ref.p2[t + 1])), t
+        assert built == ["hybrid", "smith", "bnn", "imitation"]
+
+    def test_games_differing_in_a_zero_sign_do_not_share_a_rule(self):
+        # The games are equal, but their imitation shifts are -0.0 and 0.0,
+        # so u2 + shift at u2 = -0.0 is -0.0 under one and 0.0 under the
+        # other; a rule keyed on equality would hand one game the other's.
+        proto = RevisionProtocol.imitation()
+        state = PopulationState(0.5, 0.5)
+        pos = Game2x2(0.0, 0.0, -0.0, -0.0, 1.0, 1.0, 1.0, 1.0)
+        neg = Game2x2(-0.0, 0.0, -0.0, -0.0, 1.0, 1.0, 1.0, 1.0)
+        assert pos == neg
+        for game in (pos, neg, pos):
+            expected = reference_rates(proto, game)(state.p1, state.p2)[:2]
+            assert repr(switch_rates(proto, game, state, 1)) == repr(expected)
 
     def test_rejects_a_negative_step_index(self, pd):
         # At t = -3 a harmonic rate is negative, and at t = -1 it is 1/0.

@@ -306,6 +306,48 @@ class TestConstrainedEss:
         assert [(p.m, p.kind) for p in res.points] == [(0.5, EssKind.INTERIOR)]
         assert symmetric_equilibria(red).points == (0.5,)
 
+    @pytest.mark.parametrize(
+        "a_lam, m",
+        [
+            # beta1 = -1e-20, beta2 = -1: the root 1 / (1 + 1e-20) rounds to 1.
+            (((0.0, 1.0), (1e-20, 0.0)), 1.0),
+            # beta1 = -10, beta2 = -5e-324: the root underflows to 0.
+            (((0.0, 5e-324), (10.0, 0.0)), 0.0),
+        ],
+    )
+    def test_an_interior_root_rounding_to_a_corner_is_the_ess(self, a_lam, m):
+        red = diagonal_reduction(a_lam)
+        res = constrained_ess(red, Constraint.unconstrained())
+        assert [(p.m, p.kind) for p in res.points] == [(m, EssKind.INTERIOR)]
+        assert symmetric_equilibria(red).points == (m,)
+
+    # Roots next to a type-II bound alpha = 1/9 (listed nothing) and a
+    # type-I bound alpha = 8/11 (listed the bound, which lies past the root).
+    @example(-2.0, -16.0, 0.11111111111111116)
+    @example(-6.0, -16.0, 0.7272727272727273)
+    @given(st.floats(max_value=-5e-324, allow_infinity=False),
+           st.floats(max_value=-5e-324, allow_infinity=False),
+           st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_anti_coordination_has_one_ess_placed_by_the_exact_root(self, b1, b2, alpha):
+        # d falls through the exact root r*, so the one ESS is lo when
+        # r* <= lo, hi when r* >= hi, and the rounded root otherwise.  As
+        # 0 < r* < 1, a bound it passes is never a corner.
+        exact = Fraction(b2) / (Fraction(b1) + Fraction(b2))
+        for con in (type1(alpha), type2(alpha)):
+            lo, hi = con.feasible_interval
+            if lo == hi:
+                continue
+            points = [(p.m, p.kind) for p in constrained_ess(red_of(b1, b2), con).points]
+            if exact <= lo:
+                assert points == [(lo, EssKind.CONSTRAINT_BOUNDARY)]
+            elif exact >= hi:
+                assert points == [(hi, EssKind.CONSTRAINT_BOUNDARY)]
+            else:
+                (m, kind), = points
+                assert kind is EssKind.INTERIOR
+                assert symmetric_equilibria(red_of(b1, b2)).points == (m,)
+
     @given(st.floats(allow_nan=False, allow_infinity=False),
            st.floats(allow_nan=False, allow_infinity=False))
     @settings(max_examples=300, deadline=None)
