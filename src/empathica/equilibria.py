@@ -205,13 +205,12 @@ def _cell_payoffs(g: Game2x2) -> dict[Cell, tuple[float, float]]:
 
 def berge_solutions(g: Game2x2) -> list[Cell]:
     """Joint actions where each player's payoff is maximal over the
-    *opponent's* choices: mutual support rather than self-interest."""
-    pay = _cell_payoffs(g)
-    return [
-        (i, j)
-        for (i, j), (a, b) in pay.items()
-        if a >= pay[(i, 3 - j)][0] and b >= pay[(3 - i, j)][1]
-    ]
+    *opponent's* choices: mutual support rather than self-interest.  They are
+    the pure equilibria of the game with the two payoff matrices exchanged,
+    ``transform(g, EmpathyMatrix(0, 1, 1, 0))``."""
+    row = _best_responses(g.b11 - g.b21, g.b22 - g.b12)
+    col = _best_responses(g.a11 - g.a12, g.a22 - g.a21)
+    return [e.cell for e in _pure_equilibria(row, col)]
 
 
 def pareto_front(g: Game2x2) -> list[Cell]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .equilibria import _interior_root
-from .games import Game2x2
+from .games import Game2x2, _dyadic
 
 Matrix2 = tuple[tuple[float, float], tuple[float, float]]
 
@@ -226,14 +226,18 @@ class EssResult:
 def constrained_ess(red: DiagonalReduction, con: Constraint) -> EssResult:
     """Evolutionarily stable strategies on the feasible interval [lo, hi].
 
-    With d(m) = beta1*m - beta2*(1-m) the possible stable points are:
+    With d(m) = beta1*m - beta2*(1-m) = (beta1+beta2)*m - beta2 the stable
+    points are:
 
-    * hi, when d(hi) > 0 (or d(hi) = 0 with beta1 + beta2 < 0);
     * lo, when d(lo) < 0 (or d(lo) = 0 with beta1 + beta2 < 0);
-    * the indifference point beta2/(beta1+beta2), as ``_interior_root``
-      rounds it, when both betas are negative and the exact point lies
-      strictly inside (lo, hi); it is then the only ESS, and otherwise the
-      nearer endpoint is.
+    * hi, when d(hi) > 0 (or d(hi) = 0 with beta1 + beta2 < 0);
+    * when neither bound is stable and both betas are negative, the
+      indifference point beta2/(beta1+beta2) as ``_interior_root`` rounds
+      it: d falls through it, so it lies strictly inside (lo, hi).
+
+    Every sign of d is decided exactly, on lo, hi and the betas as
+    ``_dyadic`` integers, so a bound within rounding of the indifference
+    point is placed on the side where it lies.
 
     This reproduces the standard sign-pattern case table: under a type-I
     constraint [0, alpha], (beta1>0, beta2<=0) gives {alpha},
@@ -253,44 +257,25 @@ def constrained_ess(red: DiagonalReduction, con: Constraint) -> EssResult:
     b1, b2 = red.beta1, red.beta2
     if b1 == 0.0 and b2 == 0.0:
         return EssResult(points=(), exists=False, degenerate=True)
-    s = b1 + b2
-
-    def kind_of(m: float) -> EssKind:
-        if m == 0.0 or m == 1.0:
-            return EssKind.PURE_CORNER
-        if m == lo or m == hi:
-            return EssKind.CONSTRAINT_BOUNDARY
-        return EssKind.INTERIOR
-
     if lo == hi:
         # Singleton feasible set: the only feasible strategy is trivially
         # immune to (nonexistent) feasible invaders.
         return EssResult(points=(EssPoint(lo, EssKind.CONSTRAINT_BOUNDARY),), exists=True)
 
-    if b1 < 0.0 and b2 < 0.0:
-        # d falls from -beta2 > 0 to beta1 < 0 through the exact root r*, so
-        # the one stable point is lo when r* <= lo, hi when r* >= hi, and
-        # else the root itself, whatever it rounds to.  Each comparison
-        # (lo*s <= beta2, hi*s >= beta2) is decided exactly, on the values
-        # as integers over a common power of two.
-        ratios = [x.as_integer_ratio() for x in (lo, hi, b1, b2)]
-        scale = max(d for _, d in ratios)  # every denominator is a power of two
-        x_lo, x_hi, x1, x2 = (n * (scale // d) for n, d in ratios)
-        root = x2 * scale
-        if x_lo * (x1 + x2) <= root:
-            point = EssPoint(lo, kind_of(lo))
-        elif x_hi * (x1 + x2) >= root:
-            point = EssPoint(hi, kind_of(hi))
-        else:
-            point = EssPoint(_interior_root(b1, b2), EssKind.INTERIOR)
-        return EssResult(points=(point,), exists=True)
-
-    points: list[EssPoint] = []
-    d_hi = red.preference(hi)
-    if d_hi > 0.0 or (d_hi == 0.0 and s < 0.0):
-        points.append(EssPoint(hi, kind_of(hi)))
-    d_lo = red.preference(lo)
-    if d_lo < 0.0 or (d_lo == 0.0 and s < 0.0):
-        points.append(EssPoint(lo, kind_of(lo)))
-    points.sort(key=lambda p: p.m)
-    return EssResult(points=tuple(points), exists=bool(points))
+    # 1.0 comes out as the common denominator, so each d below is the exact
+    # d(m) times its square.
+    x_lo, x_hi, x1, x2, one = _dyadic(lo, hi, b1, b2, 1.0)
+    s = x1 + x2
+    d_lo, d_hi = x_lo * s - x2 * one, x_hi * s - x2 * one
+    bounds = []
+    if d_lo < 0 or d_lo == 0 and s < 0:
+        bounds.append(lo)
+    if d_hi > 0 or d_hi == 0 and s < 0:
+        bounds.append(hi)
+    if not bounds and b1 < 0.0 and b2 < 0.0:
+        return EssResult(points=(EssPoint(_interior_root(b1, b2), EssKind.INTERIOR),), exists=True)
+    points = tuple(
+        EssPoint(m, EssKind.PURE_CORNER if m == 0.0 or m == 1.0 else EssKind.CONSTRAINT_BOUNDARY)
+        for m in bounds
+    )
+    return EssResult(points=points, exists=bool(points))

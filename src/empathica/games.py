@@ -25,6 +25,15 @@ def _raise_first_non_finite(obj, values: tuple[float, ...]) -> None:
             raise ValueError(f"{field.name} must be a finite real number, got {value!r}")
 
 
+def _dyadic(*values: float) -> tuple[int, ...]:
+    """Finite floats as integers over one common power of two, the largest
+    of their denominators: sums, products and comparisons of the integers
+    are exact, with nothing rounding, overflowing or underflowing."""
+    ratios = [x.as_integer_ratio() for x in values]
+    scale = max(d for _, d in ratios)  # every denominator is a power of two
+    return tuple(n * (scale // d) for n, d in ratios)
+
+
 @dataclass(frozen=True)
 class Game2x2:
     """A two-player game with two actions per player and real payoffs."""

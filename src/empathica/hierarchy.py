@@ -24,6 +24,7 @@ from .games import (
     prisoners_dilemma,
     transform,
     _differences,
+    _dyadic,
     _powers,
     _transformed_differences,
 )
@@ -146,15 +147,13 @@ def _structural_base(lam: EmpathyMatrix) -> float | None:
     lam^2 = tr*lam - det*I must vanish at every level: the second eigenvalue,
     about det/tr, is within the band of each row's largest entry m_i,
     |det| <= 1e-12 * tr * min(m1, m2), and at most a fifth of the first,
-    8*|det| <= tr^2.  Both are decided exactly, on the entries as integers
-    over a common power of two, so nothing rounds, overflows or underflows.
+    8*|det| <= tr^2.  Both are decided exactly, on the entries as
+    ``_dyadic`` integers, so nothing rounds, overflows or underflows.
     """
     l11, l12, l21, l22 = lam.l11, lam.l12, lam.l21, lam.l22
     if l12 == 0.0 == l21 and l11 == l22:
         return l11 if l11 > 0.0 else None
-    ratios = [x.as_integer_ratio() for x in (l11, l12, l21, l22)]
-    scale = max(d for _, d in ratios)  # every denominator is a power of two
-    x11, x12, x21, x22 = (n * (scale // d) for n, d in ratios)
+    x11, x12, x21, x22 = _dyadic(l11, l12, l21, l22)
     det, tr = abs(x11 * x22 - x12 * x21), x11 + x22
     m = min(max(abs(x11), abs(x12)), max(abs(x21), abs(x22)))
     if det * _BAND_DEN > _BAND_NUM * tr * m or 8 * det > tr * tr:

@@ -16,6 +16,9 @@ arithmetic, and the library's float must lie within a few ulps of it.
 ``reference_dominated_actions`` compares each player's payoffs directly and
 ``reference_deviation_gain`` writes out its four expected payoffs; the
 library, which reads both from ``games``, must match them exactly.
+``reference_constrained_ess`` places the constrained ESS points from their
+definition in ``Fraction`` arithmetic, which the library must match exactly
+at the bounds and within a few ulps at the interior point.
 ``reference_structural_epsilons`` is the least-squares fit that once decided
 structural consistency; ``reference_structural_base`` decides it exactly,
 in ``Fraction`` arithmetic on the float entries.
@@ -204,6 +207,39 @@ def ess_invasion_oracle(
         if not out or abs(m - out[-1]) > 2.0 * (hi - lo) / (grid_n - 1):
             out.append(m)
     return out
+
+
+def reference_constrained_ess(beta1: float, beta2: float, lo: float, hi: float) -> list[Fraction]:
+    """Constrained ESS points of diag(beta1, beta2) on [lo, hi], ascending,
+    from the definition in ``Fraction`` arithmetic on the float inputs.
+
+    Playing y against m earns y*beta1*m + (1-y)*beta2*(1-m), so y earns
+    (m - y)*d(m) less than m does against m, with d(m) = beta1*m - beta2*(1-m).
+    m is an ESS when every feasible y != m earns less against m, or as much
+    against m and less against itself, (m - y)*d(y) > 0.  As d is linear,
+    each sign is the same for every y on one side of m, so y = lo and y = hi
+    stand for all invaders, and only lo, hi and the root of d can be ESS.
+    A degenerate game, beta1 = beta2 = 0, has none, also on a single point.
+    """
+    b1, b2, f_lo, f_hi = (Fraction(v) for v in (beta1, beta2, lo, hi))
+    if b1 == 0 == b2:
+        return []
+
+    def d(m: Fraction) -> Fraction:
+        return b1 * m - b2 * (1 - m)
+
+    candidates = [f_lo, f_hi]
+    if b1 + b2 != 0 and f_lo < b2 / (b1 + b2) < f_hi:
+        candidates.append(b2 / (b1 + b2))
+    return sorted(
+        m
+        for m in set(candidates)
+        if all(
+            (m - y) * d(m) > 0 or (m - y) * d(m) == 0 and (m - y) * d(y) > 0
+            for y in (f_lo, f_hi)
+            if y != m
+        )
+    )
 
 
 def random_game(rng: random.Random, span: float = 5.0) -> Game2x2:

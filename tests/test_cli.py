@@ -110,6 +110,11 @@ class TestExitCodes:
     def test_missing_input_is_exit_1(self):
         assert run("solve", "--input", "definitely_missing.json") == 1
 
+    def test_unreadable_input_is_exit_1(self, tmp_path, capsys):
+        # A directory exists as a path but cannot be read as a game file.
+        assert run("solve", "--input", str(tmp_path)) == 1
+        assert capsys.readouterr().err.startswith(f"empathica: cannot read {tmp_path}: ")
+
     def test_invalid_utf8_input_is_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "g.json"
         bad.write_bytes(PD_TEXT.encode() + b"\xff")

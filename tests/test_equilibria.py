@@ -226,6 +226,17 @@ class TestBerge:
     def test_cells_in_order_with_ties(self, g):
         assert berge_solutions(g) == sorted(brute_berge(g))
 
+    # Payoff differences that overflow, and zeros of both signs.
+    @example(Game2x2(1e308, -1e308, 0.0, -0.0, -1e308, 1e308, -0.0, 0.0))
+    @given(edge_games())
+    @settings(max_examples=500)
+    def test_pure_nash_of_the_exchanged_game(self, g):
+        # Exchanging the payoff matrices turns mutual support into best
+        # response: the Berge cells are that game's pure equilibria.
+        swapped = transform(g, EmpathyMatrix(0.0, 1.0, 1.0, 0.0))
+        assert berge_solutions(g) == [e.cell for e in pure_nash(swapped)]
+        assert set(berge_solutions(g)) == brute_berge(g)
+
 
 class TestBergeAltruismLink:
     def test_sufficient_mutual_altruism_makes_the_berge_cell_nash(self):

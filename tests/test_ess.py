@@ -18,7 +18,12 @@ from empathica import (
     homogeneous_payoff,
     symmetric_equilibria,
 )
-from oracles import ess_invasion_oracle, grid_symmetric_equilibria, random_game
+from oracles import (
+    ess_invasion_oracle,
+    grid_symmetric_equilibria,
+    random_game,
+    reference_constrained_ess,
+)
 
 
 def red_of(b1: float, b2: float) -> DiagonalReduction:
@@ -280,6 +285,11 @@ class TestConstrainedBestResponse:
             constrained_best_response(red_of(1.0, 1.0), type1(0.3), 0.9)
 
 
+# Beta magnitudes: small integers, whose roots are simple fractions, and
+# any float from zero to past half the float range.
+_BETA_SIZE = st.integers(1, 30).map(float) | st.floats(min_value=0.0, max_value=1e308)
+
+
 class TestConstrainedEss:
     def test_type1_dominant_first_action_pins_boundary(self):
         res = constrained_ess(red_of(2.0, -1.0), type1(0.6))
@@ -322,9 +332,12 @@ class TestConstrainedEss:
         assert symmetric_equilibria(red).points == (m,)
 
     # Roots next to a type-II bound alpha = 1/9 (listed nothing) and a
-    # type-I bound alpha = 8/11 (listed the bound, which lies past the root).
+    # type-I bound alpha = 8/11 (listed the bound, which lies past the root);
+    # feasible sets of the single point 0 and of the single point 1.
     @example(-2.0, -16.0, 0.11111111111111116)
     @example(-6.0, -16.0, 0.7272727272727273)
+    @example(-1.0, -1.0, 0.0)
+    @example(-1.0, -1.0, 1.0)
     @given(st.floats(max_value=-5e-324, allow_infinity=False),
            st.floats(max_value=-5e-324, allow_infinity=False),
            st.floats(min_value=0.0, max_value=1.0))
@@ -336,10 +349,11 @@ class TestConstrainedEss:
         exact = Fraction(b2) / (Fraction(b1) + Fraction(b2))
         for con in (type1(alpha), type2(alpha)):
             lo, hi = con.feasible_interval
-            if lo == hi:
-                continue
             points = [(p.m, p.kind) for p in constrained_ess(red_of(b1, b2), con).points]
-            if exact <= lo:
+            if lo == hi:
+                # The only feasible strategy has no feasible invader.
+                assert points == [(lo, EssKind.CONSTRAINT_BOUNDARY)]
+            elif exact <= lo:
                 assert points == [(lo, EssKind.CONSTRAINT_BOUNDARY)]
             elif exact >= hi:
                 assert points == [(hi, EssKind.CONSTRAINT_BOUNDARY)]
@@ -347,6 +361,55 @@ class TestConstrainedEss:
                 (m, kind), = points
                 assert kind is EssKind.INTERIOR
                 assert symmetric_equilibria(red_of(b1, b2)).points == (m,)
+
+    def test_coordination_bound_within_rounding_past_the_root_is_an_ess(self):
+        # beta1 = 8, beta2 = 19: the root 19/27 lies below the bound
+        # alpha = 0.7037037037037037 by 1.6e-17, so d(alpha) = +4.4e-16
+        # exactly, while beta1*alpha - beta2*(1 - alpha) rounds to zero.
+        red = diagonal_reduction(((8.0, 0.0), (0.0, 19.0)))
+        res = constrained_ess(red, Constraint(1.0, 0.0, 19 / 27))
+        assert [(p.m, p.kind) for p in res.points] == [
+            (0.0, EssKind.PURE_CORNER),
+            (0.7037037037037037, EssKind.CONSTRAINT_BOUNDARY),
+        ]
+
+    @example((1, 1), 8.0, 19.0, 0, 0.5)
+    @example((-1, -1), 2.0, 16.0, 1, 0.5)
+    @example((1, -1), 0.0, 3.0, 0, 1.0)
+    @example((-1, 1), 3.0, 0.0, 0, 0.0)
+    @given(
+        st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]),
+        _BETA_SIZE,
+        _BETA_SIZE,
+        st.integers(-4, 4),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_exact_reference(self, signs, size1, size2, ulps, fallback):
+        # Each bound sits a few ulps from the exact root, where the signs of
+        # d at the bounds are closest to rounding; a root outside [0, 1]
+        # leaves a bound drawn anywhere.
+        b1, b2 = signs[0] * size1, signs[1] * size2
+        alpha = fallback
+        s = Fraction(b1) + Fraction(b2)
+        if s != 0:
+            near = float(Fraction(b2) / s)
+            for _ in range(abs(ulps)):
+                near = math.nextafter(near, math.copysign(math.inf, ulps))
+            if 0.0 <= near <= 1.0:
+                alpha = near
+        # Both constraints give alpha itself, unrounded, as a bound.
+        for con in (Constraint(1.0, 0.0, alpha), Constraint(-1.0, 0.0, -alpha)):
+            lo, hi = con.feasible_interval
+            exact = reference_constrained_ess(b1, b2, lo, hi)
+            points = constrained_ess(red_of(b1, b2), con).points
+            assert len(points) == len(exact)
+            for p, e in zip(points, exact):
+                if p.kind is EssKind.INTERIOR:
+                    assert lo < e < hi
+                    assert abs(Fraction(p.m) - e) <= 4 * Fraction(math.ulp(p.m))
+                else:
+                    assert p.m in (lo, hi) and Fraction(p.m) == e
 
     @given(st.floats(allow_nan=False, allow_infinity=False),
            st.floats(allow_nan=False, allow_infinity=False))
