@@ -382,12 +382,9 @@ def region_map(
     # is built only where a difference is not finite, so an invalid weight
     # or an overflowing payoff raises at the same cell, with the same
     # message, as a row-major walk of every cell would.
-    row_keys = [
-        _player_key(*_transformed_differences(g, l11, l12, l21s[0], l22)[:2]) for l12 in l12s
-    ]
-    col_keys = [
-        _player_key(*_transformed_differences(g, l11, l12s[0], l21, l22)[2:]) for l21 in l21s
-    ]
+    differences = _transformed_differences(g)
+    row_keys = [_player_key(*differences(l11, l12, l21s[0], l22)[:2]) for l12 in l12s]
+    col_keys = [_player_key(*differences(l11, l12s[0], l21, l22)[2:]) for l21 in l21s]
     # A label depends only on the (row key, column key) pair, so each
     # distinct pair is looked up once, and a row of the map depends only on
     # its column key.

@@ -248,7 +248,9 @@ def constrained_ess(red: DiagonalReduction, con: Constraint) -> EssResult:
     resists invasion as well).  Type-II constraints [alpha, 1] mirror
     these cases.  When beta1 = beta2 = 0 the game is degenerate: every
     feasible strategy is an equilibrium but none resists invaders, so
-    no ESS exists.
+    no ESS exists.  That rule applies first, even to a one-point feasible
+    set; any other game's one feasible strategy is trivially an ESS, as it
+    has no feasible invader.
     """
     interval = con.feasible_interval
     if interval is None:

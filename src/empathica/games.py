@@ -10,7 +10,7 @@ negative diagonal weight a self-abnegating player.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -173,12 +173,15 @@ def _powers(lam: EmpathyMatrix, k_max: int) -> Iterator[Entries]:
     The one walk of matrix powers: ``EmpathyMatrix.power`` and every
     hierarchy function read it.
 
-    A power is formed only when the consumer asks for it, so a walk that
-    stops early never forms a later, possibly overflowing, product.  A power
-    with an entry that is not finite is built as an ``EmpathyMatrix``, which
-    raises the product's own error.
+    The entries are taken as floats once, before the first yield, so
+    integer-valued weights walk the same rounded powers as their floats, not
+    exact integer powers that outgrow the float range.  A power is formed
+    only when the consumer asks for it, so a walk that stops early never
+    forms a later, possibly overflowing, product.  A power with an entry
+    that is not finite is built as an ``EmpathyMatrix``, which raises the
+    product's own error.
     """
-    cur = lam.entries()
+    cur = tuple(map(float, lam.entries()))
     yield cur
     s11, s12, s21, s22 = c11, c12, c21, c22 = cur
     for _ in range(1, k_max):
@@ -248,22 +251,30 @@ def _best_responses(d1: float, d2: float) -> tuple[tuple[bool, bool], tuple[bool
 
 
 def _transformed_differences(
-    g: Game2x2, l11: float, l12: float, l21: float, l22: float
-) -> tuple[float, float, float, float]:
-    """``_differences(transform(g, EmpathyMatrix(l11, l12, l21, l22)))``
-    with the same float expressions in the same order, so bit for bit the
-    same values.  Where a difference is not finite, as a non-finite weight
-    or transformed payoff always makes one, the game is built so that
-    ``transform`` raises its own error."""
-    d1 = (l11 * g.a11 + l12 * g.b11) - (l11 * g.a21 + l12 * g.b21)
-    d2 = (l11 * g.a22 + l12 * g.b22) - (l11 * g.a12 + l12 * g.b12)
-    d3 = (l22 * g.b11 + l21 * g.a11) - (l22 * g.b12 + l21 * g.a12)
-    d4 = (l22 * g.b22 + l21 * g.a22) - (l22 * g.b21 + l21 * g.a21)
-    # The sum is finite only when every difference is; rare finite
-    # differences whose sum overflows only cost a needless build.
-    if not math.isfinite(d1 + d2 + d3 + d4):
-        transform(g, EmpathyMatrix(l11, l12, l21, l22))
-    return (d1, d2, d3, d4)
+    g: Game2x2,
+) -> Callable[[float, float, float, float], tuple[float, float, float, float]]:
+    """The function of four weights (l11, l12, l21, l22) that gives
+    ``_differences(transform(g, EmpathyMatrix(l11, l12, l21, l22)))`` with
+    the same float expressions in the same order, so bit for bit the same
+    values; ``g``'s eight payoffs are read once, here.  Where a difference
+    is not finite, as a non-finite weight or transformed payoff always makes
+    one, the game is built so that ``transform`` raises its own error."""
+    a11, a12, a21, a22, b11, b12, b21, b22 = (
+        g.a11, g.a12, g.a21, g.a22, g.b11, g.b12, g.b21, g.b22
+    )
+
+    def differences(l11: float, l12: float, l21: float, l22: float):
+        d1 = (l11 * a11 + l12 * b11) - (l11 * a21 + l12 * b21)
+        d2 = (l11 * a22 + l12 * b22) - (l11 * a12 + l12 * b12)
+        d3 = (l22 * b11 + l21 * a11) - (l22 * b12 + l21 * a12)
+        d4 = (l22 * b22 + l21 * a22) - (l22 * b21 + l21 * a21)
+        # The sum is finite only when every difference is; rare finite
+        # differences whose sum overflows only cost a needless build.
+        if not math.isfinite(d1 + d2 + d3 + d4):
+            transform(g, EmpathyMatrix(l11, l12, l21, l22))
+        return (d1, d2, d3, d4)
+
+    return differences
 
 
 class GameKind(Enum):

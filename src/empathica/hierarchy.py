@@ -9,6 +9,7 @@ exactly when lam = c*I with c > 0 or lam has rank one and a positive trace.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -66,16 +67,6 @@ def equilibrium_signature(g: Game2x2) -> str:
     """Canonical label of a game's equilibrium structure: pure-equilibrium
     cells, interior-mixed presence, and game class."""
     a1, a2, c1, c2 = _differences(g)
-    return _key_signature(_player_key(a1, a2), _player_key(c1, c2))
-
-
-def _level_signature(g: Game2x2, lam_k: Entries) -> str:
-    """``equilibrium_signature(transform(g, EmpathyMatrix(*lam_k)))`` for
-    finite entries ``lam_k``, without building the matrix or the level game
-    where every payoff difference is finite: the differences come from
-    ``_transformed_differences`` and are read only through each player's
-    ``_player_key``."""
-    a1, a2, c1, c2 = _transformed_differences(g, *lam_k)
     return _key_signature(_player_key(a1, a2), _player_key(c1, c2))
 
 
@@ -225,9 +216,12 @@ def check_consistency(
     The matrix powers are walked once, level by level (k_max - 1 products),
     and every battery game is probed at each level in battery order; the walk
     stops at the first mismatch, so the witness is the earliest offending
-    level and, within it, the first offending game.  Each level is labelled
-    straight from lam^k's four entries by ``_level_signature``, which builds a
-    level game only where a payoff difference is not finite.
+    level and, within it, the first offending game.  A level is read straight
+    from lam^k's four entries through ``_transformed_differences``, which
+    builds a level game only where a payoff difference is not finite, and
+    each player's ``_player_key``.  A signature is looked up only for a game
+    whose key pair differs from its level-1 pair: equal pairs have equal
+    signatures.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
@@ -235,23 +229,30 @@ def check_consistency(
     if not games:
         raise ValueError("battery must be non-empty")
 
-    lam_1 = lam.entries()
-    probes = [(g, _level_signature(g, lam_1)) for g in games]
+    powers = _powers(lam, k_max)
+    lam_1 = next(powers)  # level 1 is the reference
+    probes = []  # (differences, level-1 row key, level-1 column key, level-1 signature)
+    for g in games:
+        differences = _transformed_differences(g)
+        a1, a2, c1, c2 = differences(*lam_1)
+        row1, col1 = _player_key(a1, a2), _player_key(c1, c2)
+        probes.append((differences, row1, col1, _key_signature(row1, col1)))
     witness: tuple[int, int, str] | None = None  # (k, battery index, sig_k)
     levels_checked = 1
     guard_hit = False
-    powers = _powers(lam, k_max)
-    next(powers)  # level 1 is the reference
     for k, lam_k in enumerate(powers, 2):
         if _overflows(lam_k):
             guard_hit = True
             break
         levels_checked = k
-        for i, (g, sig1) in enumerate(probes):
-            sig = _level_signature(g, lam_k)
-            if sig != sig1:
-                witness = (k, i, sig)
-                break
+        for i, (differences, row1, col1, sig1) in enumerate(probes):
+            a1, a2, c1, c2 = differences(*lam_k)
+            row, col = _player_key(a1, a2), _player_key(c1, c2)
+            if row != row1 or col != col1:
+                sig = _key_signature(row, col)
+                if sig != sig1:
+                    witness = (k, i, sig)
+                    break
         if witness is not None:
             break
 
@@ -263,7 +264,7 @@ def check_consistency(
         first_bad_k=k,
         witness_index=idx,
         witness=None if idx is None else games[idx],
-        witness_signatures=None if idx is None else (probes[idx][1], sig_k),
+        witness_signatures=None if idx is None else (probes[idx][3], sig_k),
         levels_checked=levels_checked,
         guard_hit=guard_hit,
         structurally_consistent=eps is not None,
@@ -273,34 +274,48 @@ def check_consistency(
 
 @dataclass(frozen=True)
 class HierarchyAnalysis:
-    """Per-level weight matrices and equilibrium signatures for one game."""
+    """Per-level weight matrices and equilibrium signatures for one game:
+    ``powers[k - 1]`` holds the entries (l11, l12, l21, l22) of lam^k and
+    ``signatures[k - 1]`` the equilibrium signature of the level-k game."""
 
     lam: EmpathyMatrix
     k_max: int
-    levels: tuple[LevelRecord, ...]
+    powers: tuple[Entries, ...]
+    signatures: tuple[str, ...]
     consistent_up_to_k: bool
     spectral: SpectralRecord
+
+    @functools.cached_property
+    def levels(self) -> tuple[LevelRecord, ...]:
+        """One record per level, built on first read; level 1 keeps ``lam``."""
+        return tuple(
+            LevelRecord(k, self.lam if k == 1 else EmpathyMatrix(*lam_k), sig)
+            for k, (lam_k, sig) in enumerate(zip(self.powers, self.signatures), 1)
+        )
 
 
 def analyze_hierarchy(g: Game2x2, lam: EmpathyMatrix, k_max: int) -> HierarchyAnalysis:
     """Walk the matrix powers up to ``k_max`` for a single game, recording the
     weight matrix and equilibrium signature at each level.
 
-    Each level is labelled straight from lam^k's four entries by
-    ``_level_signature``, which builds a level game only where a payoff
-    difference is not finite."""
+    Each level is labelled straight from lam^k's four entries through
+    ``_transformed_differences``, which builds a level game only where a
+    payoff difference is not finite, and each player's ``_player_key``;
+    level k is labelled before lam^(k+1) is formed."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    levels = [
-        LevelRecord(k, lam if k == 1 else EmpathyMatrix(*lam_k), _level_signature(g, lam_k))
-        for k, lam_k in enumerate(_powers(lam, k_max), 1)
-    ]
-    consistent = all(rec.signature == levels[0].signature for rec in levels)
+    differences = _transformed_differences(g)
+    powers, signatures = [], []
+    for lam_k in _powers(lam, k_max):
+        a1, a2, c1, c2 = differences(*lam_k)
+        signatures.append(_key_signature(_player_key(a1, a2), _player_key(c1, c2)))
+        powers.append(lam_k)
     return HierarchyAnalysis(
         lam=lam,
         k_max=k_max,
-        levels=tuple(levels),
-        consistent_up_to_k=consistent,
+        powers=tuple(powers),
+        signatures=tuple(signatures),
+        consistent_up_to_k=signatures.count(signatures[0]) == k_max,
         spectral=spectral_limit(lam, k_max),
     )
 

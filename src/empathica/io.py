@@ -12,6 +12,7 @@ allow_nan=False)`` plus a newline; their keys must be str.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from pathlib import Path
@@ -228,13 +229,14 @@ def region_csv(rmap: RegionMap) -> str:
 
 
 def hierarchy_csv(analysis: HierarchyAnalysis) -> str:
+    """One row per level, from the analysis' power entries and signatures."""
     lines = ["k,l11_k,l12_k,l21_k,l22_k,eq_signature"]
-    for rec in analysis.levels:
-        m = rec.lam_k
-        lines.append(
-            f"{rec.k},{float(m.l11)!r},{float(m.l12)!r},{float(m.l21)!r},{float(m.l22)!r},"
-            f"{rec.signature}"
+    lines += [
+        f"{k},{l11!r},{l12!r},{l21!r},{l22!r},{sig}"
+        for k, (l11, l12, l21, l22), sig in zip(
+            itertools.count(1), analysis.powers, analysis.signatures
         )
+    ]
     return "\n".join(lines) + "\n"
 
 

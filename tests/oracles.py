@@ -546,15 +546,30 @@ def reference_equilibrium_signature(g: Game2x2) -> str:
 def reference_levels(g: Game2x2, lam: EmpathyMatrix, k_max: int) -> tuple[LevelRecord, ...]:
     """``analyze_hierarchy``'s levels with a full
     ``reference_equilibrium_signature`` call on every level game; lam^k is
-    formed as ``lam @ lam^(k-1)`` just before level k is labelled."""
+    formed as ``lam @ lam^(k-1)``, on lam's entries as floats, just before
+    level k is labelled.  Level 1 records ``lam`` itself."""
     levels = []
     lam_k = lam
+    base = EmpathyMatrix(*map(float, lam.entries()))
     for k in range(1, k_max + 1):
         if k > 1:
-            lam_k = lam @ lam_k
+            lam_k = base @ lam_k
         sig = reference_equilibrium_signature(transform(g, lam_k))
         levels.append(LevelRecord(k=k, lam_k=lam_k, signature=sig))
     return tuple(levels)
+
+
+def reference_hierarchy_csv(levels: tuple[LevelRecord, ...]) -> str:
+    """The hierarchy CSV written record by record: each level's k, its
+    power's four entries as floats and its signature."""
+    lines = ["k,l11_k,l12_k,l21_k,l22_k,eq_signature"]
+    for rec in levels:
+        m = rec.lam_k
+        lines.append(
+            f"{rec.k},{float(m.l11)!r},{float(m.l12)!r},{float(m.l21)!r},{float(m.l22)!r},"
+            f"{rec.signature}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def reference_structural_epsilons(lam: EmpathyMatrix, k_max: int):
@@ -618,7 +633,8 @@ def reference_check_consistency(lam: EmpathyMatrix, k_max: int, battery=None) ->
     """``check_consistency`` with a full ``reference_equilibrium_signature``
     call on every level game: levels k = 2..k_max in order, battery games in order
     within a level, stopping at the first mismatch or at the first power
-    past the 1e12 guard.  The structural fields come from
+    past the 1e12 guard.  lam^k is formed as ``lam @ lam^(k-1)`` on lam's
+    entries as floats.  The structural fields come from
     ``reference_structural_base`` and ``reference_exact_epsilons``."""
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
@@ -629,9 +645,9 @@ def reference_check_consistency(lam: EmpathyMatrix, k_max: int, battery=None) ->
     witness = None
     levels_checked = 1
     guard_hit = False
-    lam_k = lam
+    lam_k = base = EmpathyMatrix(*map(float, lam.entries()))
     for k in range(2, k_max + 1):
-        lam_k = lam @ lam_k
+        lam_k = base @ lam_k
         if max(abs(e) for e in lam_k.entries()) > 1e12:
             guard_hit = True
             break

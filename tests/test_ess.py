@@ -11,6 +11,8 @@ from empathica import (
     ConstraintType,
     DiagonalReduction,
     EssKind,
+    EssPoint,
+    EssResult,
     Game2x2,
     constrained_best_response,
     constrained_ess,
@@ -423,6 +425,14 @@ class TestConstrainedEss:
     def test_degenerate_has_no_ess(self):
         res = constrained_ess(red_of(0.0, 0.0), type1(0.5))
         assert res.degenerate and not res.exists
+
+    def test_degenerate_rule_applies_before_the_singleton_rule(self):
+        con = Constraint(1.0, 0.0, 0.0)
+        assert con.feasible_interval == (0.0, 0.0)
+        assert constrained_ess(red_of(0.0, 0.0), con) == EssResult((), exists=False, degenerate=True)
+        assert constrained_ess(red_of(1.0, 0.0), con) == EssResult(
+            (EssPoint(0.0, EssKind.CONSTRAINT_BOUNDARY),), exists=True
+        )
 
     def test_empty_feasible_set_raises(self):
         with pytest.raises(ValueError):

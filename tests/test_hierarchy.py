@@ -35,6 +35,7 @@ from oracles import (
     edge_games,
     reference_check_consistency,
     reference_equilibrium_signature,
+    reference_hierarchy_csv,
     reference_levels,
     reference_exact_epsilons,
     reference_structural_base,
@@ -398,6 +399,22 @@ class TestLevelsAreLabelledWithoutLevelGames:
         assert verdict.levels_checked == 200
         assert built == []
 
+    @pytest.mark.parametrize("lam, lookups", [(EmpathyMatrix.identity(), 4), (ones(-0.8), 5)])
+    def test_signatures_are_looked_up_only_for_a_changed_key_pair(self, monkeypatch, lam, lookups):
+        # One lookup per battery game at level 1; the identity keeps every
+        # key pair, and ones(-0.8) changes the first game's at level 2.
+        looked_up = []
+        real = _key_signature
+
+        def counting(row, col):
+            looked_up.append((row, col))
+            return real(row, col)
+
+        monkeypatch.setattr("empathica.hierarchy._key_signature", counting)
+        verdict = check_consistency(lam, 50)
+        assert len(looked_up) == lookups
+        assert verdict == reference_check_consistency(lam, 50)
+
     def test_analyze_hierarchy(self, built, pd):
         analysis = analyze_hierarchy(pd, ones(0.8), 200)
         assert len(analysis.levels) == 200
@@ -429,7 +446,7 @@ class TestTransformedDifferences:
     @example(Game2x2(-0.0, 0.0, 0.0, -0.0, 0.0, -0.0, -0.0, 0.0), EmpathyMatrix(-1.0, 0.0, 0.0, -1.0))
     @settings(max_examples=300, deadline=None)
     def test_bit_for_bit_the_level_games_differences(self, g, lam):
-        fast = _outcome(_transformed_differences, g, *lam.entries())
+        fast = _outcome(_transformed_differences(g), *lam.entries())
         try:
             built = transform(g, lam)
         except ValueError as exc:
@@ -608,6 +625,13 @@ class TestSpectralLimit:
         assert rec.rho == pytest.approx(0.5)
         assert rec.limit_kind is LimitKind.ZERO
 
+    def test_unit_radius_jordan_block_past_the_guard_diverges(self):
+        # Both eigenvalues are 1, so the powers (1, k*1e13; 0, 1) are
+        # walked; lam^2 is past the overflow guard and never Cauchy.
+        rec = spectral_limit(EmpathyMatrix(1.0, 1e13, 0.0, 1.0), 5)
+        assert rec.rho == 1.0
+        assert rec.limit_kind is LimitKind.DIVERGES
+
 
 class TestAnalyzeHierarchy:
     def test_levels_enumerate_matrix_powers(self, pd):
@@ -648,6 +672,32 @@ class TestAnalyzeHierarchy:
         assert len(analysis.levels) == 308
         assert analysis.levels[-1].lam_k == lam.power(308)
 
+    def test_levels_are_built_once_on_first_read(self, pd):
+        analysis = analyze_hierarchy(pd, ones(0.8), 20)
+        hierarchy_csv(analysis)
+        assert "levels" not in vars(analysis)  # the CSV reads the tuples
+        levels = analysis.levels
+        assert analysis.levels is levels
+        assert levels == reference_levels(pd, ones(0.8), 20)
+
+    @pytest.mark.parametrize(
+        "lam, k_max",
+        [
+            (EmpathyMatrix(3, 1, 2, 5), 60),  # integer-valued
+            (EmpathyMatrix(-0.0, 0.0, 0.0, -0.0), 4),
+            (EmpathyMatrix(1.0, -0.0, -0.0, 1.0), 4),
+            (EmpathyMatrix(10.0, 0.0, 0.0, 10.0), 308),  # the last finite level
+            (EmpathyMatrix(10.0, 0.0, 0.0, 10.0), 400),  # overflows
+            (EmpathyMatrix(10, 0, 0, 10), 400),
+            (EmpathyMatrix(1e200, 0.0, 0.0, 1.0), 3),
+        ],
+    )
+    @pytest.mark.parametrize("g", [prisoners_dilemma(), matching_pennies()])
+    def test_csv_matches_the_records_of_the_reference(self, g, lam, k_max):
+        fast = _outcome(lambda: hierarchy_csv(analyze_hierarchy(g, lam, k_max)))
+        slow = _outcome(lambda: reference_hierarchy_csv(reference_levels(g, lam, k_max)))
+        assert fast == slow
+
     def test_sign_flip_breaks_signature(self, pd):
         analysis = analyze_hierarchy(pd, ones(-0.8), k_max=4)
         assert not analysis.consistent_up_to_k
@@ -676,7 +726,11 @@ def assert_walks_match_reference(g, lam, k_max, battery=None):
     else:
         assert analysis.levels == levels
         assert hierarchy_csv(analysis) == hierarchy_csv(
-            dataclasses.replace(analysis, levels=levels)
+            dataclasses.replace(
+                analysis,
+                powers=tuple(rec.lam_k.entries() for rec in levels),
+                signatures=tuple(rec.signature for rec in levels),
+            )
         )
     assert _outcome(check_consistency, lam, k_max, battery) == _outcome(
         reference_check_consistency, lam, k_max, battery
@@ -912,6 +966,21 @@ class TestOverflowParity:
         lam = EmpathyMatrix(10.0, 0.0, 0.0, 10.0)
         assert _outcome(analyze_hierarchy, g, lam, 400) == f"ValueError: {message}"
         assert _outcome(reference_levels, g, lam, 400) == f"ValueError: {message}"
+
+    def test_integer_weights_walk_their_floats(self, pd):
+        # Walked as exact integer powers, 10^309 cannot be converted to a
+        # float, and the (3, 1; 2, 5) powers leave the float walk's rounded
+        # ones at level 23.
+        message = "ValueError: l11 must be a finite real number, got inf"
+        assert _outcome(EmpathyMatrix(10, 0, 0, 10).power, 400) == message
+        assert _outcome(EmpathyMatrix(10.0, 0.0, 0.0, 10.0).power, 400) == message
+        assert _outcome(analyze_hierarchy, pd, EmpathyMatrix(10, 0, 0, 10), 400) == _outcome(
+            analyze_hierarchy, pd, EmpathyMatrix(10.0, 0.0, 0.0, 10.0), 400
+        )
+        assert hierarchy_csv(analyze_hierarchy(pd, EmpathyMatrix(3, 1, 2, 5), 60)) == hierarchy_csv(
+            analyze_hierarchy(pd, EmpathyMatrix(3.0, 1.0, 2.0, 5.0), 60)
+        )
+        assert EmpathyMatrix(3, 1, 2, 5).power(60) == EmpathyMatrix(3.0, 1.0, 2.0, 5.0).power(60)
 
     def test_check_consistency(self):
         # The battery's level-1 games are finite, and lam^2 overflows.
