@@ -464,13 +464,14 @@ def vector_field(proto: RevisionProtocol, game: Game2x2, resolution: int) -> Vec
     rule = _rule_for(proto, game)
     coords = [k / (resolution - 1) for k in range(resolution)]
     # Row payoffs depend on p2 alone and column payoffs on p1 alone, so each
-    # grid value's payoffs are formed once, for both axes.
+    # grid value's payoffs are formed once, for both axes, and each column's
+    # (p1, 1 - p1, column payoffs) once, for every row.
     pays = [_payoffs(game, v, v) for v in coords]
+    cols = [(p1, 1.0 - p1, c1, c2) for p1, (_, _, c1, c2) in zip(coords, pays)]
     rows = []
     for p2, (r1, r2, _, _) in zip(coords, pays):
         q2 = 1.0 - p2
-        for p1, (_, _, c1, c2) in zip(coords, pays):
-            q1 = 1.0 - p1
+        for p1, q1, c1, c2 in cols:
             e112, e121 = rule(p1, q1, r1, r2)
             e212, e221 = rule(p2, q2, c1, c2)
             dp1 = q1 * e121 - p1 * e112

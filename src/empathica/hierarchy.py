@@ -301,14 +301,22 @@ def analyze_hierarchy(g: Game2x2, lam: EmpathyMatrix, k_max: int) -> HierarchyAn
     Each level is labelled straight from lam^k's four entries through
     ``_transformed_differences``, which builds a level game only where a
     payoff difference is not finite, and each player's ``_player_key``;
-    level k is labelled before lam^(k+1) is formed."""
+    level k is labelled before lam^(k+1) is formed.  A signature is looked
+    up only for a level whose key pair differs from the previous level's:
+    equal pairs have equal signatures, and consecutive levels mostly share
+    theirs."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     differences = _transformed_differences(g)
     powers, signatures = [], []
+    row_k = col_k = sig = None  # the last key pair looked up, and its signature
     for lam_k in _powers(lam, k_max):
         a1, a2, c1, c2 = differences(*lam_k)
-        signatures.append(_key_signature(_player_key(a1, a2), _player_key(c1, c2)))
+        row, col = _player_key(a1, a2), _player_key(c1, c2)
+        if row != row_k or col != col_k:
+            row_k, col_k = row, col
+            sig = _key_signature(row, col)
+        signatures.append(sig)
         powers.append(lam_k)
     return HierarchyAnalysis(
         lam=lam,

@@ -198,10 +198,31 @@ def trajectory_csv(traj: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Reprs(dict):
+    """``repr`` of each float, formatted on first lookup.  Two equal nonzero
+    floats have the same bits, so one text serves both; 0.0 == -0.0, so a
+    zero is formatted at every lookup and keeps its sign."""
+
+    def __missing__(self, f: float) -> str:
+        text = repr(f)
+        if f:
+            self[f] = text
+        return text
+
+
 def vector_field_csv(field: VectorField) -> str:
+    """Rows in ``field.rows`` order, every entry as its float's ``repr``.
+
+    A grid's coordinate columns repeat a few values, so each distinct
+    coordinate is formatted once (``_Reprs``); the flow columns are
+    formatted per row.
+    """
+    coord = _Reprs()
     lines = ["p1,p2,dp1,dp2"]
-    for p1, p2, d1, d2 in field.rows:
-        lines.append(f"{float(p1)!r},{float(p2)!r},{float(d1)!r},{float(d2)!r}")
+    lines += [
+        f"{coord[float(p1)]},{coord[float(p2)]},{float(d1)!r},{float(d2)!r}"
+        for p1, p2, d1, d2 in field.rows
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -260,7 +281,10 @@ _SVG_MARGIN = 40  # blank border around the unit square
 
 def phase_portrait_svg(field: VectorField, trajectories: tuple[Trajectory, ...] = ()) -> str:
     """Minimal standalone SVG: flow arrows on the unit square plus optional
-    trajectory polylines.  Arrow lengths are normalized to the grid spacing."""
+    trajectory polylines.  Arrow lengths are normalized to the grid spacing,
+    so ``field.resolution`` must be at least 2, as ``vector_field`` requires."""
+    if field.resolution < 2:
+        raise ValueError("resolution must be at least 2")
     span = _SVG_SIZE - 2 * _SVG_MARGIN
 
     def sx(x: float) -> float:

@@ -12,7 +12,9 @@ payoff-subtraction forms of ``classify`` and ``mixed_nash``, each player
 written out on its own, which the library must match bit for bit, apart
 from the interior point: ``exact_interior_point`` places it in ``Fraction``
 arithmetic, and the library's float must lie within a few ulps of it.
-``reference_region_csv`` writes the region CSV one line per cell.
+``reference_region_csv`` writes the region CSV one line per cell, and
+``reference_vector_field_csv`` the vector-field CSV one line per row, each
+entry formatted on its own.
 ``reference_dominated_actions`` compares each player's payoffs directly and
 ``reference_deviation_gain`` writes out its four expected payoffs; the
 library, which reads both from ``games``, must match them exactly.
@@ -787,6 +789,16 @@ def reference_region_csv(rmap: RegionMap) -> str:
     for l21, labels in zip(rmap.l21_values, rmap.labels):
         l21_text = repr(float(l21))
         lines.extend(f"{l12},{l21_text},{label}" for l12, label in zip(l12s, labels))
+    return "\n".join(lines) + "\n"
+
+
+def reference_vector_field_csv(field: VectorField) -> str:
+    """The vector-field CSV written one f-string per row, in ``field.rows``
+    order, with every entry converted by ``float`` and formatted by ``repr``
+    on its own."""
+    lines = ["p1,p2,dp1,dp2"]
+    for p1, p2, d1, d2 in field.rows:
+        lines.append(f"{float(p1)!r},{float(p2)!r},{float(d1)!r},{float(d2)!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -12,6 +12,7 @@ from empathica import (
     LearningSchedule,
     PopulationState,
     RevisionProtocol,
+    VectorField,
     classify,
     pure_nash,
     simulate,
@@ -23,12 +24,14 @@ from empathica import (
 )
 from empathica import dynamics
 from empathica.dynamics import _detect_cycle
+from empathica.io import fixtures_dir, load_game_file, phase_portrait_svg, vector_field_csv
 from oracles import (
     random_game,
     reference_detect_cycle,
     reference_rates,
     reference_simulate,
     reference_vector_field,
+    reference_vector_field_csv,
 )
 
 ALL_PROTOS = (
@@ -623,6 +626,58 @@ class TestVectorField:
         g = Game2x2(1e308, -1e308, -1e308, 1e308, -1e308, 1e308, 1e308, -1e308)
         with pytest.raises(ValueError, match="switch rates overflow the float range"):
             vector_field(proto, g, resolution=3)
+
+
+class TestFieldWriters:
+    """``vector_field_csv`` formats each distinct coordinate once; it must
+    write ``reference_vector_field_csv``'s bytes, which format every entry
+    on its own, for any rows in any order."""
+
+    ODD = (0, 1, True, False, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+           2.2250738585072014e-308, 1e308, -1e308, 0.5, -0.5, 1.0, 2)
+
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0), (0, -0.0), (-0.0, False)])
+    def test_a_zero_keeps_its_sign(self, column, zeros):
+        rows = []
+        for z in zeros * 2:
+            row = [0.25, 0.25, z, -z]
+            row[column] = z
+            rows.append(tuple(row))
+        field = VectorField(2, tuple(rows))
+        csv = vector_field_csv(field)
+        assert csv == reference_vector_field_csv(field)
+        assert [line.split(",")[column] for line in csv.splitlines()[1:]] == [
+            repr(float(z)) for z in zeros * 2
+        ]
+
+    def test_ints_bools_and_extreme_floats(self):
+        rows = tuple((a, b, b, a) for a in self.ODD for b in self.ODD)
+        field = VectorField(len(self.ODD), rows)
+        assert vector_field_csv(field) == reference_vector_field_csv(field)
+
+    @given(st.lists(
+        st.tuples(*[st.one_of(st.floats(), st.integers(-3, 3), st.booleans(),
+                              st.sampled_from((0.0, -0.0, 0.1, -0.1)))] * 4),
+        max_size=40,
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_off_the_grid_in_any_order(self, rows):
+        field = VectorField(2, tuple(rows))
+        assert vector_field_csv(field) == reference_vector_field_csv(field)
+
+    @pytest.mark.parametrize("proto", TestRateOracle.PROTOS, ids=lambda p: p.kind)
+    def test_library_fields_of_the_fixtures(self, proto):
+        for path in sorted(fixtures_dir().glob("*.json")):
+            game, lam = load_game_file(path)
+            for g in (game, transform(game, lam)):
+                for resolution in (2, 3, 21, 40):
+                    field = vector_field(proto, g, resolution)
+                    assert vector_field_csv(field) == reference_vector_field_csv(field)
+
+    def test_portrait_needs_two_grid_values(self):
+        with pytest.raises(ValueError, match="resolution must be at least 2"):
+            phase_portrait_svg(VectorField(1, ((0.5, 0.5, 0.0, 0.0),)))
 
 
 class TestStabilization:

@@ -394,26 +394,52 @@ class TestLevelsAreLabelledWithoutLevelGames:
         monkeypatch.setattr("empathica.games.transform", counting)
         return games
 
+    @pytest.fixture
+    def looked_up(self, monkeypatch):
+        """The key pairs that ``hierarchy`` looks up signatures for, in order."""
+        pairs = []
+        real = _key_signature
+
+        def counting(row, col):
+            pairs.append((row, col))
+            return real(row, col)
+
+        monkeypatch.setattr("empathica.hierarchy._key_signature", counting)
+        return pairs
+
     def test_check_consistency(self, built):
         verdict = check_consistency(ones(1.0), 200)
         assert verdict.levels_checked == 200
         assert built == []
 
     @pytest.mark.parametrize("lam, lookups", [(EmpathyMatrix.identity(), 4), (ones(-0.8), 5)])
-    def test_signatures_are_looked_up_only_for_a_changed_key_pair(self, monkeypatch, lam, lookups):
+    def test_signatures_are_looked_up_only_for_a_changed_key_pair(self, looked_up, lam, lookups):
         # One lookup per battery game at level 1; the identity keeps every
         # key pair, and ones(-0.8) changes the first game's at level 2.
-        looked_up = []
-        real = _key_signature
-
-        def counting(row, col):
-            looked_up.append((row, col))
-            return real(row, col)
-
-        monkeypatch.setattr("empathica.hierarchy._key_signature", counting)
         verdict = check_consistency(lam, 50)
         assert len(looked_up) == lookups
         assert verdict == reference_check_consistency(lam, 50)
+
+    @pytest.mark.parametrize("lam, k_max, lookups", [
+        (EmpathyMatrix.identity(), 50, 1),
+        (ones(0.8), 200, 1),
+        # Pure altruism alternates between the dilemma and its exchanged
+        # game, and ones(-0.8) between a game and its negation.
+        (EmpathyMatrix(0.0, 1.0, 1.0, 0.0), 50, 50),
+        (ones(-0.8), 50, 50),
+        # Complex eigenvalues turn the level games a little at each level.
+        (EmpathyMatrix(1.0, 0.5, -0.25, 1.0), 200, None),
+    ])
+    def test_walk_looks_up_a_signature_per_run_of_equal_key_pairs(
+        self, looked_up, pd, lam, k_max, lookups
+    ):
+        analysis = analyze_hierarchy(pd, lam, k_max)
+        reference = reference_levels(pd, lam, k_max)
+        keys = [level_key(transform(pd, rec.lam_k)) for rec in reference]
+        runs = [key for i, key in enumerate(keys) if i == 0 or key != keys[i - 1]]
+        assert looked_up == runs
+        assert lookups is None or len(runs) == lookups
+        assert analysis.levels == reference
 
     def test_analyze_hierarchy(self, built, pd):
         analysis = analyze_hierarchy(pd, ones(0.8), 200)

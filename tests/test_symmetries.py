@@ -13,9 +13,9 @@ structure over exactly:
   infinite, so draws where one does are discarded.
 
 Each layer's outputs for the mapped game must equal the original outputs
-mapped.  Relabelling is not applied to ``simulate``: there the mapped
-state 1 - p is rounded at every step, so the two runs drift apart, and a
-bound on that drift is left open.
+mapped.  Under relabelling, ``simulate`` maps a state (p1, p2) to
+(1 - p1, p2), which is rounded at every step, so the two runs drift apart
+within ``relabel_drift_bounds``.
 """
 from __future__ import annotations
 
@@ -71,6 +71,39 @@ any_games = edge_games() | moderate_games | small_int_games
 weights = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.25, 2.0, 1e-3])
 lams = st.builds(EmpathyMatrix, weights, weights, weights, weights)
 ranges = st.tuples(st.floats(-2.0, 1.0), st.floats(0.5, 3.0)).map(lambda t: (t[0], t[0] + t[1]))
+
+
+def relabel_drift_bounds(g: Game2x2, sched: LearningSchedule, n: int) -> list[float]:
+    """Bounds on max(|p1' - (1 - p1)|, |p2' - p2|) at steps 0 .. n-1 between
+    a run (p1, p2) of ``g`` and a run (p1', p2) of ``relabel_game(g)`` with
+    p1' = fl(1 - p1), while every lam_t * spread <= 1/2.
+
+    In real arithmetic the two step maps agree under p1 -> 1 - p1.  Let S be
+    the payoffs' spread (max - min) and M their largest magnitude.
+    * Every switch rate is at most S, so with lam_t * S <= 1/2 the cap is
+      lam_t, the exact step stays in the unit square, and the clamp moves no
+      exact state: it only shortens a rounding error.
+    * Each protocol's flow is Lipschitz in the max norm with constant 4S:
+      with d = u2 - u1 (|d| <= S, |dd/dp_other| <= 2S), the replicator and
+      imitation flow is -m*n*d, Smith's n*max(-d, 0) - m*max(d, 0) and
+      BNN's -m^2*d or -n^2*d, and a hybrid's is a convex combination.  So
+      one exact step grows a difference of states by at most 1 + 4*lam_t*S.
+    * One float step is within u*(4 + 64*lam_t*M) of the exact step from
+      the same state, with u = 2^-53: a few roundings of values below 2 in
+      the update, and the payoffs' roundings, scaled by at most lam_t.
+    So e_0 <= u/2 (one rounding of 1 - p1) and
+    e_{t+1} <= (1 + 4*lam_t*S)*e_t + 2*u*(4 + 64*lam_t*M).
+    """
+    payoffs = astuple(g)
+    spread = max(payoffs) - min(payoffs)
+    size = max(map(abs, payoffs))
+    u = 2.0**-53
+    bounds = [u / 2]
+    for t in range(n - 1):
+        lam = sched.rate(t)
+        assert lam * spread <= 0.5
+        bounds.append((1.0 + 4.0 * lam * spread) * bounds[-1] + 2.0 * u * (4.0 + 64.0 * lam * size))
+    return bounds
 
 
 def swap_game(g: Game2x2) -> Game2x2:
@@ -335,6 +368,32 @@ class TestRowRelabelling:
     @settings(max_examples=400, deadline=None)
     def test_equilibrium_layers(self, g):
         assert_layers_map(g, relabel_game(g), Relabel)
+
+    @given(
+        st.one_of(small_int_games, st.builds(Game2x2, *([st.floats(-2.0, 2.0)] * 8))),
+        st.sampled_from(["replicator", "smith", "bnn", "imitation", "hybrid:smith=0.5,bnn=0.5"]),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.sampled_from([LearningSchedule.constant(0.01), LearningSchedule.harmonic(0.05)]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_simulate_within_the_drift_bound(self, g, proto, p1, p2, sched):
+        proto = RevisionProtocol.parse(proto)
+        run = simulate(PopulationState(p1, p2), proto, sched, g, 100, detect_cycles=False)
+        mapped = simulate(
+            PopulationState(1.0 - p1, p2), proto, sched, relabel_game(g), 100, detect_cycles=False
+        )
+        n = min(len(run), len(mapped))
+        for t, bound in enumerate(relabel_drift_bounds(g, sched, n)):
+            assert abs(Fraction(mapped.p1[t]) - (1 - Fraction(run.p1[t]))) <= bound
+            assert abs(Fraction(mapped.p2[t]) - Fraction(run.p2[t])) <= bound
+        # Each run stops at the end of a window of steps whose change is
+        # below a threshold; a change within the drift of the threshold may
+        # close one run's window at another step, but only by converging.
+        if len(run) == len(mapped):
+            assert run.diagnostics.converged == mapped.diagnostics.converged
+        else:
+            assert (run if len(run) < len(mapped) else mapped).diagnostics.converged
 
 
 class TestPowerOfTwoScaling:
