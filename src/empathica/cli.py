@@ -9,16 +9,17 @@ sibling files (diagnostics JSON, optional SVG) derived from the --out stem.
 An --out whose suffix is a sibling's (``simulate --out r.json``) is exit 2,
 with nothing written.  A command that cannot write one of its files removes
 those it already wrote.
+Each command imports its layer when it runs, so a run loads only ``io``,
+``games`` and that layer with what it imports.
 """
 from __future__ import annotations
 
 import argparse
 import math
-import random
 import sys
 from pathlib import Path
 
-from . import dynamics, equilibria, ess, hierarchy, io
+from . import io
 from .games import EmpathyMatrix, classify, transform
 
 
@@ -95,6 +96,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from . import equilibria
+
     game, lam = _load(args)
     eqs = equilibria.two_population_equilibria(game, lam)
     report = io.equilibrium_set_dict(eqs)
@@ -104,6 +107,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_ess(args) -> int:
+    from . import ess
+
     game, _ = _load(args)
     a_lam = ess.homogeneous_payoff(game, args.sigma, args.mu)
     red = ess.diagonal_reduction(a_lam)
@@ -146,6 +151,8 @@ def _out_path(args, default_name: str) -> Path:
 
 
 def cmd_simulate(args) -> int:
+    from . import dynamics
+
     game, lam = _load(args)
     played = transform(game, lam)
     proto = dynamics.RevisionProtocol.parse(args.protocol)
@@ -153,6 +160,8 @@ def cmd_simulate(args) -> int:
     if args.start is not None:
         s0 = dynamics.PopulationState(args.start[0], args.start[1])
     else:
+        import random
+
         rng = random.Random(args.seed)
         s0 = dynamics.PopulationState(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
     traj = dynamics.simulate(s0, proto, sched, played, steps=args.steps)
@@ -179,6 +188,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_field(args) -> int:
+    from . import dynamics
+
     game, lam = _load(args)
     played = transform(game, lam)
     proto = dynamics.RevisionProtocol.parse(args.protocol)
@@ -192,6 +203,8 @@ def cmd_field(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import equilibria
+
     game, _ = _load(args)
     rmap = equilibria.region_map(
         game,
@@ -205,6 +218,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_hierarchy(args) -> int:
+    from . import hierarchy
+
     game, lam = _load(args)
     analysis = hierarchy.analyze_hierarchy(game, lam, k_max=args.kmax)
     verdict = hierarchy.check_consistency(lam, k_max=args.kmax)

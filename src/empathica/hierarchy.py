@@ -42,6 +42,14 @@ def _overflows(m: Entries) -> bool:
     return max(map(abs, m)) > _DIVERGENCE_GUARD
 
 
+def _times_pow2(x: float, e: int) -> float:
+    """x * 2^e, rounded once, and +-inf past the float range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 _DEFAULT_BATTERY = (
     prisoners_dilemma(),
     coordination_game(),
@@ -92,6 +100,20 @@ class SpectralRecord:
     limit: EmpathyMatrix | None
 
 
+def _eigenvalues(lam: EmpathyMatrix) -> tuple[tuple[complex, complex], float]:
+    """lam's eigenvalues from its trace and determinant, and the spectral
+    radius: finite exactly when h*h - det is."""
+    h = lam.trace() / 2.0
+    disc = h * h - lam.det()
+    if disc >= 0.0:
+        s = math.sqrt(disc)
+        ev = (complex(h + s), complex(h - s))
+    else:
+        s = math.sqrt(-disc)
+        ev = (complex(h, s), complex(h, -s))
+    return ev, max(abs(ev[0]), abs(ev[1]))
+
+
 def spectral_limit(lam: EmpathyMatrix, k_max: int) -> SpectralRecord:
     """Eigenvalues in closed form (trace/determinant) and the behavior of the
     power sequence: Zero when the spectral radius is below one, Converges
@@ -102,19 +124,16 @@ def spectral_limit(lam: EmpathyMatrix, k_max: int) -> SpectralRecord:
     walks its powers."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    tr = lam.trace()
-    det = lam.det()
-    # (tr/2)^2 rather than tr^2/4: the same value, and it does not overflow
-    # for a trace past 1.3e154.
-    h = tr / 2.0
-    disc = h * h - det
-    if disc >= 0.0:
-        s = math.sqrt(disc)
-        ev = (complex(h + s), complex(h - s))
-    else:
-        s = math.sqrt(-disc)
-        ev = (complex(h, s), complex(h, -s))
-    rho = max(abs(ev[0]), abs(ev[1]))
+    ev, rho = _eigenvalues(lam)
+    if not math.isfinite(rho):
+        # Past 1.3e154 h*h - det is inf - inf or inf.  Take the eigenvalues of
+        # lam / 2^e, whose largest entry lies in [0.5, 1), and scale them back
+        # by 2^e.  Only here: scaled down, an entry 2^-1000 below the largest
+        # would underflow, where the unscaled products of the others are exact.
+        e = math.frexp(max(map(abs, lam.entries())))[1]
+        ev, rho = _eigenvalues(EmpathyMatrix(*(math.ldexp(x, -e) for x in lam.entries())))
+        rho = _times_pow2(rho, e)
+        ev = tuple(complex(_times_pow2(z.real, e), _times_pow2(z.imag, e)) for z in ev)
     if rho < 1.0 - _UNIT_RADIUS_BAND:
         return SpectralRecord(ev, rho, LimitKind.ZERO, EmpathyMatrix(0.0, 0.0, 0.0, 0.0))
     if rho > 1.0 + _UNIT_RADIUS_BAND:

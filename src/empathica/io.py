@@ -17,10 +17,16 @@ import json
 import os
 from pathlib import Path
 
-from .dynamics import Trajectory, VectorField
-from .equilibria import EquilibriumSet, RegionMap
 from .games import EmpathyMatrix, Game2x2
-from .hierarchy import HierarchyAnalysis
+
+# The other layers only name types in annotations, so io imports none of them
+# at run time.  A plain constant stands in for typing.TYPE_CHECKING, which type
+# checkers read the same way, so that io loads no module for it.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .dynamics import Trajectory, VectorField
+    from .equilibria import EquilibriumSet, RegionMap
+    from .hierarchy import HierarchyAnalysis
 
 FIXTURES_ENV = "EMPATHICA_FIXTURES"
 

@@ -21,6 +21,9 @@ library, which reads both from ``games``, must match them exactly.
 ``reference_constrained_ess`` places the constrained ESS points from their
 definition in ``Fraction`` arithmetic, which the library must match exactly
 at the bounds and within a few ulps at the interior point.
+``reference_spectral_eigenvalues`` is ``spectral_limit``'s closed form on
+the unscaled entries, which the library must match bit for bit wherever
+h*h - det is finite.
 ``reference_structural_epsilons`` is the least-squares fit that once decided
 structural consistency; ``reference_structural_base`` decides it exactly,
 in ``Fraction`` arithmetic on the float entries.
@@ -572,6 +575,18 @@ def reference_hierarchy_csv(levels: tuple[LevelRecord, ...]) -> str:
             f"{rec.signature}"
         )
     return "\n".join(lines) + "\n"
+
+
+def reference_spectral_eigenvalues(lam: EmpathyMatrix) -> tuple[tuple[complex, complex], float]:
+    """The eigenvalues and spectral radius of lam from its trace and
+    determinant, formed on the entries as given."""
+    h = (lam.l11 + lam.l22) / 2.0
+    disc = h * h - (lam.l11 * lam.l22 - lam.l12 * lam.l21)
+    if disc >= 0.0:
+        ev = (complex(h + math.sqrt(disc)), complex(h - math.sqrt(disc)))
+    else:
+        ev = (complex(h, math.sqrt(-disc)), complex(h, -math.sqrt(-disc)))
+    return ev, max(abs(ev[0]), abs(ev[1]))
 
 
 def reference_structural_epsilons(lam: EmpathyMatrix, k_max: int):

@@ -2,13 +2,15 @@ import dataclasses
 import json
 import math
 import pathlib
+import runpy
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from empathica import LearningSchedule, PopulationState, RevisionProtocol, hierarchy, simulate
-from empathica.cli import main
+from empathica.cli import _parse_range, main
 from empathica.io import (
     GameFileError,
     canonical_json,
@@ -101,6 +103,15 @@ class TestGameFiles:
 
 
 class TestExitCodes:
+    def test_run_as_a_module(self, monkeypatch, capsys):
+        # python -m empathica.cli runs main() and exits with its code.
+        monkeypatch.delitem(sys.modules, "empathica.cli")
+        monkeypatch.setattr(sys, "argv", ["empathica", "classify", "--input", "pd"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("empathica.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert json.loads(capsys.readouterr().out)["class"] == "DominantStrategy"
+
     def test_parse_error_is_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{")
@@ -372,6 +383,12 @@ class TestEssCommand:
         assert run("ess", "--input", "pd", "--sigma", "1", "--mu", "0",
                    "--c1", "1") == 2
 
+    def test_empty_feasible_set_is_exit_2(self, capsys):
+        # 2m + (1 - m) <= 0 holds for no m in [0, 1].
+        assert run("ess", "--input", "pd", "--sigma", "1", "--mu", "0",
+                   "--c1", "2", "--c2", "1", "--V", "0") == 2
+        assert capsys.readouterr().err == "empathica: the constraint makes every strategy infeasible\n"
+
 
 class TestSimulateCommand:
     def test_trajectory_and_diagnostics(self, tmp_path):
@@ -482,6 +499,14 @@ class TestSweepCommand:
         assert run("sweep", "--input", "pd", "--range-l12=-0.2:1.0",
                    "--range-l21=-0.2:1.0", "--grid", "7", "--out", str(again)) == 0
         assert out.read_bytes() == again.read_bytes()
+
+    def test_a_range_without_a_colon_is_rejected(self, capsys):
+        with pytest.raises(ValueError, match="^range must look like lo:hi, got '0.5'$"):
+            _parse_range("0.5")
+        with pytest.raises(SystemExit) as exc:
+            run("sweep", "--input", "pd", "--range-l12", "0.5")
+        assert exc.value.code == 2
+        assert "--range-l12" in capsys.readouterr().err
 
     def test_row_major_order_l21_outer(self, tmp_path):
         out = tmp_path / "map.csv"

@@ -107,6 +107,16 @@ class TestSwitchRates:
             smith[1] * 0.5 + bnn[1] * 0.5,
         )
 
+    def test_hybrid_needs_known_components(self):
+        with pytest.raises(ValueError, match="hybrid protocol needs at least one component"):
+            RevisionProtocol.hybrid()
+        with pytest.raises(ValueError, match="unknown protocol component 'gradient'"):
+            RevisionProtocol.parse("hybrid:smith=1,gradient=1")
+
+    def test_population_must_be_1_or_2(self, pd):
+        with pytest.raises(ValueError, match="pop must be 1 or 2"):
+            switch_rates(RevisionProtocol.smith(), pd, PopulationState(0.5, 0.5), 3)
+
     def test_protocol_parsing(self):
         assert RevisionProtocol.parse("smith") == RevisionProtocol.smith()
         h = RevisionProtocol.parse("hybrid:replicator=0.5,smith=0.5")
@@ -214,6 +224,13 @@ class TestStep:
         for t in (-3, -1):
             with pytest.raises(ValueError, match="t must be nonnegative"):
                 step(s, RevisionProtocol.replicator(), LearningSchedule.harmonic(0.5), pd, t)
+
+    def test_schedule_arguments_are_checked(self):
+        with pytest.raises(ValueError, match="unknown schedule 'linear'"):
+            LearningSchedule("linear", 0.1)
+        for rate in (-0.1, math.inf, math.nan):
+            with pytest.raises(ValueError, match="learning rate must be nonnegative and finite"):
+                LearningSchedule.constant(rate)
 
     def test_harmonic_schedule_decays(self):
         sched = LearningSchedule.harmonic(0.5)

@@ -70,6 +70,11 @@ class TestPureNash:
 
 
 class TestMixedNash:
+    @pytest.mark.parametrize("x, y", [(-0.1, 0.5), (0.5, 1.5), (math.nan, 0.5)])
+    def test_profile_outside_the_unit_square_is_rejected(self, x, y):
+        with pytest.raises(ValueError, match=r"profile coordinates must lie in \[0,1\]"):
+            MixedProfile(x, y)
+
     def test_matching_pennies_center(self, mp):
         res = mixed_nash(mp)
         assert len(res.points) == 1
@@ -563,6 +568,11 @@ class TestRegionMapErrors:
         ranges = {"l12_range": (-1, 2), "l21_range": (-1, 2), f"{axis}_range": (lo, hi)}
         message = _first_error(lambda: region_map(self.HUGE, resolution=5, **ranges))
         assert message == f"{axis} must be a finite real number, got {given!r}"
+
+    @pytest.mark.parametrize("l12_range, l21_range", [((2, -1), (-1, 2)), ((-1, 2), (1, 1))])
+    def test_a_range_must_satisfy_lo_below_hi(self, pd, l12_range, l21_range):
+        with pytest.raises(ValueError, match="ranges must satisfy lo < hi"):
+            region_map(pd, l12_range, l21_range, 5)
 
     @pytest.mark.parametrize("l11, l22", [(1.0, 1.0), (1.0, 0.5), (0.5, 1.0)])
     def test_overflowing_differences_of_finite_payoffs(self, l11, l22):

@@ -62,6 +62,11 @@ class TestHomogeneousPayoff:
         with pytest.raises(ValueError, match="entries must be finite"):
             homogeneous_payoff(pd, sigma, mu)
 
+    @pytest.mark.parametrize("sigma, mu", [(math.inf, 0.0), (1.0, math.nan), (-math.inf, 1.0)])
+    def test_non_finite_weight_is_rejected(self, pd, sigma, mu):
+        with pytest.raises(ValueError, match="sigma and mu must be finite"):
+            homogeneous_payoff(pd, sigma, mu)
+
     def test_largest_finite_entries_pass(self):
         g = Game2x2.symmetric(((1.0, 1.0), (-1.0, 1.0)))
         assert homogeneous_payoff(g, 1e308, 0.0) == ((1e308, 1e308), (-1e308, 1e308))
@@ -219,6 +224,13 @@ class TestConstraint:
         assert Constraint(1.0, 0.0, -0.5).ctype is ConstraintType.EMPTY
         assert Constraint(0.0, 1.0, -1.0).ctype is ConstraintType.EMPTY
 
+    @pytest.mark.parametrize(
+        "c1, c2, v, name", [(math.inf, 0.0, 1.0, "c1"), (1.0, -math.inf, 1.0, "c2"), (1.0, 0.0, math.nan, "V")]
+    )
+    def test_non_finite_coefficient_rejected(self, c1, c2, v, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            Constraint(c1, c2, v)
+
     def test_equal_coefficients_rejected(self):
         with pytest.raises(ValueError, match="c1"):
             Constraint(1.0, 1.0, 0.5)
@@ -285,6 +297,10 @@ class TestConstrainedBestResponse:
     def test_rejects_infeasible_argument(self):
         with pytest.raises(ValueError):
             constrained_best_response(red_of(1.0, 1.0), type1(0.3), 0.9)
+
+    def test_rejects_an_empty_feasible_set(self):
+        with pytest.raises(ValueError, match="feasible set is empty"):
+            constrained_best_response(red_of(1.0, 1.0), Constraint(1.0, 0.0, -0.5), 0.5)
 
 
 # Beta magnitudes: small integers, whose roots are simple fractions, and

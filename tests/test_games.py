@@ -335,6 +335,9 @@ class TestMatrixAlgebra:
         with pytest.raises(ValueError):
             EmpathyMatrix.identity().power(-1)
 
+    def test_as_rows(self):
+        assert EmpathyMatrix(2, 3, 4, 5).as_rows() == ((2, 3), (4, 5))
+
     def test_trace_det(self):
         lam = EmpathyMatrix(2, 3, 4, 5)
         assert lam.trace() == 7

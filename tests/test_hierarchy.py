@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
@@ -38,6 +39,7 @@ from oracles import (
     reference_hierarchy_csv,
     reference_levels,
     reference_exact_epsilons,
+    reference_spectral_eigenvalues,
     reference_structural_base,
     reference_structural_epsilons,
 )
@@ -543,6 +545,11 @@ class TestConsistentFamily:
                 resid = max(abs(a - eps * b) for a, b in zip(sq.entries(), lam.entries()))
                 assert resid < 1e-10 * max(1.0, eps, abs(y))
 
+    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_y(self, y):
+        with pytest.raises(ValueError, match="y must be finite"):
+            consistent_family(1.0, y)
+
     def test_rejects_complex_roots(self):
         with pytest.raises(ValueError):
             consistent_family(1.0, 1.0)
@@ -645,6 +652,64 @@ class TestSpectralLimit:
         assert rec.rho == 1e154
         assert rec.limit_kind is LimitKind.DIVERGES
 
+    @pytest.mark.parametrize("lam", [EmpathyMatrix.identity(), ones(0.25)])
+    def test_rejects_k_max_below_one(self, lam):
+        with pytest.raises(ValueError, match="k_max must be at least 1"):
+            spectral_limit(lam, 0)
+
+    @pytest.mark.parametrize("k_max", [1, 3])
+    def test_determinant_past_the_float_range(self, k_max):
+        # det = 1e400 overflows, and so did h*h - det (inf - inf = NaN): rho
+        # read NaN and Oscillates at k_max 1, and at 3 the walk raised on an
+        # infinite power.
+        rec = spectral_limit(EmpathyMatrix(1e200, 0.0, 0.0, 1e200), k_max)
+        assert rec.eigenvalues == (1e200, 1e200)
+        assert rec.rho == 1e200
+        assert rec.limit_kind is LimitKind.DIVERGES
+
+    def test_rotation_past_the_float_range_has_a_finite_radius(self):
+        # det = 1e400 read inf, so rho was inf and the eigenvalues +-inf*j.
+        rec = spectral_limit(EmpathyMatrix(0.0, 1e200, -1e200, 0.0), 3)
+        assert rec.eigenvalues == (1e200j, -1e200j)
+        assert rec.rho == 1e200
+        assert rec.limit_kind is LimitKind.DIVERGES
+
+    def test_eigenvalue_past_the_float_range_is_infinite(self):
+        rec = spectral_limit(EmpathyMatrix(1e308, 1e308, 1e308, 1e308), 3)
+        assert rec.eigenvalues == (math.inf, 0.0)
+        assert rec.rho == math.inf
+        assert rec.limit_kind is LimitKind.DIVERGES
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(-(2**20), 2**20).map(lambda n: n / 2**16), min_size=4, max_size=4),
+        st.integers(-450, 950),
+    )
+    def test_scaling_by_a_power_of_two_scales_the_eigenvalues(self, entries, e):
+        # Exact at every scale, where the products of 2^e * lam once left the
+        # float range for e past about 500.
+        base = spectral_limit(EmpathyMatrix(*entries), 1)
+        rec = spectral_limit(EmpathyMatrix(*(math.ldexp(x, e) for x in entries)), 1)
+        assert rec.eigenvalues == tuple(z * 2.0**e for z in base.eigenvalues)
+        assert rec.rho == base.rho * 2.0**e
+
+    def test_entries_far_below_the_largest_keep_their_products(self):
+        # det = -2^-200 is exact; scaled by 2^-601, the entry 2^-800 would
+        # underflow to 0 and both eigenvalues would read 0.
+        rec = spectral_limit(EmpathyMatrix(0.0, 2.0**600, 2.0**-800, 0.0), 1)
+        assert rec.eigenvalues == (2.0**-100, -(2.0**-100))
+        assert rec.rho == 2.0**-100
+
+    def test_matches_the_unscaled_formula_bit_for_bit(self):
+        rng = random.Random(24)
+        for _ in range(5000):
+            scale = 2.0 ** rng.randint(-200, 200)
+            lam = EmpathyMatrix(*(rng.choice((0.0, rng.uniform(-3, 3), rng.randint(-4, 4))) * scale
+                                  for _ in range(4)))
+            rec = spectral_limit(lam, 1)
+            # repr tells -0.0 from 0.0 in either part.
+            assert repr((rec.eigenvalues, rec.rho)) == repr(reference_spectral_eigenvalues(lam))
+
     def test_complex_pair(self):
         rec = spectral_limit(EmpathyMatrix(0.0, -0.5, 0.5, 0.0), 10)
         assert rec.eigenvalues[0].imag != 0.0
@@ -660,6 +725,11 @@ class TestSpectralLimit:
 
 
 class TestAnalyzeHierarchy:
+    def test_rejects_k_max_below_one_before_any_level(self, pd, monkeypatch):
+        monkeypatch.setattr("empathica.hierarchy._transformed_differences", None)
+        with pytest.raises(ValueError, match="k_max must be at least 1"):
+            analyze_hierarchy(pd, ones(0.5), k_max=0)
+
     def test_levels_enumerate_matrix_powers(self, pd):
         lam = ones(0.8)
         analysis = analyze_hierarchy(pd, lam, k_max=6)
