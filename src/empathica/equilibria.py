@@ -6,7 +6,9 @@ maps over the two cross-empathy weights.
 """
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from dataclasses import astuple, dataclass
 
@@ -334,12 +336,88 @@ class RegionMap:
 
 
 def _linspace(lo: float, hi: float, n: int) -> tuple[float, ...]:
+    # Both branches give grids that never decrease, which ``_axis_signs``
+    # relies on.  Rounding is monotone, so with step >= 0 neither k * step
+    # nor lo plus it decreases with k; and with lo < 0 < hi neither weighted
+    # term below decreases with k, nor does their rounded sum.
     step = (hi - lo) / (n - 1)
     if math.isinf(step):
         # hi - lo overflows, so lo and hi have opposite signs and a weighted
         # sum of the two cannot overflow.
         return tuple(lo * ((n - 1 - k) / (n - 1)) + hi * (k / (n - 1)) for k in range(n))
-    return tuple(lo + k * step for k in range(n))
+    return tuple([lo + k * step for k in range(n)])
+
+
+# Where a pair's T (see ``_axis_signs``) is below this, every transformed
+# payoff and difference on its axis is finite, far from overflowing.
+_CERTIFIED_TOTAL = 2.0**1000
+
+
+class _Reads(dict):
+    """The four differences ``read(k)`` at index k of one axis' grid, each
+    read once, when first asked for."""
+
+    def __init__(self, read) -> None:
+        self.read = read
+
+    def __missing__(self, k: int) -> tuple[float, float, float, float]:
+        value = self[k] = self.read(k)
+        return value
+
+
+def _axis_signs(reads: _Reads, i: int, grid: tuple[float, ...], c, p, r, q, s, t: float) -> list[int]:
+    """The sign of D(w) = (c*p + w*q) - (c*r + w*s) at each point of
+    ``grid``, where ``reads[k][i]`` is the float of D at ``grid[k]`` that
+    ``_transformed_differences`` gives.  It is read only near D's
+    breakpoint; elsewhere the sign is certified.  ``t`` is T below, as
+    rounded, at the grid's larger |w|, and under ``_CERTIFIED_TOTAL``.
+
+    The exact E(w) = c*(p - r) + w*(q - s) is monotone along the grid (which
+    never decreases): rising where q > s, falling where q < s.  The float is
+    fl(X - Y), with X = fl(fl(c*p) + fl(w*q)) and Y = fl(fl(c*r) + fl(w*s)),
+    so it has the sign of X - Y.  A product rounds as x*y*(1 + d) + e and a
+    sum as (x + y)*(1 + d'), with |d|, |d'| <= u = 2^-53, |e| <= eta =
+    2^-1075 and d*e = 0, so
+        |X - (c*p + w*q)| <= u*(|c*p| + |w*q|) + 2*eta
+                             + u*((1 + u)*(|c*p| + |w*q|) + 2*eta),
+    and with Y alike
+        |X - Y - E| <= B = (2u + u^2)*T + 4*(1 + u)*eta,
+    where T = |c*p| + |w*q| + |c*r| + |w*s| is largest at the grid's larger
+    |w|.  From t, which falls short of T by at most a relative 4u and 4*eta,
+    the threshold h = 3*(2^-52*t + 2^-1073) exceeds 2B.  So where a float is
+    beyond h in E's direction, E is beyond B there and, being monotone, at
+    every grid point past it, whose floats then all have E's sign.
+
+    The walk starts from the estimated breakpoint and goes outwards, each
+    way until a float is beyond h; a wrong estimate costs evaluations, never
+    a sign.  With q == s, E is constant: where p == r or c == 0 both sides
+    are the same float expression, so every sign is 0; otherwise one float
+    beyond h certifies the whole axis, or every point is read.
+    """
+    n = len(grid)
+    h = 3.0 * (2.0**-52 * t + 2.0**-1073)
+    if q == s:
+        if p == r or c == 0.0:
+            return [0] * n
+        d = reads[0][i]
+        if abs(d) > h:
+            return [(d > 0.0) - (d < 0.0)] * n
+        return [(d > 0.0) - (d < 0.0) for d in (reads[k][i] for k in range(n))]
+    up = 1 if q > s else -1
+    # Finite: c*r and c*p are under T, and q - s is not zero.
+    k0 = bisect.bisect_left(grid, (c * r - c * p) / (q - s))
+    signs = [-up] * k0 + [up] * (n - k0)
+    for k in range(k0, n):
+        d = reads[k][i]
+        if up * d > h:
+            break
+        signs[k] = (d > 0.0) - (d < 0.0)
+    for k in range(k0 - 1, -1, -1):
+        d = reads[k][i]
+        if -up * d > h:
+            break
+        signs[k] = (d > 0.0) - (d < 0.0)
+    return signs
 
 
 def region_map(
@@ -355,12 +433,17 @@ def region_map(
 
     The row player's transformed payoffs depend only on (l11, l12) and the
     column player's only on (l22, l21), and ``outcome_label`` reads only each
-    player's ``_player_key``.  So the sweep makes n row solves and n column
-    solves, then fills the n^2 cells from ``_key_label``; each label equals
+    player's ``_player_key``, the signs of its two payoff differences.  Each
+    difference is affine along its own player's axis, so ``_axis_signs``
+    reads it only near its breakpoint and certifies its sign elsewhere; the
+    sweep then fills the n^2 cells from ``_key_label``.  Each label equals
     ``outcome_label(two_population_equilibria(g, EmpathyMatrix(l11, l12, l21,
-    l22)))`` exactly.  A solve reads the payoff differences straight from the
-    four weights and the eight payoffs with ``_transformed_differences``,
-    which builds the game only where a difference is not finite.
+    l22)))`` exactly.  A difference is read straight from the four weights
+    and the eight payoffs with ``_transformed_differences``, which builds the
+    game only where a difference is not finite.  Where a payoff or weight is
+    large enough that one might not be, every grid point is read instead,
+    so that the first error is the one a row-major walk of every cell
+    raises.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -377,21 +460,54 @@ def region_map(
     l12s = _linspace(*l12_range, resolution)
     l21s = _linspace(*l21_range, resolution)
 
-    # Each solve reads the four differences of the game at one grid cell,
-    # pairing its value with the first value of the other axis.  That game
-    # is built only where a difference is not finite, so an invalid weight
-    # or an overflowing payoff raises at the same cell, with the same
-    # message, as a row-major walk of every cell would.
+    # Each read gives the four differences of the game at one grid cell,
+    # pairing its value with the first value of the other axis.
     differences = _transformed_differences(g)
-    row_keys = [_player_key(*differences(l11, l12, l21s[0], l22)[:2]) for l12 in l12s]
-    col_keys = [_player_key(*differences(l11, l12s[0], l21, l22)[2:]) for l21 in l21s]
-    # A label depends only on the (row key, column key) pair, so each
-    # distinct pair is looked up once, and a row of the map depends only on
-    # its column key.
-    rows: dict[PlayerKey, tuple[str, ...]] = {}
-    for col in set(col_keys):
-        by_row = {row: _key_label(row, col) for row in set(row_keys)}
-        rows[col] = tuple(map(by_row.__getitem__, row_keys))
-    return RegionMap(
-        l12_values=l12s, l21_values=l21s, labels=tuple(rows[ck] for ck in col_keys)
+    # The four (difference, axis) pairs as (c, p, r, q, s) of
+    # ``_axis_signs``: the row player's d1, d2 along l12 at own weight l11,
+    # and the column player's d3, d4 along l21 at own weight l22.
+    pairs = (
+        (l11, g.a11, g.a21, g.b11, g.b21),
+        (l11, g.a22, g.a12, g.b22, g.b12),
+        (l22, g.b11, g.b12, g.a11, g.a12),
+        (l22, g.b22, g.b21, g.a22, g.a21),
     )
+    grids = (l12s, l12s, l21s, l21s)
+    # Each pair's T of ``_axis_signs``, at its grid's larger |w|.
+    totals = []
+    for (c, p, r, q, s), grid in zip(pairs, grids):
+        w = max(abs(grid[0]), abs(grid[-1]))
+        totals.append(abs(c * p) + abs(w * q) + abs(c * r) + abs(w * s))
+    if all(t < _CERTIFIED_TOTAL for t in totals):
+        # No difference on either axis can leave the float range, so no
+        # cell raises, and each sign is read only near its breakpoint.
+        row = _Reads(lambda k: differences(l11, l12s[k], l21s[0], l22))
+        col = _Reads(lambda k: differences(l11, l12s[0], l21s[k], l22))
+        reads = (row, row, col, col)
+        d1, d2, d3, d4 = (
+            _axis_signs(reads[i], i, grids[i], *pairs[i], totals[i]) for i in range(4)
+        )
+        row_keys = list(zip(d1, d2))
+        col_keys = list(zip(d3, d4))
+    else:
+        # Every point is read, in order.  The game is built only where a
+        # difference is not finite, so an invalid weight or an overflowing
+        # payoff raises at the same cell, with the same message, as a
+        # row-major walk of every cell would.
+        row_keys = [_player_key(*differences(l11, l12, l21s[0], l22)[:2]) for l12 in l12s]
+        col_keys = [_player_key(*differences(l11, l12s[0], l21, l22)[2:]) for l21 in l21s]
+    # A label depends only on the (row key, column key) pair, and a row of
+    # the map only on its column key: each is filled run by run of equal
+    # keys, one lookup per run.
+    row_runs = [(key, len(list(run))) for key, run in itertools.groupby(row_keys)]
+    rows: dict[PlayerKey, tuple[str, ...]] = {}
+    labels: tuple[tuple[str, ...], ...] = ()
+    for col_key, run in itertools.groupby(col_keys):
+        row = rows.get(col_key)
+        if row is None:
+            cells: list[str] = []
+            for key, m in row_runs:
+                cells += [_key_label(key, col_key)] * m
+            row = rows[col_key] = tuple(cells)
+        labels += (row,) * len(list(run))
+    return RegionMap(l12_values=l12s, l21_values=l21s, labels=labels)

@@ -36,6 +36,8 @@ _UNIT_RADIUS_BAND = 1e-12
 # det/tr, a rank-one lam's second eigenvalue, is zero within 1e-12 of a row.
 _BAND_NUM, _BAND_DEN = (1e-12).as_integer_ratio()
 _CAUCHY_TOL = 1e-12
+# Below this largest |entry| of lam, h*h and det can underflow.
+_UNDERFLOW_SCALE = 2.0**-511
 
 
 def _overflows(m: Entries) -> bool:
@@ -125,12 +127,15 @@ def spectral_limit(lam: EmpathyMatrix, k_max: int) -> SpectralRecord:
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     ev, rho = _eigenvalues(lam)
-    if not math.isfinite(rho):
-        # Past 1.3e154 h*h - det is inf - inf or inf.  Take the eigenvalues of
-        # lam / 2^e, whose largest entry lies in [0.5, 1), and scale them back
-        # by 2^e.  Only here: scaled down, an entry 2^-1000 below the largest
-        # would underflow, where the unscaled products of the others are exact.
-        e = math.frexp(max(map(abs, lam.entries())))[1]
+    largest = max(map(abs, lam.entries()))
+    if not math.isfinite(rho) or largest < _UNDERFLOW_SCALE:
+        # Past 1.3e154 h*h - det is inf - inf or inf, and below 2^-511 it
+        # underflows.  Take the eigenvalues of lam / 2^e, whose largest entry
+        # lies in [0.5, 1), and scale them back by 2^e.  Scaling up is exact.
+        # Scaling down is done only where rho is not finite: there an entry
+        # 2^-1000 below the largest would underflow, where the unscaled
+        # products of the others are exact.
+        e = math.frexp(largest)[1]
         ev, rho = _eigenvalues(EmpathyMatrix(*(math.ldexp(x, -e) for x in lam.entries())))
         rho = _times_pow2(rho, e)
         ev = tuple(complex(_times_pow2(z.real, e), _times_pow2(z.imag, e)) for z in ev)

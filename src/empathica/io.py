@@ -252,7 +252,8 @@ def region_csv(rmap: RegionMap) -> str:
                 labels[-1],
             ]
         lines.append(f",{float(l21)!r},".join(pieces))
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def hierarchy_csv(analysis: HierarchyAnalysis) -> str:

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from empathica import (
@@ -663,6 +663,114 @@ class TestRegionMapBuildsNoGames:
         rmap = region_map(g, (-1.5, 0), (-1, 0), 7)
         assert [lam.entries() for _, lam in built] == [(1.0, 0.0, -1.0, 1.0)]
         assert rmap.labels == _per_cell_labels(g, (-1.5, 0), (-1, 0), 7)
+
+
+_OWN_WEIGHTS = st.sampled_from([1.0, 0.5, -1.0, 0.0, -0.0, 2.0**-1000, 1e300])
+_SMALL_PAYOFFS = st.floats(-50, 50) | st.sampled_from([0.0, -0.0])
+_LARGE_PAYOFFS = _SMALL_PAYOFFS | st.sampled_from([1e308, -1e308, 5e307, 1e300, -1e300, 1e-300])
+# Widths stay finite, where the grids of ``_grid`` are the sweep's.
+_WIDE_RANGES = st.sampled_from([(-1, 2), (-1, 0), (0, 1), (-1e300, 1e300), (-1e307, 8e307)])
+
+
+class TestRegionMapReadsNearBreakpoints:
+    """Each payoff difference is read only near where it changes sign; its
+    sign elsewhere is certified, with the labels of a per-cell walk."""
+
+    @pytest.mark.parametrize("n", [60, 61, 73])
+    def test_a_sweep_reads_at_most_sixteen_points(self, pd, n, monkeypatch):
+        # A read of one grid point gives one player's two differences; the
+        # per-point sweep made 2n reads.
+        real = equilibria._transformed_differences
+        reads = []
+
+        def counting(g):
+            differences = real(g)
+
+            def count(*weights):
+                reads.append(weights)
+                return differences(*weights)
+
+            return count
+
+        monkeypatch.setattr(equilibria, "_transformed_differences", counting)
+        for g in [pd, *_fixture_games()]:
+            reads.clear()
+            region_map(g, (-1, 2), (-1, 2), n)
+            assert 0 < len(reads) <= 16, (g, len(reads))
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_breakpoints_within_ulps_of_grid_points(self, data):
+        g, l12_range, l21_range, n, l11, l22 = data.draw(_near_breakpoint_sweeps())
+        _assert_labels_or_error_match(g, l12_range, l21_range, n, l11, l22)
+
+    @given(
+        g=st.builds(Game2x2, *([_LARGE_PAYOFFS] * 8)),
+        l12_range=_WIDE_RANGES,
+        l21_range=_WIDE_RANGES,
+        n=st.sampled_from([2, 5, 12]),
+        l11=_OWN_WEIGHTS,
+        l22=_OWN_WEIGHTS,
+    )
+    # The row player's d1 could be certified here and d2 could not.  Had
+    # each pair taken its own path, d1's reads would have started at its
+    # breakpoint, l12 = 0, and raised at l12 = 5e299 ("a12 ... got inf"),
+    # not at the walk's first cell, l12 = -1e300 ("a12 ... got -inf").
+    @example(
+        g=Game2x2(-1e308, -1e308, 5e307, 0.0, 2.0, 1e300, 3.0, 2.0),
+        l12_range=(-1e300, 1e300),
+        l21_range=(-1, 2),
+        n=5,
+        l11=0.0,
+        l22=1.0,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_some_pairs_near_overflow(self, g, l12_range, l21_range, n, l11, l22):
+        _assert_labels_or_error_match(g, l12_range, l21_range, n, l11, l22)
+
+
+def _assert_labels_or_error_match(g, l12_range, l21_range, n, l11, l22):
+    """The sweep gives the per-cell walk's labels, or its first error."""
+    try:
+        _per_cell_labels(g, l12_range, l21_range, n, l11, l22)
+    except ValueError as exc:
+        assert _first_error(lambda: region_map(g, l12_range, l21_range, n, l11, l22)) == str(exc)
+    else:
+        assert_matches_per_cell(g, l12_range, l21_range, n, l11, l22)
+
+
+@st.composite
+def _near_breakpoint_sweeps(draw):
+    """A sweep whose row player's d1 and column player's d3 change sign
+    within a few ulps of a grid point, with payoffs scaled by 2^e."""
+    n = draw(st.integers(2, 25))
+    lo = draw(st.floats(-3, 0))
+    l12_range = (lo, lo + draw(st.floats(0.5, 4)))
+    l21_range = (lo, lo + draw(st.floats(0.5, 4)))
+    l11, l22 = draw(_OWN_WEIGHTS), draw(_OWN_WEIGHTS)
+    a11, a12, a21, a22, b11, b12, b21, b22 = (draw(_SMALL_PAYOFFS) for _ in range(8))
+
+    def nudged(x):
+        ulps = draw(st.integers(-3, 3))
+        for _ in range(abs(ulps)):
+            x = math.nextafter(x, math.copysign(math.inf, ulps))
+        return x
+
+    # d1 = l11*(a11 - a21) + l12*(b11 - b21) vanishes at a grid l12, and
+    # d3 = l22*(b11 - b12) + l21*(a11 - a12) at a grid l21.
+    if l11 != 0.0:
+        w = draw(st.sampled_from(_grid(*l12_range, n)))
+        a11 = nudged(a21 - w * (b11 - b21) / l11)
+    if l22 != 0.0:
+        w = draw(st.sampled_from(_grid(*l21_range, n)))
+        b12 = nudged(b11 + w * (a11 - a12) / l22)
+    payoffs = (a11, a12, a21, a22, b11, b12, b21, b22)
+    # Dividing by an own weight of 2^-1000 can overflow a solved payoff.
+    assume(all(map(math.isfinite, payoffs)))
+    # The scaled payoffs stay below 2^1023.
+    e = min(draw(st.integers(-1074, 1000)), 1023 - max(math.frexp(x)[1] for x in payoffs))
+    g = Game2x2(*(math.ldexp(x, e) for x in payoffs))
+    return g, l12_range, l21_range, n, l11, l22
 
 
 _AXIS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0])

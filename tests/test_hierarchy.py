@@ -683,15 +683,22 @@ class TestSpectralLimit:
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(st.integers(-(2**20), 2**20).map(lambda n: n / 2**16), min_size=4, max_size=4),
-        st.integers(-450, 950),
+        st.integers(-1000, 950),
     )
     def test_scaling_by_a_power_of_two_scales_the_eigenvalues(self, entries, e):
         # Exact at every scale, where the products of 2^e * lam once left the
-        # float range for e past about 500.
+        # float range for e past about 500, and underflowed below about -500.
         base = spectral_limit(EmpathyMatrix(*entries), 1)
         rec = spectral_limit(EmpathyMatrix(*(math.ldexp(x, e) for x in entries)), 1)
         assert rec.eigenvalues == tuple(z * 2.0**e for z in base.eigenvalues)
         assert rec.rho == base.rho * 2.0**e
+
+    def test_rotation_below_the_square_root_of_the_smallest_float(self):
+        # det = 1e-400 underflowed to 0, so the eigenvalues read 0j and rho 0.
+        rec = spectral_limit(EmpathyMatrix(0.0, 1e-200, -1e-200, 0.0), 3)
+        assert rec.eigenvalues == (1e-200j, -1e-200j)
+        assert rec.rho == 1e-200
+        assert rec.limit_kind is LimitKind.ZERO
 
     def test_entries_far_below_the_largest_keep_their_products(self):
         # det = -2^-200 is exact; scaled by 2^-601, the entry 2^-800 would
