@@ -26,9 +26,17 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
-from .games import Classification, EmpathyMatrix, Game2x2, GameKind, _payoffs, classify, transform
+from .games import (
+    Classification,
+    EmpathyMatrix,
+    Game2x2,
+    GameKind,
+    _payoffs,
+    _Record,
+    classify,
+    transform,
+)
 
 _PROTOCOL_KINDS = ("replicator", "bnn", "smith", "imitation")
 _RATE_FLOOR = 2.220446049250313e-16  # machine epsilon floor for the step cap
@@ -37,8 +45,7 @@ _WINDOW = 25  # consecutive still steps that declare convergence
 _RATES_OVERFLOW = "the switch rates overflow the float range for this game"
 
 
-@dataclass(frozen=True)
-class PopulationState:
+class PopulationState(_Record):
     """Mass each population places on action 1."""
 
     p1: float
@@ -54,8 +61,7 @@ class PopulationState:
         return (self.p1, self.p2)
 
 
-@dataclass(frozen=True)
-class RevisionProtocol:
+class RevisionProtocol(_Record):
     """A named switch-rate rule, or a weighted hybrid of several."""
 
     kind: str
@@ -114,8 +120,7 @@ class RevisionProtocol:
         return cls.hybrid(*comps)
 
 
-@dataclass(frozen=True)
-class LearningSchedule:
+class LearningSchedule(_Record):
     """Learning-rate sequence: constant, or harmonically decaying base/(t+1).
 
     The scheduled rate is additionally capped inside each step at
@@ -178,16 +183,19 @@ def step(
     return simulate(state, proto, once, game, 1, detect_cycles=False).final
 
 
-@dataclass(frozen=True)
-class Diagnostics:
+class Diagnostics(_Record):
+    """How a simulation run ended: ``converged`` with its ``limit_point``
+    (None otherwise), and, for a run that did not converge, whether the
+    cycle scan found a return and its period estimate in steps (None
+    otherwise)."""
+
     converged: bool
     limit_point: PopulationState | None
     cycle_detected: bool
     cycle_period_estimate: float | None
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Record):
     """States of a simulation run, one per step, plus convergence diagnostics.
 
     Coordinates are stored as parallel tuples; ``times`` and ``states`` are
@@ -366,8 +374,7 @@ def simulate(
     if steps < 1:
         raise ValueError("steps must be at least 1")
     rule = _rule_for(proto, game)
-    a11, a12, a21, a22 = game.a11, game.a12, game.a21, game.a22
-    b11, b12, b21, b22 = game.b11, game.b12, game.b21, game.b22
+    a11, a12, a21, a22, b11, b12, b21, b22 = game.payoffs()
     # A constant schedule's rate, and so the convergence threshold, is read
     # once; a harmonic one is read per step.
     varying = sched.kind != "constant"
@@ -446,8 +453,7 @@ def simulate(
     return Trajectory(p1=tuple(p1s), p2=tuple(p2s), diagnostics=diag)
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(_Record):
     """Raw one-step flow (unit rate, uncapped) on a uniform state grid."""
 
     resolution: int
@@ -482,8 +488,10 @@ def vector_field(proto: RevisionProtocol, game: Game2x2, resolution: int) -> Vec
     return VectorField(resolution=resolution, rows=tuple(rows))
 
 
-@dataclass(frozen=True)
-class StabilizationReport:
+class StabilizationReport(_Record):
+    """The transformed game's ``classify`` result, and whether that class
+    has stable pure equilibria, which the discoordination game lacked."""
+
     transformed_class: Classification
     stabilized: bool
 

@@ -10,13 +10,13 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import astuple, dataclass
 
 from .games import (
     CELLS,
     EmpathyMatrix,
     Game2x2,
     GameKind,
+    _Record,
     _best_responses,
     _differences,
     _payoffs,
@@ -29,14 +29,15 @@ Cell = tuple[int, int]
 PlayerKey = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class PureEquilibrium:
+class PureEquilibrium(_Record):
+    """A pure Nash equilibrium at ``cell`` (row action, column action);
+    ``strict`` when neither player has another best response there."""
+
     cell: Cell
     strict: bool
 
 
-@dataclass(frozen=True)
-class MixedProfile:
+class MixedProfile(_Record):
     """Probabilities placed on action 1 by the row (x) and column (y) player."""
 
     x: float
@@ -47,8 +48,7 @@ class MixedProfile:
             raise ValueError(f"profile coordinates must lie in [0,1], got {self}")
 
 
-@dataclass(frozen=True)
-class MixedNashResult:
+class MixedNashResult(_Record):
     """Interior indifference points plus any equilibrium continua.
 
     ``continua`` holds segment endpoints for one-dimensional equilibrium
@@ -62,8 +62,12 @@ class MixedNashResult:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
-class EquilibriumSet:
+class EquilibriumSet(_Record):
+    """Every solution of one game: the pure equilibria, the interior mixed
+    equilibria and continua of ``mixed_nash``, whether every profile is one
+    (``mixed_degenerate``), the Berge solutions and the Pareto front, each
+    as cells (row action, column action)."""
+
     pure: tuple[PureEquilibrium, ...]
     mixed: tuple[MixedProfile, ...]
     mixed_continua: tuple[tuple[MixedProfile, MixedProfile], ...]
@@ -155,7 +159,7 @@ def mixed_nash(g: Game2x2) -> MixedNashResult:
         if math.isinf(pref1 - pref0):
             # The payoffs times 0.25, exact for normal payoffs, keep the
             # continua and bring the slope within the float range.
-            return mixed_nash(Game2x2(*(0.25 * v for v in astuple(g))))
+            return mixed_nash(Game2x2(*(0.25 * v for v in g.payoffs())))
         slope = pref1 - pref0
         if not (pref0 > 0.0 and pref1 > 0.0 or pref0 < 0.0 and pref1 < 0.0):
             # The preference changes sign: where the other player strictly
@@ -187,7 +191,7 @@ def mixed_nash(g: Game2x2) -> MixedNashResult:
         # An infinite difference keeps its sign, not its size: the root comes
         # from the payoffs times 0.25, exact for normal payoffs, or is the
         # corner it rounds to where a quarter difference vanishes.
-        q1, q2, q3, q4 = _differences(Game2x2(*(0.25 * v for v in astuple(g))))
+        q1, q2, q3, q4 = _differences(Game2x2(*(0.25 * v for v in g.payoffs())))
         if math.isinf(alpha1 + alpha2):
             y_star = _interior_root(q1, q2) or float(q1 == 0.0)
         if math.isinf(gamma1 + gamma2):
@@ -314,8 +318,7 @@ def _key_signature(row: PlayerKey, col: PlayerKey) -> str:
     return f"class={cls.value}|pure={cells or '-'}|mixed={_key_mixed(row, col)}"
 
 
-@dataclass(frozen=True)
-class RegionMap:
+class RegionMap(_Record):
     """Grid of equilibrium-outcome labels over the two cross-empathy weights.
 
     ``labels[i][j]`` is the outcome at l21 = l21_values[i], l12 = l12_values[j].

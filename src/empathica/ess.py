@@ -8,11 +8,10 @@ feasible interval carved out by a constraint c1*m + c2*(1-m) <= V.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .equilibria import _interior_root
-from .games import Game2x2, _dyadic
+from .games import Game2x2, _dyadic, _Record
 
 Matrix2 = tuple[tuple[float, float], tuple[float, float]]
 
@@ -37,8 +36,7 @@ def homogeneous_payoff(g: Game2x2, sigma: float, mu: float) -> Matrix2:
     return a_lam
 
 
-@dataclass(frozen=True)
-class DiagonalReduction:
+class DiagonalReduction(_Record):
     """Differences beta1 = A11 - A21 and beta2 = A22 - A12 of a symmetric
     payoff matrix.  diag(beta1, beta2) has the same symmetric equilibria."""
 
@@ -65,8 +63,7 @@ def diagonal_reduction(a_lam: Matrix2) -> DiagonalReduction:
     return DiagonalReduction(beta1=beta1, beta2=beta2, source=a_lam)
 
 
-@dataclass(frozen=True)
-class SymmetricEquilibria:
+class SymmetricEquilibria(_Record):
     """Symmetric Nash equilibria of the reduced game.
 
     ``degenerate`` means beta1 = beta2 = 0: payoffs are constant and every
@@ -95,14 +92,15 @@ def symmetric_equilibria(red: DiagonalReduction) -> SymmetricEquilibria:
 
 
 class ConstraintType(Enum):
+    """Which feasible interval a ``Constraint`` leaves: [0, alpha], [alpha, 1], all or none."""
+
     TYPE_I = "TypeI"
     TYPE_II = "TypeII"
     UNCONSTRAINED = "Unconstrained"
     EMPTY = "Empty"
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(_Record):
     """Linear constraint c1*m + c2*(1-m) <= V on the probability m of action 1.
 
     With alpha = (V - c2)/(c1 - c2) the feasible set is [0, alpha] when
@@ -163,8 +161,7 @@ class Constraint:
         return (self.alpha, 1.0)
 
 
-@dataclass(frozen=True)
-class BestResponseSet:
+class BestResponseSet(_Record):
     """A closed subinterval [lo, hi] of the feasible set; a point when lo == hi."""
 
     lo: float
@@ -205,19 +202,26 @@ def constrained_best_response(red: DiagonalReduction, con: Constraint, m: float)
 
 
 class EssKind(Enum):
+    """Where an ESS lies: a pure corner, inside the interval, or on a constraint bound."""
+
     PURE_CORNER = "PureCorner"
     INTERIOR = "Interior"
     CONSTRAINT_BOUNDARY = "ConstraintBoundary"
 
 
-@dataclass(frozen=True)
-class EssPoint:
+class EssPoint(_Record):
+    """An evolutionarily stable mix ``m`` (the probability of action 1) and
+    where it lies."""
+
     m: float
     kind: EssKind
 
 
-@dataclass(frozen=True)
-class EssResult:
+class EssResult(_Record):
+    """The ESS on a feasible interval, in ascending order; ``exists`` when
+    there is one, and ``degenerate`` when beta1 = beta2 = 0, where every
+    feasible mix is an equilibrium and none is stable."""
+
     points: tuple[EssPoint, ...]
     exists: bool
     degenerate: bool = False

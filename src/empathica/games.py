@@ -11,18 +11,74 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, fields
 from enum import Enum
 
 CELLS: tuple[tuple[int, int], ...] = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
-def _raise_first_non_finite(obj, values: tuple[float, ...]) -> None:
-    """Raise ValueError naming the first field of dataclass ``obj``, in
-    declaration order, whose value in ``values`` is not finite."""
-    for field, value in zip(fields(obj), values):
+class _Record:
+    """A frozen value with named fields: the base of every result record.
+
+    A subclass declares its fields as annotations, in order, each with an
+    optional class-level default.  Defining it builds its ``__init__`` once,
+    from the field names: positional-or-keyword parameters in declaration
+    order that set each field and then call ``__post_init__`` where the
+    class has one.  ``__match_args__`` lists the fields.  Two records are
+    equal when they are of one class and their field tuples are equal, and
+    a record hashes as its field tuple.  ``repr`` shows each field's repr.
+    Assigning or deleting an attribute raises AttributeError.  Instances
+    keep a ``__dict__``, so ``functools.cached_property``, ``vars``,
+    ``copy`` and ``pickle`` work on them.
+
+    Records do not use ``dataclasses``: importing it loads ``inspect``, and
+    with its decorators it cost every command's start-up about 25 ms.
+    """
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        names = tuple(cls.__annotations__)
+        defaults = vars(cls)
+        # A default is the class attribute itself, read once, at definition.
+        params = "".join(f", {n}=cls.{n}" if n in defaults else f", {n}" for n in names)
+        body = "".join(f"    _set(self, {n!r}, {n})\n" for n in names)
+        if hasattr(cls, "__post_init__"):
+            body += "    self.__post_init__()\n"
+        namespace = {"__name__": cls.__module__, "cls": cls, "_set": object.__setattr__}
+        exec(f"def __init__(self{params}):\n{body}", namespace)
+        init = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init.__annotations__ = {**cls.__annotations__, "return": None}
+        cls.__init__ = init
+        cls.__match_args__ = names
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _raise_first_non_finite(obj: _Record, values: tuple[float, ...]) -> None:
+    """Raise ValueError naming the first field of ``obj``, in declaration
+    order, whose value in ``values`` is not finite."""
+    for name, value in zip(obj.__match_args__, values):
         if not math.isfinite(value):
-            raise ValueError(f"{field.name} must be a finite real number, got {value!r}")
+            raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 def _dyadic(*values: float) -> tuple[int, ...]:
@@ -34,8 +90,7 @@ def _dyadic(*values: float) -> tuple[int, ...]:
     return tuple(n * (scale // d) for n, d in ratios)
 
 
-@dataclass(frozen=True)
-class Game2x2:
+class Game2x2(_Record):
     """A two-player game with two actions per player and real payoffs."""
 
     a11: float
@@ -76,6 +131,10 @@ class Game2x2:
     def b(self, i: int, j: int) -> float:
         return getattr(self, f"b{i}{j}")
 
+    def payoffs(self) -> tuple[float, float, float, float, float, float, float, float]:
+        """The eight payoffs in field order, a11 ... a22 then b11 ... b22."""
+        return (self.a11, self.a12, self.a21, self.a22, self.b11, self.b12, self.b21, self.b22)
+
     def row_matrix(self) -> tuple[tuple[float, float], tuple[float, float]]:
         return ((self.a11, self.a12), (self.a21, self.a22))
 
@@ -92,14 +151,10 @@ class Game2x2:
         )
 
     def min_payoff(self) -> float:
-        return min(
-            self.a11, self.a12, self.a21, self.a22,
-            self.b11, self.b12, self.b21, self.b22,
-        )
+        return min(self.payoffs())
 
 
-@dataclass(frozen=True)
-class EmpathyMatrix:
+class EmpathyMatrix(_Record):
     """2x2 weight matrix mixing own and opponent payoffs.
 
     Entry ``l11``/``l22`` weighs a player's own payoff, ``l12``/``l21``
@@ -259,9 +314,7 @@ def _transformed_differences(
     values; ``g``'s eight payoffs are read once, here.  Where a difference
     is not finite, as a non-finite weight or transformed payoff always makes
     one, the game is built so that ``transform`` raises its own error."""
-    a11, a12, a21, a22, b11, b12, b21, b22 = (
-        g.a11, g.a12, g.a21, g.a22, g.b11, g.b12, g.b21, g.b22
-    )
+    a11, a12, a21, a22, b11, b12, b21, b22 = g.payoffs()
 
     def differences(l11: float, l12: float, l21: float, l22: float):
         d1 = (l11 * a11 + l12 * b11) - (l11 * a21 + l12 * b21)
@@ -278,6 +331,8 @@ def _transformed_differences(
 
 
 class GameKind(Enum):
+    """The class ``classify`` gives a 2x2 game by its strict best responses."""
+
     COORDINATION = "Coordination"
     ANTI_COORDINATION = "AntiCoordination"
     DISCOORDINATION = "Discoordination"
@@ -285,8 +340,7 @@ class GameKind(Enum):
     DEGENERATE = "Degenerate"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(_Record):
     """Class tag plus per-player strictly dominant actions and any payoff ties."""
 
     kind: GameKind
@@ -340,8 +394,11 @@ def _untied_class(r1: float, r2: float, c1: float, c2: float) -> Classification:
     return Classification(GameKind.DISCOORDINATION)
 
 
-@dataclass(frozen=True)
-class DominatedAction:
+class DominatedAction(_Record):
+    """Action ``action`` of ``player`` (1 row, 2 column) is weakly dominated
+    by its other action ``dominated_by``; ``strict`` when it is a best
+    response to no opponent action."""
+
     player: int
     action: int
     dominated_by: int
@@ -363,8 +420,9 @@ def dominated_actions(g: Game2x2) -> list[DominatedAction]:
     return out
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(_Record):
+    """Whether the game is symmetric ``before`` and ``after`` the transform."""
+
     before: bool
     after: bool
 
@@ -379,6 +437,8 @@ def symmetry_report(g: Game2x2, lam: EmpathyMatrix) -> SymmetryReport:
 
 
 class InequalityVerdict(Enum):
+    """Whether the transform shrank, widened or kept a cell's absolute payoff gap."""
+
     REDUCED = "Reduced"
     INCREASED = "Increased"
     UNCHANGED = "Unchanged"
@@ -387,8 +447,7 @@ class InequalityVerdict(Enum):
 _GAP_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(_Record):
     """Payoff gap between the players at one joint action, before and after.
 
     ``lambda_tilde`` is the ratio l12/l21 (None when l21 == 0, in which case

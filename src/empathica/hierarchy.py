@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .equilibria import _key_signature, _player_key
@@ -24,6 +23,7 @@ from .games import (
     matching_pennies,
     prisoners_dilemma,
     transform,
+    _Record,
     _differences,
     _dyadic,
     _powers,
@@ -80,22 +80,29 @@ def equilibrium_signature(g: Game2x2) -> str:
     return _key_signature(_player_key(a1, a2), _player_key(c1, c2))
 
 
-@dataclass(frozen=True)
-class LevelRecord:
+class LevelRecord(_Record):
+    """Level ``k`` of a hierarchy walk: the weights lam^k and the
+    ``equilibrium_signature`` of the level-k game."""
+
     k: int
     lam_k: EmpathyMatrix
     signature: str
 
 
 class LimitKind(Enum):
+    """How the powers lam^k behave as k grows (see ``spectral_limit``)."""
+
     ZERO = "Zero"
     CONVERGES = "Converges"
     DIVERGES = "Diverges"
     OSCILLATES = "Oscillates"
 
 
-@dataclass(frozen=True)
-class SpectralRecord:
+class SpectralRecord(_Record):
+    """lam's two eigenvalues and spectral radius ``rho``, how its powers
+    behave, and their ``limit`` where they approach one (the zero matrix
+    for Zero), else None."""
+
     eigenvalues: tuple[complex, complex]
     rho: float
     limit_kind: LimitKind
@@ -195,8 +202,7 @@ def _epsilon_powers(eps: float | None, k_max: int) -> tuple[float, ...] | None:
     return tuple(out) if 0.0 < out[-1] < math.inf else None
 
 
-@dataclass(frozen=True)
-class ConsistencyVerdict:
+class ConsistencyVerdict(_Record):
     """Outcome of probing an empathy structure across reasoning levels.
 
     ``consistent_up_to_k`` reports the battery comparison; when it fails,
@@ -296,8 +302,7 @@ def check_consistency(
     )
 
 
-@dataclass(frozen=True)
-class HierarchyAnalysis:
+class HierarchyAnalysis(_Record):
     """Per-level weight matrices and equilibrium signatures for one game:
     ``powers[k - 1]`` holds the entries (l11, l12, l21, l22) of lam^k and
     ``signatures[k - 1]`` the equilibrium signature of the level-k game."""

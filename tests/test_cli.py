@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import pathlib
@@ -9,7 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from empathica import LearningSchedule, PopulationState, RevisionProtocol, hierarchy, simulate
+from empathica import (
+    LearningSchedule,
+    PopulationState,
+    RevisionProtocol,
+    SpectralRecord,
+    hierarchy,
+    simulate,
+)
 from empathica.cli import _parse_range, main
 from empathica.io import (
     GameFileError,
@@ -587,7 +593,8 @@ class TestHierarchyCommand:
         real = hierarchy.spectral_limit
 
         def infinite_radius(lam, k_max):
-            return dataclasses.replace(real(lam, k_max), rho=float("inf"))
+            rec = real(lam, k_max)
+            return SpectralRecord(rec.eigenvalues, float("inf"), rec.limit_kind, rec.limit)
 
         monkeypatch.setattr(hierarchy, "spectral_limit", infinite_radius)
         out = tmp_path / "h.csv"

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -92,7 +91,7 @@ class TestTransform:
         + [(EmpathyMatrix, f) for f in ("l11", "l12", "l21", "l22")],
     )
     def test_non_finite_entry_message_names_the_field(self, cls, field, bad):
-        values = {f.name: 1.0 for f in dataclasses.fields(cls)}
+        values = dict.fromkeys(cls.__match_args__, 1.0)
         values[field] = bad
         with pytest.raises(ValueError) as exc:
             cls(**values)

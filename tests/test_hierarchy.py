@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 from empathica import (
     EmpathyMatrix,
     Game2x2,
+    HierarchyAnalysis,
     LimitKind,
     analyze_hierarchy,
     anti_coordination_game,
@@ -829,10 +829,13 @@ def assert_walks_match_reference(g, lam, k_max, battery=None):
     else:
         assert analysis.levels == levels
         assert hierarchy_csv(analysis) == hierarchy_csv(
-            dataclasses.replace(
-                analysis,
+            HierarchyAnalysis(
+                lam=analysis.lam,
+                k_max=analysis.k_max,
                 powers=tuple(rec.lam_k.entries() for rec in levels),
                 signatures=tuple(rec.signature for rec in levels),
+                consistent_up_to_k=analysis.consistent_up_to_k,
+                spectral=analysis.spectral,
             )
         )
     assert _outcome(check_consistency, lam, k_max, battery) == _outcome(

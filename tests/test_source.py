@@ -22,25 +22,39 @@ def test_no_runtime_asserts_in_the_package():
     assert offenders == []
 
 
+def _imported_modules(path):
+    """(line, module) of each absolute import in the source file ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module
+
+
 def test_package_imports_only_the_standard_library():
     # The package is runtime-dependency-free: every absolute import must be
     # a standard-library module (``__future__`` is one); package modules are
     # imported relatively.
-    offenders = []
-    for path in sorted(Path(empathica.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            offenders += [
-                f"{path.name}:{node.lineno}:{name}"
-                for name in names
-                if name.split(".")[0] not in sys.stdlib_module_names
-            ]
+    offenders = [
+        f"{path.name}:{line}:{name}"
+        for path in sorted(Path(empathica.__file__).parent.glob("*.py"))
+        for line, name in _imported_modules(path)
+        if name.split(".")[0] not in sys.stdlib_module_names
+    ]
+    assert offenders == []
+
+
+def test_package_does_not_import_dataclasses():
+    # ``dataclasses`` loads ``inspect`` (and with it ``ast``, ``dis`` and
+    # ``tokenize``), which cost every command's start-up more than all the
+    # package's classes; records derive from ``games._Record`` instead.
+    offenders = [
+        f"{path.name}:{line}:{name}"
+        for path in sorted(Path(empathica.__file__).parent.glob("*.py"))
+        for line, name in _imported_modules(path)
+        if name.split(".")[0] == "dataclasses"
+    ]
     assert offenders == []
 
 
@@ -102,11 +116,11 @@ def test_an_unknown_name_is_an_attribute_error():
         exec("from empathica import nope", {})
 
 
-def _loaded_package_modules(code, cwd):
-    """The package modules in ``sys.modules`` when a fresh interpreter that
-    ran ``code`` exits.  (``-X importtime`` cannot tell: it does not list a
+def _loaded_modules(code, cwd):
+    """The modules in ``sys.modules`` when a fresh interpreter that ran
+    ``code`` exits.  (``-X importtime`` cannot tell: it does not list a
     submodule imported by ``from . import``.)"""
-    report = "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'empathica'), file=sys.stderr)"
+    report = "print(*sorted(sys.modules), file=sys.stderr)"
     proc = subprocess.run(
         [sys.executable, "-c", f"import atexit, sys\natexit.register(lambda: {report})\n{code}"],
         cwd=cwd,
@@ -116,6 +130,11 @@ def _loaded_package_modules(code, cwd):
     )
     assert proc.returncode == 0, proc.stderr
     return set(proc.stderr.splitlines()[-1].split())
+
+
+def _loaded_package_modules(code, cwd):
+    """The package modules among ``_loaded_modules(code, cwd)``."""
+    return {m for m in _loaded_modules(code, cwd) if m.partition(".")[0] == "empathica"}
 
 
 def test_importing_the_package_loads_no_layer(tmp_path):
@@ -145,3 +164,35 @@ def test_each_command_loads_only_its_layer(tmp_path, argv, layers):
     assert loaded == {"empathica", "empathica.io", "empathica.games"} | {
         f"empathica.{layer}" for layer in layers
     }
+
+
+def test_start_up_loads_neither_dataclasses_nor_inspect(tmp_path):
+    # Every layer imported and a command run: no module of the package may
+    # pull in ``dataclasses``, nor ``inspect`` unless the bare interpreter
+    # already loads it (a site hook may).
+    code = (
+        "import empathica.dynamics, empathica.equilibria, empathica.ess, empathica.hierarchy\n"
+        "from empathica.cli import main\n"
+        "assert main(['solve', '--input', 'pd', '--out', 'r.json']) == 0"
+    )
+    loaded = _loaded_modules(code, tmp_path)
+    assert {f"empathica.{layer}" for layer in LAYERS} | {"empathica.cli"} <= loaded
+    bare = _loaded_modules("pass", tmp_path)
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded - bare
+
+
+def test_every_public_class_has_its_own_docstring():
+    from empathica.hierarchy import LevelRecord
+
+    classes = [getattr(empathica, name) for name in sorted(PUBLIC_NAMES)]
+    classes = [obj for obj in classes if isinstance(obj, type)] + [LevelRecord]
+    # A docstring that is only the constructor's signature, as
+    # ``dataclasses`` writes for a class without one, does not count.
+    missing = [
+        cls.__name__
+        for cls in classes
+        if not (cls.__dict__.get("__doc__") or "").strip()
+        or cls.__dict__["__doc__"].startswith(f"{cls.__name__}(")
+    ]
+    assert missing == []

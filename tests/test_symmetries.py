@@ -20,7 +20,6 @@ within ``relabel_drift_bounds``.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -94,7 +93,7 @@ def relabel_drift_bounds(g: Game2x2, sched: LearningSchedule, n: int) -> list[fl
     So e_0 <= u/2 (one rounding of 1 - p1) and
     e_{t+1} <= (1 + 4*lam_t*S)*e_t + 2*u*(4 + 64*lam_t*M).
     """
-    payoffs = astuple(g)
+    payoffs = g.payoffs()
     spread = max(payoffs) - min(payoffs)
     size = max(map(abs, payoffs))
     u = 2.0**-53
@@ -121,7 +120,7 @@ def relabel_game(g: Game2x2) -> Game2x2:
 
 
 def scale_game(g: Game2x2, k: int) -> Game2x2:
-    return Game2x2(*(math.ldexp(v, k) for v in astuple(g)))
+    return Game2x2(*(math.ldexp(v, k) for v in g.payoffs()))
 
 
 def _normal(v: float) -> bool:
@@ -139,7 +138,7 @@ def game_values(g: Game2x2) -> list[float]:
     the equilibrium code forms from a game's payoffs."""
     d = [g.a11 - g.a21, g.a22 - g.a12, g.b11 - g.b12, g.b22 - g.b21]
     prefs = [g.b21 - g.b22, g.b11 - g.b12, g.a12 - g.a22, g.a11 - g.a21]
-    return [*astuple(g), *d, d[0] + d[1], d[2] + d[3], prefs[1] - prefs[0], prefs[3] - prefs[2]]
+    return [*g.payoffs(), *d, d[0] + d[1], d[2] + d[3], prefs[1] - prefs[0], prefs[3] - prefs[2]]
 
 
 class Swap:
@@ -424,7 +423,7 @@ class TestPowerOfTwoScaling:
         b1, b2 = red.beta1, red.beta2
         # The ESS reads the preference at each end of the feasible interval.
         ends = [e for c in constraints for e in c.feasible_interval]
-        values = [*red.source[0], *red.source[1], b1, b2, b1 + b2, *astuple(g)]
+        values = [*red.source[0], *red.source[1], b1, b2, b1 + b2, *g.payoffs()]
         values += [v for m in ends for v in (b1 * m, b2 * (1.0 - m), red.preference(m))]
         assume(scales_exactly(values, k))
         assert symmetric_equilibria(scaled) == symmetric_equilibria(red)
