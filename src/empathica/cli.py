@@ -256,9 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_lambda=True):
+    def common(p, needs_lambda=True, out="JSON report path (default: stdout)"):
         p.add_argument("--input", required=True, help="game JSON file or bundled fixture name")
-        p.add_argument("--out", default=None, help="output path (stdout for JSON reports)")
+        p.add_argument("--out", default=None, help=out)
         if needs_lambda:
             p.add_argument(
                 "--lambda", dest="lam", nargs=4, type=float, default=None,
@@ -288,33 +288,56 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--V", type=float, default=None)
     p.set_defaults(fn=cmd_ess)
 
+    def protocol(p):
+        p.add_argument(
+            "--protocol", default="replicator",
+            help="revision protocol: a kind (replicator, bnn, smith or imitation), or a "
+            "weighted mix hybrid:kind=w,... such as hybrid:smith=0.5,bnn=0.5, where a "
+            "kind without =w weighs 1 (default: %(default)s)",
+        )
+
     p = sub.add_parser("simulate", help="run the evolutionary dynamics")
-    common(p)
-    p.add_argument("--protocol", default="replicator")
-    p.add_argument("--steps", type=int, default=10000)
-    p.add_argument("--rate", type=float, default=0.05)
-    p.add_argument("--schedule", choices=("constant", "harmonic"), default="constant")
-    p.add_argument("--start", nargs=2, type=float, default=None, metavar=("P1", "P2"))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--svg", action="store_true")
+    common(p, out="trajectory CSV path (default: trajectory.csv); the diagnostics JSON "
+           "and the --svg portrait take its stem")
+    protocol(p)
+    p.add_argument("--steps", type=int, default=10000,
+                   help="updates to run at most; a run that converges stops early "
+                   "(default: %(default)s)")
+    p.add_argument("--rate", type=float, default=0.05,
+                   help="learning rate; each step caps it at 1 / (largest switch rate), "
+                   "so the state stays in [0, 1]^2 (default: %(default)s)")
+    p.add_argument("--schedule", choices=("constant", "harmonic"), default="constant",
+                   help="constant: --rate at every step; harmonic: --rate / (t + 1) at "
+                   "step t (default: %(default)s)")
+    p.add_argument("--start", nargs=2, type=float, default=None, metavar=("P1", "P2"),
+                   help="each population's starting mass on action 1 (default: drawn "
+                   "uniformly from [0.05, 0.95] with --seed)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the drawn start when --start is not given "
+                   "(default: %(default)s)")
+    p.add_argument("--svg", action="store_true",
+                   help="also write a phase portrait with the trajectory")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("field", help="vector field of the dynamics")
-    common(p)
-    p.add_argument("--protocol", default="replicator")
-    p.add_argument("--grid", type=int, default=21)
-    p.add_argument("--svg", action="store_true")
+    common(p, out="field CSV path (default: field.csv); the --svg portrait takes its stem")
+    protocol(p)
+    p.add_argument("--grid", type=int, default=21,
+                   help="grid values per axis, at least 2 (default: %(default)s)")
+    p.add_argument("--svg", action="store_true",
+                   help="also write a phase portrait")
     p.set_defaults(fn=cmd_field)
 
     p = sub.add_parser("sweep", help="region map over the cross-empathy weights")
-    common(p, needs_lambda=False)
+    common(p, needs_lambda=False, out="region CSV path (default: region.csv)")
     p.add_argument("--range-l12", type=_parse_range, default=(-1.0, 2.0))
     p.add_argument("--range-l21", type=_parse_range, default=(-1.0, 2.0))
     p.add_argument("--grid", type=int, default=60)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("hierarchy", help="multi-level consistency analysis")
-    common(p)
+    common(p, out="per-level CSV path (default: hierarchy.csv); the verdict JSON takes "
+           "its stem")
     p.add_argument("--kmax", type=int, default=10)
     p.set_defaults(fn=cmd_hierarchy)
 

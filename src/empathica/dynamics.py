@@ -6,11 +6,17 @@ determined by a revision protocol, and the state updates as
     m' = m + rate_t * (1 - m) * eta_in - rate_t * m * eta_out,
 
 with the learning rate capped per step so the state never leaves [0, 1]^2.
-That kernel (cap, update, clamp) is written once, in ``simulate``'s loop.
-Each step forms the four expected payoffs once and calls one rate rule per
-population, built once per run for the protocol's kind and reused while the
-same protocol and game come back (``step`` replaying a run); a constant
-schedule's rate is read once per run.
+Each protocol kind's switch rates are written once, as expression text in
+``_RATES``.  ``simulate``'s loop (cap, update, clamp, convergence window and
+the arc-length prefix of the cycle scan) is one template, compiled once per
+process for each protocol's kind sequence with both populations' rates
+written inline, so a step calls no rate rule; a hybrid sums its members'
+weighted rates in component order.  The game's imitation shift and a
+hybrid's weights are arguments of the compiled loop, not part of its key.
+``step`` runs one iteration of that loop, and ``switch_rates`` and
+``vector_field`` call a one-population rule compiled from the same table,
+so all of them give the same floats.  Nothing is compiled at import; a
+constant schedule's rate is read once per run.
 Population 1 plays the row role against population 2's mix, and vice versa.
 
 Supported protocols (pi_a is the expected payoff of action a against the
@@ -38,7 +44,24 @@ from .games import (
     transform,
 )
 
-_PROTOCOL_KINDS = ("replicator", "bnn", "smith", "imitation")
+# Each protocol kind's switch rates (eta_12, eta_21) for one population,
+# written once, as Python text: statements that bind the kind's own names,
+# then the two rates.  ``m`` is the population's mass on action 1,
+# ``n = 1 - m``, ``u1`` and ``u2`` are its actions' expected payoffs against
+# the other population's mix, and ``shift`` is minus the game's least
+# payoff; ``m`` and ``n`` stand between spaces, as compiled code renames
+# them.  A name that two kinds bind has one definition, so that a hybrid
+# binds it once.
+_RATES = {
+    "replicator": (("d = u2 - u1",), "n * d if d > 0.0 else 0.0", "m * -d if d < 0.0 else 0.0"),
+    "smith": (("d = u2 - u1",), "d if d > 0.0 else 0.0", "-d if d < 0.0 else 0.0"),
+    "bnn": (
+        ("bar = m * u1 + n * u2", "x = u2 - bar", "y = u1 - bar"),
+        "x if x > 0.0 else 0.0",
+        "y if y > 0.0 else 0.0",
+    ),
+    "imitation": ((), "n * (u2 + shift)", "m * (u1 + shift)"),
+}
 _RATE_FLOOR = 2.220446049250313e-16  # machine epsilon floor for the step cap
 _CONV_TOL = 1e-9  # a step is still when its change is below this times its rate
 _WINDOW = 25  # consecutive still steps that declare convergence
@@ -72,7 +95,7 @@ class RevisionProtocol(_Record):
             if not self.components:
                 raise ValueError("hybrid protocol needs at least one component")
             for name, w in self.components:
-                if name not in _PROTOCOL_KINDS:
+                if name not in _RATES:
                     raise ValueError(f"unknown protocol component {name!r}")
                 if not math.isfinite(w):
                     raise ValueError("hybrid weights must be finite")
@@ -83,7 +106,7 @@ class RevisionProtocol(_Record):
                 raise ValueError("hybrid weights must not all be zero")
             if not math.isfinite(total):  # every share w / total would be 0
                 raise ValueError("hybrid weights must have a finite sum")
-        elif self.kind not in _PROTOCOL_KINDS:
+        elif self.kind not in _RATES:
             raise ValueError(f"unknown protocol {self.kind!r}")
 
     @classmethod
@@ -110,9 +133,9 @@ class RevisionProtocol(_Record):
     def parse(cls, text: str) -> "RevisionProtocol":
         """Parse 'replicator', 'smith', ... or 'hybrid:smith=0.5,bnn=0.5'."""
         text = text.strip()
-        if not text.startswith("hybrid"):
+        name, _, spec = text.partition(":")
+        if name.rstrip() != "hybrid":  # "hybridsmith" is no hybrid
             return cls(text)
-        _, _, spec = text.partition(":")
         comps = []
         for chunk in filter(None, spec.split(",")):
             name, _, w = chunk.partition("=")
@@ -155,14 +178,15 @@ def switch_rates(
 ) -> tuple[float, float]:
     """Nonnegative switch rates (eta_12, eta_21) for one population.
 
-    Evaluates the rate rule and the payoff expressions of ``simulate``'s
-    kernel, so the values are exactly those a simulation step uses.
+    Evaluates the rate expressions and the payoff expressions of
+    ``simulate``'s kernel, so the values are exactly those a simulation
+    step uses.
     """
     if pop not in (1, 2):
         raise ValueError("pop must be 1 or 2")
     r1, r2, c1, c2 = _payoffs(game, state.p1, state.p2)
     m, u1, u2 = (state.p1, r1, r2) if pop == 1 else (state.p2, c1, c2)
-    return _rule_for(proto, game)(m, 1.0 - m, u1, u2)
+    return _rule(proto, game)(m, 1.0 - m, u1, u2)
 
 
 def step(
@@ -222,88 +246,177 @@ class Trajectory(_Record):
         return len(self.p1)
 
 
-_last_rule: tuple = (None, None, None)  # (protocol, game, rule) of the last _rule_for
+# Protocol keys, as ``_protocol_key`` forms them, to the compiled code of
+# each: filled on first use, so importing the module compiles nothing.
+_KERNELS: dict = {}
+_RULES: dict = {}
 
+# simulate's loop, written once: both populations' switch rates, the step
+# cap, the update, the clamp, the still-window convergence test and the
+# arc-length prefix that the cycle scan reads.  ``_compile_kernel`` writes
+# each population's rates in, from ``_RATES``.
+_KERNEL = """\
+def kernel(p1, p2, steps, lam, varying, rate_of,
+           a11, a12, a21, a22, b11, b12, b21, b22, shift{weights}):
+    still = {tol!r} * lam
+    p1s = [p1]
+    p2s = [p2]
+    arc = [0.0]
+    append1 = p1s.append
+    append2 = p2s.append
+    append_arc = arc.append
+    acc = 0.0
+    consecutive = 0
+    for t in range(steps):
+        if varying:
+            lam = rate_of(t)
+            still = {tol!r} * lam
+        q1 = 1.0 - p1
+        q2 = 1.0 - p2
+        u1 = a11 * p2 + a12 * q2
+        u2 = a21 * p2 + a22 * q2
+{rates1}\
+        u1 = b11 * p1 + b21 * q1
+        u2 = b12 * p1 + b22 * q1
+{rates2}\
+        # Compared inline: the builtin max() costs about a third more per step.
+        mx = e112
+        if e121 > mx:
+            mx = e121
+        if e212 > mx:
+            mx = e212
+        if e221 > mx:
+            mx = e221
+        if mx < {floor!r}:
+            mx = {floor!r}
+        cap = lam if lam * mx <= 1.0 else 1.0 / mx
+        n1 = p1 + cap * q1 * e121 - cap * p1 * e112
+        n2 = p2 + cap * q2 * e221 - cap * p2 * e212
+        n1 = 0.0 if n1 < 0.0 else 1.0 if n1 > 1.0 else n1
+        n2 = 0.0 if n2 < 0.0 else 1.0 if n2 > 1.0 else n2
+        d1 = n1 - p1
+        if d1 < 0.0:
+            d1 = -d1
+        d2 = n2 - p2
+        if d2 < 0.0:
+            d2 = -d2
+        delta = d1 if d1 > d2 else d2
+        p1 = n1
+        p2 = n2
+        append1(p1)
+        append2(p2)
+        acc += delta
+        append_arc(acc)
+        if delta < still:
+            consecutive += 1
+            if consecutive >= {window!r}:
+                return (p1s, p2s, arc, True)
+        else:
+            consecutive = 0
+    return (p1s, p2s, arc, False)
+"""
 
-def _rule_for(proto: RevisionProtocol, game: Game2x2):
-    """``_rate_rule(proto, game)``, reused while the same protocol and game
-    objects come back, as when ``step`` replays a trajectory.
-
-    A one-entry memo keyed on identity, so games that differ only in the
-    sign of a zero never share a rule.  It holds both objects, so neither
-    id can pass to another object while it is the key.
-    """
-    global _last_rule
-    last_proto, last_game, rule = _last_rule
-    if last_proto is not proto or last_game is not game:
-        rule = _rate_rule(proto, game)
-        _last_rule = (proto, game, rule)
+# One population's rule (m, n, u1, u2) -> (eta_12, eta_21), made for one
+# game's shift and one hybrid's weights.
+_RULE = """\
+def rule_of(shift{weights}):
+    def rule(m, n, u1, u2):
+{rates}\
+        return (e12, e21)
     return rule
+"""
 
 
-def _rate_rule(proto: RevisionProtocol, game: Game2x2):
-    """Specialized (m, n, u1, u2) -> (eta_12, eta_21) for one population:
-    ``m`` is its mass on action 1, ``n = 1 - m``, and ``u1``, ``u2`` are its
-    actions' expected payoffs against the other population's mix.
+def _protocol_key(proto: RevisionProtocol) -> tuple[str, ...]:
+    """The protocol's kind sequence, all that its compiled code depends on:
+    ``(kind,)``, or ``("hybrid", member kinds...)`` in component order."""
+    return (proto.kind, *[name for name, _ in proto.components])
 
-    The one place where each protocol's rates and the hybrid weighting are
-    written; ``simulate`` (and so ``step``), ``switch_rates`` and
-    ``vector_field`` take it through ``_rule_for`` and call it once per
-    population.  The protocol is dispatched here, once: each kind gets its
-    own rule, so a call runs no test of the kind.  A hybrid sums its members' rates, weighted, in its
-    component order.
+
+def _protocol_args(proto: RevisionProtocol, game: Game2x2) -> tuple[float, ...]:
+    """The compiled code's protocol arguments: imitation's shift, minus the
+    game's least payoff, then a hybrid's weights w / total in component
+    order.  They are arguments, so a game never selects compiled code."""
+    total = sum(w for _, w in proto.components)
+    return (-game.min_payoff(), *[w / total for _, w in proto.components])
+
+
+def _rates_source(key: tuple[str, ...], m: str, n: str, e12: str, e21: str) -> str:
+    """Loop-body lines that set ``e12`` and ``e21`` to the switch rates of
+    the protocol ``key`` for a population whose mass on action 1 is named
+    ``m`` and whose ``1 - m`` is named ``n``; they read ``u1``, ``u2``,
+    ``shift`` and a hybrid's weights ``w0, w1, ...``.
+
+    A single kind assigns its own expressions.  A hybrid binds each name its
+    members use once and assigns ``((0.0 + w0 * r_0) + w1 * r_1) + ...`` in
+    component order: the sums of a running ``e12 += w * r12``, bit for bit.
     """
-    kind = proto.kind
+    names = {"m": m, "n": n}
 
-    if kind == "hybrid":
-        total = sum(w for _, w in proto.components)
-        members = [
-            (_rate_rule(RevisionProtocol(name), game), w / total)
-            for name, w in proto.components
-        ]
+    def put(text: str) -> str:  # in _RATES, m and n stand between spaces
+        return " ".join([names.get(word, word) for word in text.split(" ")])
 
-        def hybrid(m: float, n: float, u1: float, u2: float):
-            e12 = e21 = 0.0
-            for rule, w in members:
-                r12, r21 = rule(m, n, u1, u2)
-                e12 += w * r12
-                e21 += w * r21
-            return (e12, e21)
+    hybrid = key[0] == "hybrid"
+    kinds = key[1:] if hybrid else key
+    lines: list[str] = []
+    for kind in kinds:
+        lines += [line for line in map(put, _RATES[kind][0]) if line not in lines]
+    if hybrid:
+        sums = ["0.0", "0.0"]
+        for i, kind in enumerate(kinds):
+            for k, rate in enumerate(_RATES[kind][1:]):
+                sums[k] = f"({sums[k]} + w{i} * ({put(rate)}))"
+    else:
+        sums = [put(rate) for rate in _RATES[key[0]][1:]]
+    lines += [f"{e12} = {sums[0]}", f"{e21} = {sums[1]}"]
+    return "".join(f"        {line}\n" for line in lines)
 
-        return hybrid
 
-    if kind == "replicator":
+def _define(template: str, name: str, key: tuple[str, ...], **fields):
+    """Fill ``template`` in for the protocol ``key`` (its weights ``w0, w1,
+    ...`` and ``fields``), run it, and return the function ``name`` it
+    defines."""
+    weights = "".join(f", w{i}" for i in range(len(key) - 1))
+    source = template.format(weights=weights, **fields)
+    namespace = {"__name__": __name__}
+    exec(compile(source, f"<empathica.dynamics.{name}>", "exec"), namespace)
+    return namespace[name]
 
-        def replicator(m: float, n: float, u1: float, u2: float):
-            d = u2 - u1
-            return (n * d if d > 0.0 else 0.0, m * -d if d < 0.0 else 0.0)
 
-        return replicator
+def _compile_kernel(key: tuple[str, ...]):
+    """``simulate``'s loop for the protocol ``key``, rates written inline."""
+    return _define(
+        _KERNEL,
+        "kernel",
+        key,
+        rates1=_rates_source(key, "p1", "q1", "e112", "e121"),
+        rates2=_rates_source(key, "p2", "q2", "e212", "e221"),
+        tol=_CONV_TOL,
+        floor=_RATE_FLOOR,
+        window=_WINDOW,
+    )
 
-    if kind == "smith":
 
-        def smith(m: float, n: float, u1: float, u2: float):
-            d = u2 - u1
-            return (d if d > 0.0 else 0.0, -d if d < 0.0 else 0.0)
+def _compile_rule(key: tuple[str, ...]):
+    """The one-population rule maker for the protocol ``key``."""
+    return _define(_RULE, "rule_of", key, rates=_rates_source(key, "m", "n", "e12", "e21"))
 
-        return smith
 
-    if kind == "bnn":
+def _compiled(cache: dict, build, proto: RevisionProtocol):
+    """``build(key)`` for the protocol's key, compiled once per process."""
+    key = _protocol_key(proto)
+    code = cache.get(key)
+    if code is None:
+        code = cache[key] = build(key)
+    return code
 
-        def bnn(m: float, n: float, u1: float, u2: float):
-            bar = m * u1 + n * u2
-            x = u2 - bar
-            y = u1 - bar
-            return (x if x > 0.0 else 0.0, y if y > 0.0 else 0.0)
 
-        return bnn
-
-    shift = -game.min_payoff()
-
-    def imitation(m: float, n: float, u1: float, u2: float):
-        return (n * (u2 + shift), m * (u1 + shift))
-
-    return imitation
+def _rule(proto: RevisionProtocol, game: Game2x2):
+    """Specialized (m, n, u1, u2) -> (eta_12, eta_21) for one population of
+    ``game``: ``m`` is its mass on action 1, ``n = 1 - m``, and ``u1``,
+    ``u2`` are its actions' expected payoffs against the other population's
+    mix.  Its expressions are those of ``simulate``'s kernel."""
+    return _compiled(_RULES, _compile_rule, proto)(*_protocol_args(proto, game))
 
 
 def _detect_cycle(
@@ -319,6 +432,11 @@ def _detect_cycle(
     are gathered again only when the cell changes, since the files change
     only then.  State i is filed before the gathering, but it never matches
     itself: its arc gap to itself is 0.
+
+    The candidates are checked only when the earliest of them passes the arc
+    gap test.  That skips no match: ``arc`` never decreases and rounded
+    subtraction is monotone, so when ``arc[i] - arc[first]`` is not above the
+    gap, no ``arc[i] - arc[j]`` of a later candidate j is either.
 
     Cell (kx, ky) is filed under the integer kx * width + ky.  States lie in
     [0, 1], so |ky| <= int(1 / |eps|) and every ky a neighbourhood reaches
@@ -344,10 +462,12 @@ def _detect_cycle(
             episodes.setdefault(key, []).append(i)
             last_key = key
             candidates = [j for off in around for j in episodes.get(key + off, ())]
+            first = arc[min(candidates)]
         ai = arc[i]
-        for j in candidates:
-            if ai - arc[j] > min_gap and abs(x - p1s[j]) < eps and abs(y - p2s[j]) < eps:
-                return (True, float(i - j))
+        if ai - first > min_gap:
+            for j in candidates:
+                if ai - arc[j] > min_gap and abs(x - p1s[j]) < eps and abs(y - p2s[j]) < eps:
+                    return (True, float(i - j))
     return (False, None)
 
 
@@ -373,69 +493,15 @@ def simulate(
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    rule = _rule_for(proto, game)
-    a11, a12, a21, a22, b11, b12, b21, b22 = game.payoffs()
+    kernel = _compiled(_KERNELS, _compile_kernel, proto)
     # A constant schedule's rate, and so the convergence threshold, is read
     # once; a harmonic one is read per step.
-    varying = sched.kind != "constant"
-    rate_of = sched.rate
-    lam = rate_of(0)
-    still = _CONV_TOL * lam
-    p1 = s0.p1
-    p2 = s0.p2
-    p1s = [p1]
-    p2s = [p2]
-    arc = [0.0]
-    append1 = p1s.append
-    append2 = p2s.append
-    append_arc = arc.append
-    acc = 0.0
-    consecutive = 0
-    converged = False
-    for t in range(steps):
-        if varying:
-            lam = rate_of(t)
-            still = _CONV_TOL * lam
-        q1 = 1.0 - p1
-        q2 = 1.0 - p2
-        e112, e121 = rule(p1, q1, a11 * p2 + a12 * q2, a21 * p2 + a22 * q2)
-        e212, e221 = rule(p2, q2, b11 * p1 + b21 * q1, b12 * p1 + b22 * q1)
-        # Compared inline: the builtin max() costs about a third more per step.
-        mx = e112
-        if e121 > mx:
-            mx = e121
-        if e212 > mx:
-            mx = e212
-        if e221 > mx:
-            mx = e221
-        if mx < _RATE_FLOOR:
-            mx = _RATE_FLOOR
-        cap = lam if lam * mx <= 1.0 else 1.0 / mx
-        n1 = p1 + cap * q1 * e121 - cap * p1 * e112
-        n2 = p2 + cap * q2 * e221 - cap * p2 * e212
-        n1 = 0.0 if n1 < 0.0 else 1.0 if n1 > 1.0 else n1
-        n2 = 0.0 if n2 < 0.0 else 1.0 if n2 > 1.0 else n2
-        d1 = n1 - p1
-        if d1 < 0.0:
-            d1 = -d1
-        d2 = n2 - p2
-        if d2 < 0.0:
-            d2 = -d2
-        delta = d1 if d1 > d2 else d2
-        p1 = n1
-        p2 = n2
-        append1(p1)
-        append2(p2)
-        acc += delta
-        append_arc(acc)
-        if delta < still:
-            consecutive += 1
-            if consecutive >= _WINDOW:
-                converged = True
-                break
-        else:
-            consecutive = 0
-
+    p1s, p2s, arc, converged = kernel(
+        s0.p1, s0.p2, steps, sched.rate(0), sched.kind != "constant", sched.rate,
+        *game.payoffs(), *_protocol_args(proto, game),
+    )
+    p1 = p1s[-1]
+    p2 = p2s[-1]
     # A NaN coordinate stays NaN, so the final state shows any overflow.
     if p1 != p1 or p2 != p2:
         t = next(i for i, (x, y) in enumerate(zip(p1s, p2s)) if x != x or y != y)
@@ -467,7 +533,7 @@ def vector_field(proto: RevisionProtocol, game: Game2x2, resolution: int) -> Vec
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    rule = _rule_for(proto, game)
+    rule = _rule(proto, game)
     coords = [k / (resolution - 1) for k in range(resolution)]
     # Row payoffs depend on p2 alone and column payoffs on p1 alone, so each
     # grid value's payoffs are formed once, for both axes, and each column's

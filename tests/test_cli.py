@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import pathlib
@@ -16,7 +17,7 @@ from empathica import (
     hierarchy,
     simulate,
 )
-from empathica.cli import _parse_range, main
+from empathica.cli import _parse_range, build_parser, main
 from empathica.io import (
     GameFileError,
     canonical_json,
@@ -448,6 +449,14 @@ class TestSimulateCommand:
             assert capsys.readouterr().err == f"empathica: hybrid weights {message}\n"
             assert not out.exists()
 
+    def test_a_name_that_only_starts_with_hybrid_is_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        for protocol in ("hybridsmith", "hybrid2:smith=1"):
+            assert run("simulate", "--input", "matching_pennies", "--protocol", protocol,
+                       "--steps", "50", "--out", str(out)) == 2
+            assert capsys.readouterr().err == f"empathica: unknown protocol '{protocol}'\n"
+            assert not out.exists()
+
     @pytest.mark.parametrize(
         "protocol", ["replicator", "smith", "bnn", "imitation", "hybrid:smith=0.5,bnn=0.5"]
     )
@@ -488,6 +497,16 @@ class TestFieldCommand:
         assert run("field", "--input", str(src), "--grid", "3", "--out", str(out)) == 2
         assert "switch rates overflow the float range" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "field"])
+def test_every_dynamics_option_has_help(command):
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = [a for a in commands.choices[command]._actions if a.option_strings]
+    assert {"--protocol", "--svg"} <= {s for a in options for s in a.option_strings}
+    missing = [a.option_strings for a in options if not (a.help or "").strip()]
+    assert missing == []
 
 
 class TestSweepCommand:

@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +44,20 @@ ALL_PROTOS = (
     RevisionProtocol.smith(),
     RevisionProtocol.imitation(),
 )
+
+# Hybrid mixes the oracle tests run, by test id: a repeated kind, one
+# member, all four kinds with imitation first, a zero weight, and the
+# benchmark's mix.
+MIXES = {
+    "hybrid": "hybrid:smith=0.5,bnn=0.3,imitation=0.2",
+    "hybrid-repeated": "hybrid:smith=0.5,bnn=0.3,smith=0.2",
+    "hybrid-one": "hybrid:replicator=1",
+    "hybrid-all-four": "hybrid:imitation=0.1,replicator=0.4,bnn=0.3,smith=0.2",
+    "hybrid-zero-weight": "hybrid:smith=0.6,imitation=0,bnn=0.4",
+    "hybrid-bench": "hybrid:replicator=0.5,smith=0.3,bnn=0.2",
+}
+ORACLE_PROTOS = ALL_PROTOS + tuple(RevisionProtocol.parse(text) for text in MIXES.values())
+ORACLE_IDS = [p.kind for p in ALL_PROTOS] + list(MIXES)
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -125,6 +143,16 @@ class TestSwitchRates:
         with pytest.raises(ValueError):
             RevisionProtocol.parse("gradient")
 
+    def test_only_the_name_hybrid_makes_a_hybrid(self):
+        # A name that merely starts with "hybrid" is an unknown protocol,
+        # not an empty hybrid.
+        for text in ("hybridsmith", "hybrid2:smith=1"):
+            with pytest.raises(ValueError, match=f"^unknown protocol '{text}'$"):
+                RevisionProtocol.parse(text)
+        assert RevisionProtocol.parse(" hybrid :smith=1") == RevisionProtocol.hybrid(("smith", 1.0))
+        with pytest.raises(ValueError, match="hybrid protocol needs at least one component"):
+            RevisionProtocol.parse("hybrid")
+
 
 class TestStep:
     def test_zero_rates_leave_state_unchanged(self, mp):
@@ -183,8 +211,8 @@ class TestStep:
                     assert (nxt.p1, nxt.p2) == (traj.p1[t + 1], traj.p2[t + 1]), (proto, sched, t)
 
     def test_a_replay_builds_the_hybrid_rule_once(self, mp, monkeypatch):
-        # Replaying a run step by step reuses the rule while the same
-        # protocol and game objects come back, and every state stays that of
+        # Replaying a run step by step compiles the protocol's kernel once,
+        # on the first step, and every state stays that of
         # reference_simulate, bit for bit.
         proto = RevisionProtocol.parse("hybrid:smith=0.5,bnn=0.3,imitation=0.2")
         sched = LearningSchedule.constant(0.05)
@@ -192,18 +220,19 @@ class TestStep:
                                  detect_cycles=False)
         assert len(ref) == 1001
         built = []
-        rate_rule = dynamics._rate_rule
+        compile_kernel = dynamics._compile_kernel
 
-        def counting(p, g):
-            built.append(p.kind)
-            return rate_rule(p, g)
+        def counting(key):
+            built.append(key)
+            return compile_kernel(key)
 
-        monkeypatch.setattr(dynamics, "_rate_rule", counting)
+        monkeypatch.setattr(dynamics, "_compile_kernel", counting)
+        monkeypatch.setattr(dynamics, "_KERNELS", {})
         s = PopulationState(ref.p1[0], ref.p2[0])
         for t in range(1000):
             s = step(s, proto, sched, mp, t)
             assert repr((s.p1, s.p2)) == repr((ref.p1[t + 1], ref.p2[t + 1])), t
-        assert built == ["hybrid", "smith", "bnn", "imitation"]
+        assert built == [("hybrid", "smith", "bnn", "imitation")]
 
     def test_games_differing_in_a_zero_sign_do_not_share_a_rule(self):
         # The games are equal, but their imitation shifts are -0.0 and 0.0,
@@ -375,7 +404,7 @@ class TestRateOracle:
     closure per kind: the same floats (compared by repr, so that -0.0 and
     NaN must match too), or the same error text."""
 
-    PROTOS = ALL_PROTOS + (RevisionProtocol.parse("hybrid:smith=0.5,bnn=0.3,imitation=0.2"),)
+    PROTOS = ORACLE_PROTOS
 
     @staticmethod
     def games():
@@ -388,7 +417,7 @@ class TestRateOracle:
             games.append(Game2x2(big, -big, -big, big, -big, big, big, -big))
         return rng, games
 
-    @pytest.mark.parametrize("proto", PROTOS, ids=lambda p: p.kind)
+    @pytest.mark.parametrize("proto", PROTOS, ids=ORACLE_IDS)
     def test_switch_rates(self, proto):
         rng, games = self.games()
         corners = [(x, y) for x in (0.0, 1.0) for y in (0.0, 1.0)]
@@ -399,7 +428,7 @@ class TestRateOracle:
                 got = switch_rates(proto, g, s, 1) + switch_rates(proto, g, s, 2)
                 assert repr(got) == repr(ref(p1, p2))
 
-    @pytest.mark.parametrize("proto", PROTOS, ids=lambda p: p.kind)
+    @pytest.mark.parametrize("proto", PROTOS, ids=ORACLE_IDS)
     def test_vector_field_rows(self, proto):
         _, games = self.games()
         for g in games:
@@ -418,7 +447,7 @@ class TestKernelOracle:
     function and runs its own loop: the same states and diagnostics bit for
     bit (compared by repr, so that NaN matches NaN), or the same error."""
 
-    PROTOS = ALL_PROTOS + (RevisionProtocol.parse("hybrid:smith=0.5,bnn=0.3,imitation=0.2"),)
+    PROTOS = ORACLE_PROTOS
     # Rate 25 makes the cap bind; harmonic rates fall below it.
     SCHEDS = (LearningSchedule.constant(0.05), LearningSchedule.constant(25.0),
               LearningSchedule.harmonic(0.5), LearningSchedule.harmonic(25.0))
@@ -452,6 +481,24 @@ class TestKernelOracle:
                         seen.add("converged=True" in got)
         assert seen == {True, False}
 
+    @given(
+        st.lists(st.tuples(st.sampled_from(sorted(dynamics._RATES)), st.floats(0.0, 4.0)),
+                 min_size=1, max_size=4),
+        st.integers(0, 2**32 - 1),
+        unit,
+        unit,
+        st.sampled_from(SCHEDS),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_mixes(self, members, seed, p1, p2, sched):
+        # One to four members, kinds drawn with repeats: simulate's compiled
+        # kernel against reference_simulate's running member sums.
+        if sum(w for _, w in members) <= 0.0:
+            members[0] = (members[0][0], 1.0)
+        proto = RevisionProtocol.hybrid(*members)
+        game = random_game(random.Random(seed))
+        self.assert_same(PopulationState(p1, p2), proto, sched, game, 120)
+
     def test_a_cycling_run(self, mp):
         got = self.assert_same(PopulationState(0.4, 0.6), RevisionProtocol.replicator(),
                                LearningSchedule.constant(0.05), mp, 3000)
@@ -472,6 +519,72 @@ class TestKernelOracle:
                     "raised the switch rates overflow the float range for this game: "
                     "the state is NaN from step "
                 )
+
+
+class TestCompiledCode:
+    """Each protocol's kind sequence is compiled once per process, on first
+    use, from the one table of rate expressions."""
+
+    @staticmethod
+    def counting(monkeypatch, builder, cache):
+        built = []
+        build = getattr(dynamics, builder)
+
+        def counted(key):
+            built.append(key)
+            return build(key)
+
+        monkeypatch.setattr(dynamics, builder, counted)
+        monkeypatch.setattr(dynamics, cache, {})
+        return built
+
+    def test_simulating_one_mix_twice_compiles_once(self, pd, mp, monkeypatch):
+        built = self.counting(monkeypatch, "_compile_kernel", "_KERNELS")
+        sched = LearningSchedule.constant(0.05)
+        # The weights and the game are arguments of the kernel, not its key.
+        for text, game in (("hybrid:smith=0.5,bnn=0.3,smith=0.2", pd),
+                           ("hybrid:smith=0.1,bnn=0.1,smith=0.8", mp)):
+            proto = RevisionProtocol.parse(text)
+            assert repr(simulate(PopulationState(0.3, 0.6), proto, sched, game, 200)) == repr(
+                reference_simulate(PopulationState(0.3, 0.6), proto, sched, game, 200))
+        assert built == [("hybrid", "smith", "bnn", "smith")]
+
+    def test_fields_and_rates_of_one_mix_compile_one_rule(self, pd, mp, monkeypatch):
+        built = self.counting(monkeypatch, "_compile_rule", "_RULES")
+        proto = RevisionProtocol.parse("hybrid:imitation=1,replicator=2")
+        for game in (pd, mp):
+            vector_field(proto, game, 5)
+            switch_rates(proto, game, PopulationState(0.5, 0.5), 2)
+        assert built == [("hybrid", "imitation", "replicator")]
+
+    def test_a_hybrid_sum_starts_from_zero(self, mp):
+        # At a mass of -0.0 the replicator's eta_21 is -0.0 * 1.2 = -0.0.  A
+        # one-member hybrid's sum 0.0 + 1.0 * -0.0 reads 0.0, as a running
+        # sum from 0.0 does in reference_rates.
+        s = PopulationState(-0.0, 0.8)
+        got = {}
+        for text in ("replicator", "hybrid:replicator=1"):
+            proto = RevisionProtocol.parse(text)
+            got[text] = repr(switch_rates(proto, mp, s, 1) + switch_rates(proto, mp, s, 2))
+            assert got[text] == repr(reference_rates(proto, mp)(s.p1, s.p2))
+        assert got == {"replicator": "(0.0, -0.0, 0.0, 1.6)",
+                       "hybrid:replicator=1": "(0.0, 0.0, 0.0, 1.6)"}
+
+    def test_a_name_two_kinds_bind_has_one_definition(self):
+        # A hybrid binds each name its members' statements bind only once.
+        definitions = {}
+        for statements, _, _ in dynamics._RATES.values():
+            for line in statements:
+                name, _, value = line.partition(" = ")
+                assert definitions.setdefault(name, value) == value, line
+
+    def test_importing_compiles_nothing(self):
+        code = ("import empathica.dynamics as d; "
+                "assert d._KERNELS == {} and d._RULES == {}, (d._KERNELS, d._RULES)")
+        env = {**os.environ, "PYTHONPATH": str(Path(dynamics.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestCycleScan:
@@ -683,7 +796,7 @@ class TestFieldWriters:
         field = VectorField(2, tuple(rows))
         assert vector_field_csv(field) == reference_vector_field_csv(field)
 
-    @pytest.mark.parametrize("proto", TestRateOracle.PROTOS, ids=lambda p: p.kind)
+    @pytest.mark.parametrize("proto", TestRateOracle.PROTOS, ids=ORACLE_IDS)
     def test_library_fields_of_the_fixtures(self, proto):
         for path in sorted(fixtures_dir().glob("*.json")):
             game, lam = load_game_file(path)
