@@ -272,7 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify the (transformed) game")
     common(p)
-    p.add_argument("--tie-tol", type=float, default=0.0)
+    p.add_argument("--tie-tol", type=float, default=0.0,
+                   help="best-response comparisons within this of zero are ties and make the "
+                   "game degenerate; finite and nonnegative (default: %(default)s)")
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("solve", help="pure/mixed Nash, Berge, and Pareto analysis")
@@ -281,11 +283,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ess", help="constrained ESS of the homogeneous-population game")
     common(p, needs_lambda=False)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--c1", type=float, default=None)
-    p.add_argument("--c2", type=float, default=None)
-    p.add_argument("--V", type=float, default=None)
+    p.add_argument("--sigma", type=float, required=True,
+                   help="each player's weight on its own payoff; finite (required)")
+    p.add_argument("--mu", type=float, required=True,
+                   help="each player's weight on the opponent's payoff; finite (required)")
+    p.add_argument("--c1", type=float, default=None,
+                   help="coefficient c1 of the constraint c1*m + c2*(1-m) <= V on the mass m "
+                   "on action 1; --c1, --c2 and --V are given together, with c1 != c2 "
+                   "(default: none, every strategy is feasible)")
+    p.add_argument("--c2", type=float, default=None,
+                   help="coefficient c2 of the constraint (see --c1)")
+    p.add_argument("--V", type=float, default=None, help="bound V of the constraint (see --c1)")
     p.set_defaults(fn=cmd_ess)
 
     def protocol(p):
@@ -330,15 +338,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="region map over the cross-empathy weights")
     common(p, needs_lambda=False, out="region CSV path (default: region.csv)")
-    p.add_argument("--range-l12", type=_parse_range, default=(-1.0, 2.0))
-    p.add_argument("--range-l21", type=_parse_range, default=(-1.0, 2.0))
-    p.add_argument("--grid", type=int, default=60)
+    for weight in ("l12", "l21"):
+        p.add_argument(f"--range-{weight}", type=_parse_range, default=(-1.0, 2.0),
+                       metavar="LO:HI",
+                       help=f"finite range of the cross weight {weight} swept, with lo < hi; "
+                       f"give a negative lo as --range-{weight}=-1:2 (default: -1:2)")
+    p.add_argument("--grid", type=int, default=60,
+                   help="grid values per axis, at least 2 (default: %(default)s)")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("hierarchy", help="multi-level consistency analysis")
     common(p, out="per-level CSV path (default: hierarchy.csv); the verdict JSON takes "
            "its stem")
-    p.add_argument("--kmax", type=int, default=10)
+    p.add_argument("--kmax", type=int, default=10,
+                   help="deepest level k of the powers of the empathy matrix checked, at "
+                   "least 2 (default: %(default)s)")
     p.set_defaults(fn=cmd_hierarchy)
 
     return parser

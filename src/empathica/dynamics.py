@@ -7,16 +7,16 @@ determined by a revision protocol, and the state updates as
 
 with the learning rate capped per step so the state never leaves [0, 1]^2.
 Each protocol kind's switch rates are written once, as expression text in
-``_RATES``.  ``simulate``'s loop (cap, update, clamp, convergence window and
-the arc-length prefix of the cycle scan) is one template, compiled once per
-process for each protocol's kind sequence with both populations' rates
-written inline, so a step calls no rate rule; a hybrid sums its members'
-weighted rates in component order.  The game's imitation shift and a
-hybrid's weights are arguments of the compiled loop, not part of its key.
-``step`` runs one iteration of that loop, and ``switch_rates`` and
-``vector_field`` call a one-population rule compiled from the same table,
-so all of them give the same floats.  Nothing is compiled at import; a
-constant schedule's rate is read once per run.
+``_RATES``.  Each protocol's kind sequence has one compiled source, made
+once per process on first use, with both populations' rates written
+inline.  It defines ``simulate``'s loop (cap, update, clamp, convergence
+window and the arc-length prefix of the cycle scan), so a step calls no
+rate rule, and the one-population rule that ``switch_rates`` and
+``vector_field`` call; ``step`` runs one iteration of that loop, so all of
+them give the same floats.  A hybrid sums its members' weighted rates in
+component order.  The game's imitation shift and a hybrid's weights are
+arguments of the compiled code, not part of its key.  Nothing is compiled
+at import; a constant schedule's rate is read once per run.
 Population 1 plays the row role against population 2's mix, and vice versa.
 
 Supported protocols (pi_a is the expected payoff of action a against the
@@ -46,21 +46,21 @@ from .games import (
 
 # Each protocol kind's switch rates (eta_12, eta_21) for one population,
 # written once, as Python text: statements that bind the kind's own names,
-# then the two rates.  ``m`` is the population's mass on action 1,
-# ``n = 1 - m``, ``u1`` and ``u2`` are its actions' expected payoffs against
-# the other population's mix, and ``shift`` is minus the game's least
-# payoff; ``m`` and ``n`` stand between spaces, as compiled code renames
-# them.  A name that two kinds bind has one definition, so that a hybrid
+# then the two rates.  ``{m}`` is the population's mass on action 1,
+# ``{n} = 1 - {m}``, ``u1`` and ``u2`` are its actions' expected payoffs
+# against the other population's mix, and ``shift`` is minus the game's
+# least payoff; compiled code fills ``{m}`` and ``{n}`` in with its own
+# names.  A name that two kinds bind has one definition, so that a hybrid
 # binds it once.
 _RATES = {
-    "replicator": (("d = u2 - u1",), "n * d if d > 0.0 else 0.0", "m * -d if d < 0.0 else 0.0"),
+    "replicator": (("d = u2 - u1",), "{n} * d if d > 0.0 else 0.0", "{m} * -d if d < 0.0 else 0.0"),
     "smith": (("d = u2 - u1",), "d if d > 0.0 else 0.0", "-d if d < 0.0 else 0.0"),
     "bnn": (
-        ("bar = m * u1 + n * u2", "x = u2 - bar", "y = u1 - bar"),
+        ("bar = {m} * u1 + {n} * u2", "x = u2 - bar", "y = u1 - bar"),
         "x if x > 0.0 else 0.0",
         "y if y > 0.0 else 0.0",
     ),
-    "imitation": ((), "n * (u2 + shift)", "m * (u1 + shift)"),
+    "imitation": ((), "{n} * (u2 + shift)", "{m} * (u1 + shift)"),
 }
 _RATE_FLOOR = 2.220446049250313e-16  # machine epsilon floor for the step cap
 _CONV_TOL = 1e-9  # a step is still when its change is below this times its rate
@@ -108,6 +108,8 @@ class RevisionProtocol(_Record):
                 raise ValueError("hybrid weights must have a finite sum")
         elif self.kind not in _RATES:
             raise ValueError(f"unknown protocol {self.kind!r}")
+        elif self.components:
+            raise ValueError(f"only a hybrid protocol has components, not {self.kind!r}")
 
     @classmethod
     def replicator(cls) -> "RevisionProtocol":
@@ -139,7 +141,12 @@ class RevisionProtocol(_Record):
         comps = []
         for chunk in filter(None, spec.split(",")):
             name, _, w = chunk.partition("=")
-            comps.append((name.strip(), float(w) if w else 1.0))
+            name = name.strip()
+            try:
+                weight = float(w) if w else 1.0
+            except ValueError:
+                raise ValueError(f"hybrid weight of {name!r} must be a number, got {w!r}") from None
+            comps.append((name, weight))
         return cls.hybrid(*comps)
 
 
@@ -246,16 +253,18 @@ class Trajectory(_Record):
         return len(self.p1)
 
 
-# Protocol keys, as ``_protocol_key`` forms them, to the compiled code of
-# each: filled on first use, so importing the module compiles nothing.
-_KERNELS: dict = {}
-_RULES: dict = {}
+# Protocol kind sequences, ``(kind,)`` or ``("hybrid", member kinds...)``
+# in component order, to the namespace their ``_SOURCE`` defines: filled on
+# first use, so importing the module compiles nothing.
+_COMPILED: dict = {}
 
-# simulate's loop, written once: both populations' switch rates, the step
-# cap, the update, the clamp, the still-window convergence test and the
-# arc-length prefix that the cycle scan reads.  ``_compile_kernel`` writes
-# each population's rates in, from ``_RATES``.
-_KERNEL = """\
+# The compiled code of one protocol mix, written once.  ``kernel`` is
+# simulate's loop: both populations' switch rates, the step cap, the update,
+# the clamp, the still-window convergence test and the arc-length prefix
+# that the cycle scan reads.  ``rule_of`` makes one population's rule
+# (m, n, u1, u2) -> (eta_12, eta_21) for one game's shift and one hybrid's
+# weights.  ``_compiled`` writes the rates in, from ``_RATES``.
+_SOURCE = """\
 def kernel(p1, p2, steps, lam, varying, rate_of,
            a11, a12, a21, a22, b11, b12, b21, b22, shift{weights}):
     still = {tol!r} * lam
@@ -314,23 +323,14 @@ def kernel(p1, p2, steps, lam, varying, rate_of,
         else:
             consecutive = 0
     return (p1s, p2s, arc, False)
-"""
 
-# One population's rule (m, n, u1, u2) -> (eta_12, eta_21), made for one
-# game's shift and one hybrid's weights.
-_RULE = """\
+
 def rule_of(shift{weights}):
     def rule(m, n, u1, u2):
 {rates}\
         return (e12, e21)
     return rule
 """
-
-
-def _protocol_key(proto: RevisionProtocol) -> tuple[str, ...]:
-    """The protocol's kind sequence, all that its compiled code depends on:
-    ``(kind,)``, or ``("hybrid", member kinds...)`` in component order."""
-    return (proto.kind, *[name for name, _ in proto.components])
 
 
 def _protocol_args(proto: RevisionProtocol, game: Game2x2) -> tuple[float, ...]:
@@ -351,64 +351,41 @@ def _rates_source(key: tuple[str, ...], m: str, n: str, e12: str, e21: str) -> s
     members use once and assigns ``((0.0 + w0 * r_0) + w1 * r_1) + ...`` in
     component order: the sums of a running ``e12 += w * r12``, bit for bit.
     """
-    names = {"m": m, "n": n}
-
-    def put(text: str) -> str:  # in _RATES, m and n stand between spaces
-        return " ".join([names.get(word, word) for word in text.split(" ")])
-
     hybrid = key[0] == "hybrid"
     kinds = key[1:] if hybrid else key
     lines: list[str] = []
     for kind in kinds:
-        lines += [line for line in map(put, _RATES[kind][0]) if line not in lines]
+        lines += [line for line in _RATES[kind][0] if line not in lines]
     if hybrid:
         sums = ["0.0", "0.0"]
         for i, kind in enumerate(kinds):
             for k, rate in enumerate(_RATES[kind][1:]):
-                sums[k] = f"({sums[k]} + w{i} * ({put(rate)}))"
+                sums[k] = f"({sums[k]} + w{i} * ({rate}))"
     else:
-        sums = [put(rate) for rate in _RATES[key[0]][1:]]
+        sums = list(_RATES[key[0]][1:])
     lines += [f"{e12} = {sums[0]}", f"{e21} = {sums[1]}"]
-    return "".join(f"        {line}\n" for line in lines)
+    return "".join(f"        {line}\n" for line in lines).format(m=m, n=n)
 
 
-def _define(template: str, name: str, key: tuple[str, ...], **fields):
-    """Fill ``template`` in for the protocol ``key`` (its weights ``w0, w1,
-    ...`` and ``fields``), run it, and return the function ``name`` it
-    defines."""
-    weights = "".join(f", w{i}" for i in range(len(key) - 1))
-    source = template.format(weights=weights, **fields)
-    namespace = {"__name__": __name__}
-    exec(compile(source, f"<empathica.dynamics.{name}>", "exec"), namespace)
-    return namespace[name]
-
-
-def _compile_kernel(key: tuple[str, ...]):
-    """``simulate``'s loop for the protocol ``key``, rates written inline."""
-    return _define(
-        _KERNEL,
-        "kernel",
-        key,
-        rates1=_rates_source(key, "p1", "q1", "e112", "e121"),
-        rates2=_rates_source(key, "p2", "q2", "e212", "e221"),
-        tol=_CONV_TOL,
-        floor=_RATE_FLOOR,
-        window=_WINDOW,
-    )
-
-
-def _compile_rule(key: tuple[str, ...]):
-    """The one-population rule maker for the protocol ``key``."""
-    return _define(_RULE, "rule_of", key, rates=_rates_source(key, "m", "n", "e12", "e21"))
-
-
-def _compiled(cache: dict, build, proto: RevisionProtocol):
-    """``build(key)`` for the protocol's key, compiled once per process."""
-    key = _protocol_key(proto)
-    code = cache.get(key)
-    if code is None:
-        code = cache[key] = build(key)
-    return code
+def _compiled(proto: RevisionProtocol) -> dict:
+    """The namespace of ``kernel`` and ``rule_of`` for the protocol's kind
+    sequence, all that its code depends on, compiled once per process."""
+    key = (proto.kind, *[name for name, _ in proto.components])
+    namespace = _COMPILED.get(key)
+    if namespace is None:
+        source = _SOURCE.format(
+            weights="".join(f", w{i}" for i in range(len(key) - 1)),
+            rates1=_rates_source(key, "p1", "q1", "e112", "e121"),
+            rates2=_rates_source(key, "p2", "q2", "e212", "e221"),
+            rates=_rates_source(key, "m", "n", "e12", "e21"),
+            tol=_CONV_TOL,
+            floor=_RATE_FLOOR,
+            window=_WINDOW,
+        )
+        namespace = {"__name__": __name__}
+        exec(compile(source, "<empathica.dynamics>", "exec"), namespace)
+        _COMPILED[key] = namespace
+    return namespace
 
 
 def _rule(proto: RevisionProtocol, game: Game2x2):
@@ -416,7 +393,7 @@ def _rule(proto: RevisionProtocol, game: Game2x2):
     ``game``: ``m`` is its mass on action 1, ``n = 1 - m``, and ``u1``,
     ``u2`` are its actions' expected payoffs against the other population's
     mix.  Its expressions are those of ``simulate``'s kernel."""
-    return _compiled(_RULES, _compile_rule, proto)(*_protocol_args(proto, game))
+    return _compiled(proto)["rule_of"](*_protocol_args(proto, game))
 
 
 def _detect_cycle(
@@ -493,7 +470,7 @@ def simulate(
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    kernel = _compiled(_KERNELS, _compile_kernel, proto)
+    kernel = _compiled(proto)["kernel"]
     # A constant schedule's rate, and so the convergence threshold, is read
     # once; a harmonic one is read per step.
     p1s, p2s, arc, converged = kernel(

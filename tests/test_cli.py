@@ -449,6 +449,14 @@ class TestSimulateCommand:
             assert capsys.readouterr().err == f"empathica: hybrid weights {message}\n"
             assert not out.exists()
 
+    def test_a_hybrid_weight_that_is_no_number_is_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        assert run("simulate", "--input", "matching_pennies", "--protocol", "hybrid:smith=abc",
+                   "--steps", "50", "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "empathica: hybrid weight of 'smith' must be a number, got 'abc'\n")
+        assert not out.exists()
+
     def test_a_name_that_only_starts_with_hybrid_is_exit_2(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
         for protocol in ("hybridsmith", "hybrid2:smith=1"):
@@ -499,14 +507,26 @@ class TestFieldCommand:
         assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "field"])
-def test_every_dynamics_option_has_help(command):
+COMMANDS = ("transform", "classify", "solve", "ess", "simulate", "field", "sweep", "hierarchy")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_option_has_help(command, capsys):
     parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(commands.choices) == sorted(COMMANDS)
     options = [a for a in commands.choices[command]._actions if a.option_strings]
-    assert {"--protocol", "--svg"} <= {s for a in options for s in a.option_strings}
+    if command in ("simulate", "field"):
+        assert {"--protocol", "--svg"} <= {s for a in options for s in a.option_strings}
     missing = [a.option_strings for a in options if not (a.help or "").strip()]
     assert missing == []
+    # argparse formats a help text only when it prints it, so a stray % in
+    # one raises only here.
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--help")
+    assert exc.value.code == 0
+    printed = capsys.readouterr().out
+    assert all(a.option_strings[-1] in printed for a in options)
 
 
 class TestSweepCommand:

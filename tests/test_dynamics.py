@@ -62,6 +62,20 @@ ORACLE_IDS = [p.kind for p in ALL_PROTOS] + list(MIXES)
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
+def recording_compiles(monkeypatch):
+    """Give ``dynamics`` an empty cache of compiled code, and return the list
+    of the keys it stores there, one per compile."""
+    built = []
+
+    class Cache(dict):
+        def __setitem__(self, key, namespace):
+            built.append(key)
+            super().__setitem__(key, namespace)
+
+    monkeypatch.setattr(dynamics, "_COMPILED", Cache())
+    return built
+
+
 class TestSwitchRates:
     def test_smith_stationary_at_indifference(self, mp):
         # Both actions earn 0 at the mixed center of the unit-stakes game.
@@ -153,6 +167,18 @@ class TestSwitchRates:
         with pytest.raises(ValueError, match="hybrid protocol needs at least one component"):
             RevisionProtocol.parse("hybrid")
 
+    @pytest.mark.parametrize("components", [(("bnn", 1.0),), (("x", 0.0),)])
+    def test_only_a_hybrid_has_components(self, components):
+        # A plain kind with components would run as that kind under a
+        # compiled key of its own, or fail to compile an unknown member.
+        with pytest.raises(ValueError, match="^only a hybrid protocol has components, not 'smith'$"):
+            RevisionProtocol("smith", components)
+
+    def test_a_weight_that_is_no_number_is_named(self):
+        with pytest.raises(ValueError,
+                           match="^hybrid weight of 'bnn' must be a number, got 'abc'$"):
+            RevisionProtocol.parse("hybrid:smith=0.5, bnn =abc")
+
 
 class TestStep:
     def test_zero_rates_leave_state_unchanged(self, mp):
@@ -219,15 +245,7 @@ class TestStep:
         ref = reference_simulate(PopulationState(0.9, 0.2), proto, sched, mp, 1000,
                                  detect_cycles=False)
         assert len(ref) == 1001
-        built = []
-        compile_kernel = dynamics._compile_kernel
-
-        def counting(key):
-            built.append(key)
-            return compile_kernel(key)
-
-        monkeypatch.setattr(dynamics, "_compile_kernel", counting)
-        monkeypatch.setattr(dynamics, "_KERNELS", {})
+        built = recording_compiles(monkeypatch)
         s = PopulationState(ref.p1[0], ref.p2[0])
         for t in range(1000):
             s = step(s, proto, sched, mp, t)
@@ -525,21 +543,8 @@ class TestCompiledCode:
     """Each protocol's kind sequence is compiled once per process, on first
     use, from the one table of rate expressions."""
 
-    @staticmethod
-    def counting(monkeypatch, builder, cache):
-        built = []
-        build = getattr(dynamics, builder)
-
-        def counted(key):
-            built.append(key)
-            return build(key)
-
-        monkeypatch.setattr(dynamics, builder, counted)
-        monkeypatch.setattr(dynamics, cache, {})
-        return built
-
     def test_simulating_one_mix_twice_compiles_once(self, pd, mp, monkeypatch):
-        built = self.counting(monkeypatch, "_compile_kernel", "_KERNELS")
+        built = recording_compiles(monkeypatch)
         sched = LearningSchedule.constant(0.05)
         # The weights and the game are arguments of the kernel, not its key.
         for text, game in (("hybrid:smith=0.5,bnn=0.3,smith=0.2", pd),
@@ -550,11 +555,16 @@ class TestCompiledCode:
         assert built == [("hybrid", "smith", "bnn", "smith")]
 
     def test_fields_and_rates_of_one_mix_compile_one_rule(self, pd, mp, monkeypatch):
-        built = self.counting(monkeypatch, "_compile_rule", "_RULES")
+        # The field, the rates, a run and a step of one mix read one compile.
+        built = recording_compiles(monkeypatch)
         proto = RevisionProtocol.parse("hybrid:imitation=1,replicator=2")
+        sched = LearningSchedule.constant(0.05)
+        s = PopulationState(0.5, 0.5)
         for game in (pd, mp):
             vector_field(proto, game, 5)
-            switch_rates(proto, game, PopulationState(0.5, 0.5), 2)
+            switch_rates(proto, game, s, 2)
+            simulate(s, proto, sched, game, 20)
+            step(s, proto, sched, game)
         assert built == [("hybrid", "imitation", "replicator")]
 
     def test_a_hybrid_sum_starts_from_zero(self, mp):
@@ -580,7 +590,7 @@ class TestCompiledCode:
 
     def test_importing_compiles_nothing(self):
         code = ("import empathica.dynamics as d; "
-                "assert d._KERNELS == {} and d._RULES == {}, (d._KERNELS, d._RULES)")
+                "assert d._COMPILED == {}, d._COMPILED")
         env = {**os.environ, "PYTHONPATH": str(Path(dynamics.__file__).parents[1])}
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True)
