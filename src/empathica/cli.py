@@ -66,10 +66,15 @@ def _emit_json(args, obj) -> None:
 
 
 def _parse_range(text: str) -> tuple[float, float]:
+    # argparse prints an ArgumentTypeError's own text; for any other error
+    # it prints this function's name.
     lo, sep, hi = text.partition(":")
     if not sep:
-        raise ValueError(f"range must look like lo:hi, got {text!r}")
-    return (float(lo), float(hi))
+        raise argparse.ArgumentTypeError(f"range must look like lo:hi, got {text!r}")
+    try:
+        return (float(lo), float(hi))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"range ends must be numbers, got {text!r}") from None
 
 
 def cmd_transform(args) -> int:

@@ -356,24 +356,13 @@ def _linspace(lo: float, hi: float, n: int) -> tuple[float, ...]:
 _CERTIFIED_TOTAL = 2.0**1000
 
 
-class _Reads(dict):
-    """The four differences ``read(k)`` at index k of one axis' grid, each
-    read once, when first asked for."""
-
-    def __init__(self, read) -> None:
-        self.read = read
-
-    def __missing__(self, k: int) -> tuple[float, float, float, float]:
-        value = self[k] = self.read(k)
-        return value
-
-
-def _axis_signs(reads: _Reads, i: int, grid: tuple[float, ...], c, p, r, q, s, t: float) -> list[int]:
+def _axis_signs(read, i: int, grid: tuple[float, ...], c, p, r, q, s, t: float) -> list[int]:
     """The sign of D(w) = (c*p + w*q) - (c*r + w*s) at each point of
-    ``grid``, where ``reads[k][i]`` is the float of D at ``grid[k]`` that
+    ``grid``, where ``read(k)[i]`` is the float of D at ``grid[k]`` that
     ``_transformed_differences`` gives.  It is read only near D's
     breakpoint; elsewhere the sign is certified.  ``t`` is T below, as
-    rounded, at the grid's larger |w|, and under ``_CERTIFIED_TOTAL``.
+    rounded, at the grid's larger |w|, and under ``_CERTIFIED_TOTAL``; or it
+    is infinite, and then every point is read and every sign is its float's.
 
     The exact E(w) = c*(p - r) + w*(q - s) is monotone along the grid (which
     never decreases): rising where q > s, falling where q < s.  The float is
@@ -402,21 +391,23 @@ def _axis_signs(reads: _Reads, i: int, grid: tuple[float, ...], c, p, r, q, s, t
     if q == s:
         if p == r or c == 0.0:
             return [0] * n
-        d = reads[0][i]
+        d = read(0)[i]
         if abs(d) > h:
             return [(d > 0.0) - (d < 0.0)] * n
-        return [(d > 0.0) - (d < 0.0) for d in (reads[k][i] for k in range(n))]
+        return [(d > 0.0) - (d < 0.0) for d in (read(k)[i] for k in range(n))]
     up = 1 if q > s else -1
-    # Finite: c*r and c*p are under T, and q - s is not zero.
+    # q - s is not zero.  With a finite t, c*r and c*p are under T, so the
+    # estimate is finite; with an infinite one it may be infinite or NaN,
+    # which puts k0 at 0 or n, and both walks still read every point.
     k0 = bisect.bisect_left(grid, (c * r - c * p) / (q - s))
     signs = [-up] * k0 + [up] * (n - k0)
     for k in range(k0, n):
-        d = reads[k][i]
+        d = read(k)[i]
         if up * d > h:
             break
         signs[k] = (d > 0.0) - (d < 0.0)
     for k in range(k0 - 1, -1, -1):
-        d = reads[k][i]
+        d = read(k)[i]
         if -up * d > h:
             break
         signs[k] = (d > 0.0) - (d < 0.0)
@@ -444,9 +435,9 @@ def region_map(
     l22)))`` exactly.  A difference is read straight from the four weights
     and the eight payoffs with ``_transformed_differences``, which builds the
     game only where a difference is not finite.  Where a payoff or weight is
-    large enough that one might not be, every grid point is read instead,
-    so that the first error is the one a row-major walk of every cell
-    raises.
+    large enough that one might not be, every grid point is read first, once
+    and in order, so that the first error is the one a row-major walk of
+    every cell raises, and ``_axis_signs`` takes each sign from its float.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -459,7 +450,7 @@ def region_map(
             if not math.isfinite(end):
                 raise ValueError(f"{name} must be a finite real number, got {end!r}")
         if not lo < hi:
-            raise ValueError("ranges must satisfy lo < hi")
+            raise ValueError(f"{name}: ranges must satisfy lo < hi, got {(lo, hi)!r}")
     l12s = _linspace(*l12_range, resolution)
     l21s = _linspace(*l21_range, resolution)
 
@@ -484,33 +475,32 @@ def region_map(
     if all(t < _CERTIFIED_TOTAL for t in totals):
         # No difference on either axis can leave the float range, so no
         # cell raises, and each sign is read only near its breakpoint.
-        row = _Reads(lambda k: differences(l11, l12s[k], l21s[0], l22))
-        col = _Reads(lambda k: differences(l11, l12s[0], l21s[k], l22))
-        reads = (row, row, col, col)
-        d1, d2, d3, d4 = (
-            _axis_signs(reads[i], i, grids[i], *pairs[i], totals[i]) for i in range(4)
+        reads = (
+            lambda k: differences(l11, l12s[k], l21s[0], l22),
+            lambda k: differences(l11, l12s[0], l21s[k], l22),
         )
-        row_keys = list(zip(d1, d2))
-        col_keys = list(zip(d3, d4))
     else:
-        # Every point is read, in order.  The game is built only where a
-        # difference is not finite, so an invalid weight or an overflowing
+        # Every point is read once, in order.  The game is built only where
+        # a difference is not finite, so an invalid weight or an overflowing
         # payoff raises at the same cell, with the same message, as a
-        # row-major walk of every cell would.
-        row_keys = [_player_key(*differences(l11, l12, l21s[0], l22)[:2]) for l12 in l12s]
-        col_keys = [_player_key(*differences(l11, l12s[0], l21, l22)[2:]) for l21 in l21s]
+        # row-major walk of every cell would.  An infinite T takes every
+        # sign from its float.
+        reads = (
+            [differences(l11, l12, l21s[0], l22) for l12 in l12s].__getitem__,
+            [differences(l11, l12s[0], l21, l22) for l21 in l21s].__getitem__,
+        )
+        totals = [math.inf] * 4
+    d1, d2, d3, d4 = (
+        _axis_signs(reads[i // 2], i, grids[i], *pairs[i], totals[i]) for i in range(4)
+    )
     # A label depends only on the (row key, column key) pair, and a row of
     # the map only on its column key: each is filled run by run of equal
     # keys, one lookup per run.
-    row_runs = [(key, len(list(run))) for key, run in itertools.groupby(row_keys)]
-    rows: dict[PlayerKey, tuple[str, ...]] = {}
+    row_runs = [(key, len(list(run))) for key, run in itertools.groupby(zip(d1, d2))]
     labels: tuple[tuple[str, ...], ...] = ()
-    for col_key, run in itertools.groupby(col_keys):
-        row = rows.get(col_key)
-        if row is None:
-            cells: list[str] = []
-            for key, m in row_runs:
-                cells += [_key_label(key, col_key)] * m
-            row = rows[col_key] = tuple(cells)
-        labels += (row,) * len(list(run))
+    for col_key, run in itertools.groupby(zip(d3, d4)):
+        cells: list[str] = []
+        for key, m in row_runs:
+            cells += [_key_label(key, col_key)] * m
+        labels += (tuple(cells),) * len(list(run))
     return RegionMap(l12_values=l12s, l21_values=l21s, labels=labels)

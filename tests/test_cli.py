@@ -546,12 +546,32 @@ class TestSweepCommand:
         assert out.read_bytes() == again.read_bytes()
 
     def test_a_range_without_a_colon_is_rejected(self, capsys):
-        with pytest.raises(ValueError, match="^range must look like lo:hi, got '0.5'$"):
+        with pytest.raises(argparse.ArgumentTypeError, match="^range must look like lo:hi, got '0.5'$"):
             _parse_range("0.5")
         with pytest.raises(SystemExit) as exc:
             run("sweep", "--input", "pd", "--range-l12", "0.5")
         assert exc.value.code == 2
         assert "--range-l12" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("0.5", "range must look like lo:hi, got '0.5'"),
+            ("a:b", "range ends must be numbers, got 'a:b'"),
+        ],
+    )
+    def test_a_malformed_range_keeps_its_message(self, capsys, value, message):
+        with pytest.raises(SystemExit) as exc:
+            run("sweep", "--input", "pd", f"--range-l12={value}")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --range-l12: {message}\n" in err
+        assert "_parse_range" not in err
+
+    def test_a_reversed_range_names_its_axis_and_ends(self, tmp_path, capsys):
+        code = run("sweep", "--input", "pd", "--range-l21=2:1", "--out", str(tmp_path / "m.csv"))
+        assert code == 2
+        assert "l21: ranges must satisfy lo < hi, got (2.0, 1.0)" in capsys.readouterr().err
 
     def test_row_major_order_l21_outer(self, tmp_path):
         out = tmp_path / "map.csv"

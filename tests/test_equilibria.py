@@ -574,6 +574,12 @@ class TestRegionMapErrors:
         with pytest.raises(ValueError, match="ranges must satisfy lo < hi"):
             region_map(pd, l12_range, l21_range, 5)
 
+    @pytest.mark.parametrize("axis", ["l12", "l21"])
+    def test_a_reversed_range_names_its_axis_and_ends(self, pd, axis):
+        ranges = {"l12_range": (-1, 2), "l21_range": (-1, 2), f"{axis}_range": (2, 1)}
+        message = _first_error(lambda: region_map(pd, resolution=5, **ranges))
+        assert message == f"{axis}: ranges must satisfy lo < hi, got (2.0, 1.0)"
+
     @pytest.mark.parametrize("l11, l22", [(1.0, 1.0), (1.0, 0.5), (0.5, 1.0)])
     def test_overflowing_differences_of_finite_payoffs(self, l11, l22):
         # Every transformed payoff is finite, but with an own-weight of 1 a
@@ -724,9 +730,46 @@ class TestRegionMapReadsNearBreakpoints:
         l11=0.0,
         l22=1.0,
     )
+    # Every point is read, so T is infinite; d1's breakpoint estimate is
+    # inf / inf, NaN, and its signs come from the floats alone.
+    @example(
+        g=Game2x2(-1e308, 0.0, 1e308, 0.0, 1e308, 0.0, -1e308, 0.0),
+        l12_range=(0, 1),
+        l21_range=(0, 1),
+        n=5,
+        l11=1.0,
+        l22=1.0,
+    )
     @settings(max_examples=300, deadline=None)
     def test_some_pairs_near_overflow(self, g, l12_range, l21_range, n, l11, l22):
         _assert_labels_or_error_match(g, l12_range, l21_range, n, l11, l22)
+
+    @pytest.mark.parametrize(
+        "g, l12_range, l21_range, n",
+        [
+            # d1 has q == s and p == r under an infinite T: zero signs, with
+            # no read.
+            (Game2x2(1e308, 0, 1e308, 0, 5, 1, 5, 2), (-1, 1), (-1, 1), 9),
+        ],
+    )
+    def test_uncertified_pairs_without_a_breakpoint(self, g, l12_range, l21_range, n):
+        assert_matches_per_cell(g, l12_range, l21_range, n)
+
+    @pytest.mark.parametrize("n", [5, 7, 9])
+    def test_an_uncertified_sweep_reads_each_point_once_per_axis(self, n, monkeypatch):
+        # Payoffs near the float range's end: every row point and then every
+        # column point is read once, the corner cell once on each axis.
+        reads = []
+        real = equilibria._transformed_differences
+
+        def counting(g):
+            differences = real(g)
+            return lambda *weights: reads.append(weights) or differences(*weights)
+
+        monkeypatch.setattr(equilibria, "_transformed_differences", counting)
+        region_map(Game2x2(1e308, 0, 1e308, 0, 5, 1, 5, 2), (-1, 1), (-1, 1), n)
+        grid = _grid(-1.0, 1.0, n)
+        assert reads == [(1.0, w, -1.0, 1.0) for w in grid] + [(1.0, -1.0, w, 1.0) for w in grid]
 
 
 def _assert_labels_or_error_match(g, l12_range, l21_range, n, l11, l22):

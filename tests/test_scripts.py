@@ -1,8 +1,12 @@
+import inspect
 import os
 import random
+import runpy
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from empathica import (
     EmpathyMatrix,
@@ -71,3 +75,38 @@ def test_phase_portraits_write_the_library_svgs(tmp_path):
         )
         svg = phase_portrait_svg(vector_field(proto, g, resolution=5), trajs)
         assert (tmp_path / f"portrait_{name}.svg").read_bytes() == svg.encode()
+
+
+def test_line_coverage_lists_every_line_no_test_runs(tmp_path):
+    # One test that builds the prisoner's dilemma: every line of that
+    # function runs, its ``def`` line too, and cli is never imported.
+    test = tmp_path / "test_one.py"
+    test.write_text("from empathica import prisoners_dilemma\n\n\n"
+                    "def test_pd():\n    prisoners_dilemma()\n")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "line_coverage.py"), "-q", "-p", "no:cacheprovider", str(test)],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    listed = dict(
+        line.split(": ", 1) for line in proc.stdout.splitlines()
+        if line.startswith("src/empathica/")
+    )
+    script = runpy.run_path(str(ROOT / "scripts" / "line_coverage.py"))
+    cli = ROOT / "src" / "empathica" / "cli.py"
+    for n in script["executable_lines"](cli):
+        assert listed.pop(f"src/empathica/cli.py:{n}") == "NOT RUN"
+    source, first = inspect.getsourcelines(prisoners_dilemma)
+    ran = {f"src/empathica/games.py:{n}" for n in range(first, first + len(source))}
+    assert ran.isdisjoint(listed)
+    for n in (27, 28, 29):
+        assert listed[f"src/empathica/io.py:{n}"].startswith("allowed: annotation-only import")
+
+
+def test_line_coverage_wants_a_reason_for_each_allowed_line(tmp_path):
+    allowlist = tmp_path / "allow.txt"
+    allowlist.write_text("# a comment\nio.py:27  # no reason\n")
+    script = runpy.run_path(str(ROOT / "scripts" / "line_coverage.py"))
+    with pytest.raises(SystemExit) as exc:
+        script["read_allowlist"](allowlist)
+    assert str(exc.value) == f"{allowlist}:2: want 'FILE:LINE reason', got 'io.py:27'"
