@@ -6,19 +6,19 @@ Runs pytest in this process under ``sys.settrace`` (and ``threading.settrace``
 for any thread the tests start), with ``src`` first on the import path, and
 records every line that runs in the package's sources.  Without arguments
 pytest runs the tier-1 suite.  A source's executable lines are the line
-numbers in its code objects' ``co_lines()``.  Every executable line that
-never ran is printed, marked ``allowed`` when ``line_coverage_allowlist.txt``
-beside this script names it; that file has one ``FILE:LINE reason`` entry a
-line, FILE relative to the package, and ``#`` comments.
+numbers in its code objects' ``co_lines()``, less the lines inside the body
+of an ``if TYPE_CHECKING:`` block, found in the source's syntax tree: those
+hold imports for annotations only and never run by design.  Every other
+executable line that never ran is printed.
 
-Exit status: 0 when every line that never ran is in the allowlist and every
-entry there is a line that never ran, 1 otherwise.  Only the line list
+Exit status: 0 when every such line ran, 1 otherwise.  Only the line list
 decides it: the tests run far slower under the tracer, so their own results,
 timing bounds among them, are reported and not gated on; the untraced tier-1
 run is the gate for those.
 """
 from __future__ import annotations
 
+import ast
 import os
 import sys
 import threading
@@ -27,35 +27,28 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "empathica"
-ALLOWLIST = Path(__file__).with_name("line_coverage_allowlist.txt")
 TIER_1 = ["-q", "--continue-on-collection-errors", "-p", "no:cacheprovider", str(ROOT / "tests")]
 
 
 def executable_lines(path: Path) -> set[int]:
-    """The line numbers of every instruction of the source at ``path``."""
-    stack = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+    """The line numbers of every instruction of the source at ``path``,
+    except those inside the body of an ``if TYPE_CHECKING:`` block."""
+    source = path.read_text(encoding="utf-8")
+    stack = [compile(source, str(path), "exec")]
     lines = set()
     while stack:
         code = stack.pop()
         # A module's first instruction sits on line 0.
         lines.update(line for _, _, line in code.co_lines() if line)
         stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
-    return lines
-
-
-def read_allowlist(path: Path) -> dict[tuple[str, int], str]:
-    """``(file, line) -> reason`` for each entry; an entry needs a reason."""
-    entries = {}
-    for number, text in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        text = text.split("#", 1)[0].strip()
-        if not text:
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.If):
             continue
-        where, _, reason = text.partition(" ")
-        name, _, line = where.rpartition(":")
-        if not (name and line.isdigit() and reason.strip()):
-            raise SystemExit(f"{path}:{number}: want 'FILE:LINE reason', got {text!r}")
-        entries[(name, int(line))] = reason.strip()
-    return entries
+        # ``TYPE_CHECKING`` or ``typing.TYPE_CHECKING``; an ``else`` runs.
+        name = getattr(node.test, "id", None) or getattr(node.test, "attr", None)
+        if name == "TYPE_CHECKING":
+            lines -= set(range(node.body[0].lineno, node.body[-1].end_lineno + 1))
+    return lines
 
 
 def traced_run(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
@@ -102,7 +95,6 @@ def traced_run(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
 
 
 def main(pytest_args: list[str]) -> int:
-    allowed = read_allowlist(ALLOWLIST)
     code, hits = traced_run(pytest_args or TIER_1)
     unrun = sorted(
         (path.name, line)
@@ -111,15 +103,9 @@ def main(pytest_args: list[str]) -> int:
     )
     print(f"\npytest exit code under the tracer: {code} (not gated on)")
     for name, line in unrun:
-        status = f"allowed: {allowed[name, line]}" if (name, line) in allowed else "NOT RUN"
-        print(f"src/empathica/{name}:{line}: {status}")
-    stale = sorted(set(allowed) - set(unrun))
-    for name, line in stale:
-        print(f"src/empathica/{name}:{line}: in the allowlist, but ran or is not executable")
-    missing = [key for key in unrun if key not in allowed]
-    print(f"{len(unrun)} lines never ran, {len(missing)} of them not in the allowlist; "
-          f"{len(stale)} stale allowlist entries")
-    return 1 if missing or stale else 0
+        print(f"src/empathica/{name}:{line}: NOT RUN")
+    print(f"{len(unrun)} lines never ran")
+    return 1 if unrun else 0
 
 
 if __name__ == "__main__":

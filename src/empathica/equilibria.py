@@ -7,7 +7,6 @@ maps over the two cross-empathy weights.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 
@@ -18,6 +17,7 @@ from .games import (
     GameKind,
     _Record,
     _best_responses,
+    _cell_payoffs,
     _differences,
     _payoffs,
     _transformed_differences,
@@ -103,25 +103,14 @@ def _player_key(d1: float, d2: float) -> PlayerKey:
     return ((d1 > 0.0) - (d1 < 0.0), (d2 > 0.0) - (d2 < 0.0))
 
 
-def _pure_equilibria(row, col) -> list[PureEquilibrium]:
-    """The pure equilibria, the cells where each player's action is a weak
-    best response to the other's, from both players' ``_best_responses``."""
-    out = []
-    for (i, j) in CELLS:
-        if row[i - 1][j - 1] and col[j - 1][i - 1]:
-            # Strict when neither deviation is a best response as well.
-            strict = not row[2 - i][j - 1] and not col[2 - j][i - 1]
-            out.append(PureEquilibrium(cell=(i, j), strict=strict))
-    return out
-
-
 def pure_nash(g: Game2x2) -> list[PureEquilibrium]:
     """Joint actions where no player gains by a unilateral deviation.
 
-    Weak equilibria (deviation ties) are included with ``strict=False``.
+    Weak equilibria (deviation ties) are included with ``strict=False``;
+    the records are shared by every game with the same ``_player_key``s.
     """
     alpha1, alpha2, gamma1, gamma2 = _differences(g)
-    return _pure_equilibria(_best_responses(alpha1, alpha2), _best_responses(gamma1, gamma2))
+    return list(_KEY_PAIRS[_player_key(alpha1, alpha2), _player_key(gamma1, gamma2)].pure)
 
 
 def _segment(x0: float, y0: float, x1: float, y1: float) -> tuple[MixedProfile, MixedProfile]:
@@ -199,24 +188,14 @@ def mixed_nash(g: Game2x2) -> MixedNashResult:
     return MixedNashResult(points=(MixedProfile(x=x_star, y=y_star),))
 
 
-def _cell_payoffs(g: Game2x2) -> dict[Cell, tuple[float, float]]:
-    """(row payoff, column payoff) of every cell, keyed in ``CELLS`` order."""
-    return {
-        (1, 1): (g.a11, g.b11),
-        (1, 2): (g.a12, g.b12),
-        (2, 1): (g.a21, g.b21),
-        (2, 2): (g.a22, g.b22),
-    }
-
-
 def berge_solutions(g: Game2x2) -> list[Cell]:
     """Joint actions where each player's payoff is maximal over the
     *opponent's* choices: mutual support rather than self-interest.  They are
     the pure equilibria of the game with the two payoff matrices exchanged,
     ``transform(g, EmpathyMatrix(0, 1, 1, 0))``."""
-    row = _best_responses(g.b11 - g.b21, g.b22 - g.b12)
-    col = _best_responses(g.a11 - g.a12, g.a22 - g.a21)
-    return [e.cell for e in _pure_equilibria(row, col)]
+    row = _player_key(g.b11 - g.b21, g.b22 - g.b12)
+    col = _player_key(g.a11 - g.a12, g.a22 - g.a21)
+    return [e.cell for e in _KEY_PAIRS[row, col].pure]
 
 
 def pareto_front(g: Game2x2) -> list[Cell]:
@@ -281,41 +260,50 @@ def _label(cells, mixed: bool) -> str:
     return "+".join(parts) if parts else "none"
 
 
-def _key_mixed(row: PlayerKey, col: PlayerKey) -> str:
-    """The mixed token of ``equilibrium_signature`` for any game with these
-    ``_player_key``s: ``mixed_nash`` is degenerate when both players are flat
-    (both differences zero), yields continua when one is, else one point when
-    each player's two signs are equal and nonzero."""
-    row_flat = row[0] == row[1] == 0
-    col_flat = col[0] == col[1] == 0
-    if row_flat and col_flat:
-        return "0+deg"
-    if row_flat or col_flat:
-        return "0+cont"
-    return "1" if row[0] == row[1] and col[0] == col[1] else "0"
+class _KeyPair(_Record):
+    """What every game with one pair of ``_player_key``s shares: its
+    ``outcome_label``, ``equilibrium_signature`` and ``pure_nash`` records."""
+
+    label: str
+    signature: str
+    pure: tuple[PureEquilibrium, ...]
 
 
-def _key_cells(row: PlayerKey, col: PlayerKey) -> list[Cell]:
-    """``pure_nash``'s cells for any game with these ``_player_key``s."""
-    pure = _pure_equilibria(_best_responses(row[0], row[1]), _best_responses(col[0], col[1]))
-    return [p.cell for p in pure]
+class _KeyPairTable(dict):
+    """``(row key, column key) -> _KeyPair``, each entry built on its first
+    lookup.  A player has 9 keys, so the table holds at most 81 entries."""
+
+    def __missing__(self, pair: tuple[PlayerKey, PlayerKey]) -> _KeyPair:
+        row, col = pair
+        # The cells where each player's action is a weak best response to
+        # the other's, strict where neither deviation is one as well.
+        br_row, br_col = _best_responses(*row), _best_responses(*col)
+        pure = tuple(
+            PureEquilibrium((i, j), not br_row[2 - i][j - 1] and not br_col[2 - j][i - 1])
+            for i, j in CELLS if br_row[i - 1][j - 1] and br_col[j - 1][i - 1]
+        )
+        # ``mixed_nash`` is degenerate when both players are flat (both
+        # differences zero), yields continua when one is, else one point
+        # when each player's two signs are equal and nonzero.
+        row_flat, col_flat = row == (0, 0), col == (0, 0)
+        if row_flat or col_flat:
+            mixed = "0+deg" if row_flat and col_flat else "0+cont"
+        else:
+            mixed = "1" if row[0] == row[1] and col[0] == col[1] else "0"
+        # ``classify``, with no tie tolerance, reads only the signs.
+        (r1, r2), (c1, c2) = row, col
+        cls = _untied_class(r1, r2, c1, c2).kind if r1 and r2 and c1 and c2 else GameKind.DEGENERATE
+        cells = [p.cell for p in pure]
+        names = ",".join(f"{i}{j}" for i, j in cells)
+        entry = self[pair] = _KeyPair(
+            label=_label(cells, mixed != "0"),
+            signature=f"class={cls.value}|pure={names or '-'}|mixed={mixed}",
+            pure=pure,
+        )
+        return entry
 
 
-# A player has 9 keys, so each key-pair cache holds at most 81 entries.
-@functools.cache
-def _key_label(row: PlayerKey, col: PlayerKey) -> str:
-    """``outcome_label`` of any game with these ``_player_key``s."""
-    return _label(_key_cells(row, col), _key_mixed(row, col) != "0")
-
-
-@functools.cache
-def _key_signature(row: PlayerKey, col: PlayerKey) -> str:
-    """``equilibrium_signature`` of any game with these ``_player_key``s;
-    ``classify`` (with no tie tolerance) reads only the difference signs."""
-    (r1, r2), (c1, c2) = row, col
-    cls = _untied_class(r1, r2, c1, c2).kind if r1 and r2 and c1 and c2 else GameKind.DEGENERATE
-    cells = ",".join(f"{i}{j}" for i, j in _key_cells(row, col))
-    return f"class={cls.value}|pure={cells or '-'}|mixed={_key_mixed(row, col)}"
+_KEY_PAIRS = _KeyPairTable()
 
 
 class RegionMap(_Record):
@@ -430,7 +418,7 @@ def region_map(
     player's ``_player_key``, the signs of its two payoff differences.  Each
     difference is affine along its own player's axis, so ``_axis_signs``
     reads it only near its breakpoint and certifies its sign elsewhere; the
-    sweep then fills the n^2 cells from ``_key_label``.  Each label equals
+    sweep then fills the n^2 cells from ``_KEY_PAIRS``.  Each label equals
     ``outcome_label(two_population_equilibria(g, EmpathyMatrix(l11, l12, l21,
     l22)))`` exactly.  A difference is read straight from the four weights
     and the eight payoffs with ``_transformed_differences``, which builds the
@@ -501,6 +489,6 @@ def region_map(
     for col_key, run in itertools.groupby(zip(d3, d4)):
         cells: list[str] = []
         for key, m in row_runs:
-            cells += [_key_label(key, col_key)] * m
+            cells += [_KEY_PAIRS[key, col_key].label] * m
         labels += (tuple(cells),) * len(list(run))
     return RegionMap(l12_values=l12s, l21_values=l21s, labels=labels)

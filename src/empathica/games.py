@@ -293,6 +293,16 @@ def _payoffs(g: Game2x2, p1: float, p2: float) -> tuple[float, float, float, flo
     )
 
 
+def _cell_payoffs(g: Game2x2) -> dict[tuple[int, int], tuple[float, float]]:
+    """(row payoff, column payoff) of every cell, keyed in ``CELLS`` order."""
+    return {
+        (1, 1): (g.a11, g.b11),
+        (1, 2): (g.a12, g.b12),
+        (2, 1): (g.a21, g.b21),
+        (2, 2): (g.a22, g.b22),
+    }
+
+
 def _best_responses(d1: float, d2: float) -> tuple[tuple[bool, bool], tuple[bool, bool]]:
     """One player's weak best responses, from its two payoff differences
     (as in ``_differences``).
@@ -474,12 +484,12 @@ class InequalityReport(_Record):
 
 def inequality_report(g: Game2x2, lam: EmpathyMatrix, cell: tuple[int, int]) -> InequalityReport:
     """Compare the two players' payoff gap at ``cell`` before and after transform."""
-    if tuple(cell) not in CELLS:
+    key = tuple(cell)
+    if key not in CELLS:
         raise ValueError(f"cell must be one of {CELLS}, got {cell!r}")
-    i, j = cell
-    gp = transform(g, lam)
-    gap_before = g.a(i, j) - g.b(i, j)
-    gap_after = gp.a(i, j) - gp.b(i, j)
+    a, b = _cell_payoffs(g)[key]
+    ta, tb = _cell_payoffs(transform(g, lam))[key]
+    gap_before, gap_after = a - b, ta - tb
     defined = lam.l21 != 0.0
     lambda_tilde = lam.l12 / lam.l21 if defined else None
     if abs(gap_after) < abs(gap_before) - _GAP_TOL:

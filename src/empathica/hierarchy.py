@@ -13,7 +13,7 @@ import functools
 import math
 from enum import Enum
 
-from .equilibria import _key_signature, _player_key
+from .equilibria import _KEY_PAIRS, _player_key
 from .games import (
     EmpathyMatrix,
     Entries,
@@ -77,7 +77,7 @@ def equilibrium_signature(g: Game2x2) -> str:
     """Canonical label of a game's equilibrium structure: pure-equilibrium
     cells, interior-mixed presence, and game class."""
     a1, a2, c1, c2 = _differences(g)
-    return _key_signature(_player_key(a1, a2), _player_key(c1, c2))
+    return _KEY_PAIRS[_player_key(a1, a2), _player_key(c1, c2)].signature
 
 
 class LevelRecord(_Record):
@@ -266,7 +266,7 @@ def check_consistency(
         differences = _transformed_differences(g)
         a1, a2, c1, c2 = differences(*lam_1)
         row1, col1 = _player_key(a1, a2), _player_key(c1, c2)
-        probes.append((differences, row1, col1, _key_signature(row1, col1)))
+        probes.append((differences, row1, col1, _KEY_PAIRS[row1, col1].signature))
     witness: tuple[int, int, str] | None = None  # (k, battery index, sig_k)
     levels_checked = 1
     guard_hit = False
@@ -279,7 +279,7 @@ def check_consistency(
             a1, a2, c1, c2 = differences(*lam_k)
             row, col = _player_key(a1, a2), _player_key(c1, c2)
             if row != row1 or col != col1:
-                sig = _key_signature(row, col)
+                sig = _KEY_PAIRS[row, col].signature
                 if sig != sig1:
                     witness = (k, i, sig)
                     break
@@ -344,7 +344,7 @@ def analyze_hierarchy(g: Game2x2, lam: EmpathyMatrix, k_max: int) -> HierarchyAn
         row, col = _player_key(a1, a2), _player_key(c1, c2)
         if row != row_k or col != col_k:
             row_k, col_k = row, col
-            sig = _key_signature(row, col)
+            sig = _KEY_PAIRS[row, col].signature
         signatures.append(sig)
         powers.append(lam_k)
     return HierarchyAnalysis(

@@ -236,22 +236,17 @@ def region_csv(rmap: RegionMap) -> str:
     """Rows in ``rmap.rows()`` order; each axis value is formatted once.
 
     The lines of one map row differ from those of another only in their
-    l21 text, so each distinct label row is laid out once, as the pieces
-    ``l12_0``, ``label_0 + "\\n" + l12_1``, ..., ``label_-1``, and every map
-    row with those labels is those pieces joined by its ``,l21,``.
+    l21 text, so each run of equal label rows is laid out once, as the
+    pieces ``l12_0``, ``label_0 + "\\n" + l12_1``, ..., ``label_-1``, and
+    every map row of the run is those pieces joined by its ``,l21,``.
     """
     l12s = [repr(float(l12)) for l12 in rmap.l12_values]
-    layouts: dict[tuple[str, ...], list[str]] = {}
+    l21s = iter(rmap.l21_values)
     lines = ["l12,l21,label"]
-    for l21, labels in zip(rmap.l21_values, rmap.labels):
-        pieces = layouts.get(labels)
-        if pieces is None:
-            pieces = layouts[labels] = [
-                l12s[0],
-                *map("{}\n{}".format, labels, l12s[1:]),
-                labels[-1],
-            ]
-        lines.append(f",{float(l21)!r},".join(pieces))
+    for labels, run in itertools.groupby(rmap.labels):
+        pieces = [l12s[0], *map("{}\n{}".format, labels, l12s[1:]), labels[-1]]
+        # ``run`` comes first, so that its end takes no l21 from the next run.
+        lines += [f",{float(l21)!r},".join(pieces) for _, l21 in zip(run, l21s)]
     lines.append("")
     return "\n".join(lines)
 

@@ -5,8 +5,11 @@ checking; none of it shares code paths with the library implementations.
 The reference hierarchy walks are the exception: they call the library's
 ``transform`` on every level game and label it with
 ``reference_equilibrium_signature``, which reads the game through the
-library's ``classify``, ``pure_nash`` and ``mixed_nash``, not through the
-per-player keys that ``equilibrium_signature`` reads.
+library's ``classify`` and ``mixed_nash`` and through ``exact_pure_nash``,
+not through the per-player keys that ``equilibrium_signature`` reads.
+``exact_pure_nash``, ``exact_equilibrium_signature`` and
+``exact_outcome_label`` read nothing but the payoff comparisons
+themselves, and check every reader of the library's key-pair table.
 ``reference_classify`` and ``reference_mixed_nash`` are the direct
 payoff-subtraction forms of ``classify`` and ``mixed_nash``, each player
 written out on its own, which the library must match bit for bit, apart
@@ -66,7 +69,6 @@ from empathica import (
     classify,
     default_battery,
     mixed_nash,
-    pure_nash,
     transform,
 )
 from empathica.hierarchy import LevelRecord
@@ -129,6 +131,65 @@ def brute_pareto(g: Game2x2) -> set[tuple[int, int]]:
         if not dominated:
             out.add(c)
     return out
+
+
+def _compare(x: float, y: float) -> int:
+    return (x > y) - (x < y)
+
+
+def exact_pure_nash(g: Game2x2) -> list[tuple[tuple[int, int], bool]]:
+    """``pure_nash``'s (cell, strict) pairs in ``CELLS`` order, from each
+    player's payoff at the cell compared with its other action's there: a
+    cell where neither pays more, strict where both pay less.  No difference
+    is taken, so none can overflow or round."""
+    out = []
+    for i, j in CELLS:
+        row = _compare(g.a(i, j), g.a(3 - i, j))
+        col = _compare(g.b(i, j), g.b(i, 3 - j))
+        if row >= 0 and col >= 0:
+            out.append(((i, j), row > 0 and col > 0))
+    return out
+
+
+def exact_comparisons(g: Game2x2) -> tuple[int, int, int, int]:
+    """Each player's two payoff comparisons as signs: a11 with a21, a22 with
+    a12, b11 with b12 and b22 with b21."""
+    return (_compare(g.a11, g.a21), _compare(g.a22, g.a12),
+            _compare(g.b11, g.b12), _compare(g.b22, g.b21))
+
+
+def exact_equilibrium_signature(g: Game2x2) -> str:
+    """``equilibrium_signature`` from ``exact_comparisons`` and
+    ``exact_pure_nash`` alone.  A tie makes the class degenerate; a player
+    whose two signs differ has a dominant action; otherwise equal signs of
+    the two players coordinate (+) or anti-coordinate (-), and unequal ones
+    discoordinate.  The mixed token counts the flat players, whose two
+    comparisons both tie, or is 1 when each player's two signs are equal
+    and strict, which places one interior point."""
+    r1, r2, c1, c2 = exact_comparisons(g)
+    if 0 in (r1, r2, c1, c2):
+        kind = GameKind.DEGENERATE
+    elif r1 != r2 or c1 != c2:
+        kind = GameKind.DOMINANT_STRATEGY
+    elif r1 == c1:
+        kind = GameKind.COORDINATION if r1 > 0 else GameKind.ANTI_COORDINATION
+    else:
+        kind = GameKind.DISCOORDINATION
+    flat = (r1 == r2 == 0) + (c1 == c2 == 0)
+    mixed = ("1" if r1 == r2 != 0 and c1 == c2 != 0 else "0", "0+cont", "0+deg")[flat]
+    cells = ",".join(f"{i}{j}" for (i, j), _ in exact_pure_nash(g))
+    return f"class={kind.value}|pure={cells or '-'}|mixed={mixed}"
+
+
+def exact_outcome_label(g: Game2x2) -> str:
+    """``outcome_label`` of the game's full analysis from the same
+    comparisons: its pure cells, then ``mixed`` when a player is flat (a
+    continuum) or each player's two signs are equal (an interior point)."""
+    r1, r2, c1, c2 = exact_comparisons(g)
+    parts = [f"{i}{j}" for (i, j), _ in exact_pure_nash(g)]
+    if r1 == r2 == 0 or c1 == c2 == 0 or r1 == r2 and c1 == c2:
+        parts.append("mixed")
+    return "+".join(parts) or "none"
 
 
 def indifference_residual(g: Game2x2, x: float, y: float) -> float:
@@ -535,10 +596,10 @@ def reference_vector_field(proto: RevisionProtocol, game: Game2x2, resolution: i
 
 
 def reference_equilibrium_signature(g: Game2x2) -> str:
-    """``equilibrium_signature`` from the full ``classify``, ``pure_nash``
-    and ``mixed_nash`` results of the game."""
+    """``equilibrium_signature`` from the full ``classify`` and
+    ``mixed_nash`` results of the game and its ``exact_pure_nash`` cells."""
     cls = classify(g)
-    cells = ",".join(f"{i}{j}" for (i, j) in sorted(p.cell for p in pure_nash(g)))
+    cells = ",".join(f"{i}{j}" for (i, j), _ in exact_pure_nash(g))
     mixed = mixed_nash(g)
     mixed_tag = str(len(mixed.points))
     if mixed.continua:

@@ -283,6 +283,15 @@ class TestInequalityReport:
         with pytest.raises(ValueError):
             inequality_report(pd, EmpathyMatrix.identity(), (0, 3))
 
+    @pytest.mark.parametrize("cell, same", [
+        ((1.0, 2.0), (1, 2)), ((True, True), (1, 1)), ([2, 1], (2, 1)), ((2.0, True), (2, 1)),
+    ])
+    def test_a_cell_equal_to_one_of_cells_reads_that_cell(self, pd, cell, same):
+        # Each passes the ``CELLS`` membership check, so it must be read as
+        # the cell it equals, not raise on a payoff name built from it.
+        lam = EmpathyMatrix(1, 0.6, 0.3, 1)
+        assert inequality_report(pd, lam, cell) == inequality_report(pd, lam, same)
+
     @given(games, st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]))
     @settings(max_examples=60)
     def test_gap_identity_across_cells(self, g, mu):

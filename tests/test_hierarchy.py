@@ -13,6 +13,7 @@ from empathica import (
     LimitKind,
     analyze_hierarchy,
     anti_coordination_game,
+    berge_solutions,
     outcome_label,
     region_map,
     two_population_equilibria,
@@ -25,15 +26,20 @@ from empathica import (
     level_game,
     matching_pennies,
     prisoners_dilemma,
+    pure_nash,
     spectral_limit,
     structural_epsilons,
     transform,
 )
-from empathica.equilibria import _key_label, _key_signature, _player_key
+from empathica.equilibria import _KEY_PAIRS, _player_key
 from empathica.games import _differences, _powers, _transformed_differences
 from empathica.io import hierarchy_csv, region_csv
 from oracles import (
+    brute_berge,
     edge_games,
+    exact_equilibrium_signature,
+    exact_outcome_label,
+    exact_pure_nash,
     reference_check_consistency,
     reference_equilibrium_signature,
     reference_hierarchy_csv,
@@ -46,7 +52,7 @@ from oracles import (
 
 
 def level_key(g: Game2x2) -> tuple:
-    """The key-pair cache key of a level game: both players' ``_player_key``."""
+    """The key-pair table's key of a level game: both players' ``_player_key``."""
     a1, a2, c1, c2 = _differences(g)
     return (_player_key(a1, a2), _player_key(c1, c2))
 
@@ -398,15 +404,16 @@ class TestLevelsAreLabelledWithoutLevelGames:
 
     @pytest.fixture
     def looked_up(self, monkeypatch):
-        """The key pairs that ``hierarchy`` looks up signatures for, in order."""
+        """The key pairs that ``hierarchy`` reads from the key-pair table, in
+        order."""
         pairs = []
-        real = _key_signature
 
-        def counting(row, col):
-            pairs.append((row, col))
-            return real(row, col)
+        class Counting(dict):
+            def __getitem__(self, pair):
+                pairs.append(pair)
+                return _KEY_PAIRS[pair]
 
-        monkeypatch.setattr("empathica.hierarchy._key_signature", counting)
+        monkeypatch.setattr("empathica.hierarchy._KEY_PAIRS", Counting())
         return pairs
 
     def test_check_consistency(self, built):
@@ -1005,9 +1012,9 @@ class TestSignatureMatchesReference:
 
 
 class TestKeyLabelMatchesReference:
-    """``region_map`` labels every cell from ``_key_label``; it must equal
-    the ``outcome_label`` of the full equilibrium analysis for every pair of
-    keys."""
+    """``region_map`` labels every cell from the key-pair table; each label
+    must equal the ``outcome_label`` of the full equilibrium analysis for
+    every pair of keys."""
 
     def test_every_key_pair(self):
         by_key = _player_payoffs()
@@ -1017,7 +1024,7 @@ class TestKeyLabelMatchesReference:
                 # The column player's payoffs transposed, as above.
                 g = Game2x2(*a, b[0], b[2], b[1], b[3])
                 expected = outcome_label(two_population_equilibria(g, identity))
-                assert _key_label(row_key, col_key) == expected
+                assert _KEY_PAIRS[row_key, col_key].label == expected
 
 
 def _sweeps_and_walks():
@@ -1040,19 +1047,74 @@ def _sweeps_and_walks():
 
 
 class TestKeyPairCaches:
-    """The key-pair labels and signatures are cached once per process: the
-    caches stay within the 9 x 9 key pairs, and warm caches give the same
-    outputs as cold ones."""
+    """The key-pair table fills once per process: it stays within the 9 x 9
+    key pairs, and a warm table gives the same outputs as a cold one."""
 
     def test_bounded_and_pure(self):
-        _key_label.cache_clear()
-        _key_signature.cache_clear()
+        _KEY_PAIRS.clear()
         cold = _sweeps_and_walks()
-        assert _key_label.cache_info().currsize <= 9 * 9
-        assert _key_signature.cache_info().currsize <= 9 * 9
-        # Every pair was met: one game per pair of keys is swept and walked.
-        assert _key_label.cache_info().currsize == 9 * 9
+        # Every pair was met, and no other: one game per pair of keys is
+        # swept and walked.
+        keys = list(itertools.product((-1, 0, 1), repeat=2))
+        assert set(_KEY_PAIRS) == set(itertools.product(keys, repeat=2))
+        assert len(_KEY_PAIRS) == 9 * 9
         assert _sweeps_and_walks() == cold
+
+
+def _keyed_games():
+    """Up to 36 games for each pair of player keys, from ``_player_payoffs``."""
+    by_key = _player_payoffs()
+    return [
+        # The column player's payoffs transposed, as above.
+        Game2x2(*a, b[0], b[2], b[1], b[3])
+        for row, col in itertools.product(by_key.values(), repeat=2)
+        for a, b in itertools.product(row[:6], col[:6])
+    ]
+
+
+def assert_table_readers_match_comparisons(g: Game2x2) -> None:
+    """Every reader of the key-pair table against the exact payoff
+    comparisons.  ``berge_solutions`` reads the table with the keys of the
+    game whose payoff matrices are exchanged, so it is checked on that game
+    too, whose Berge keys are ``g``'s own."""
+    assert [(p.cell, p.strict) for p in pure_nash(g)] == exact_pure_nash(g)
+    exchanged = Game2x2(*g.payoffs()[4:], *g.payoffs()[:4])
+    for h in (g, exchanged):
+        assert berge_solutions(h) == sorted(brute_berge(h))
+    assert equilibrium_signature(g) == exact_equilibrium_signature(g)
+    identity = EmpathyMatrix.identity()
+    assert outcome_label(two_population_equilibria(g, identity)) == exact_outcome_label(g)
+
+
+class TestKeyPairTableReaders:
+    """``pure_nash`` (cells and ``strict`` flags), ``berge_solutions``,
+    ``equilibrium_signature`` and the ``outcome_label`` of a full analysis
+    all read the key-pair table; each must match an exact enumeration of
+    the payoff comparisons."""
+
+    def test_every_key_pair(self):
+        games = _keyed_games()
+        keys = set(_player_payoffs())
+        assert {level_key(g) for g in games} == set(itertools.product(keys, repeat=2))
+        for g in games:
+            assert_table_readers_match_comparisons(g)
+
+    @given(edge_games())
+    @settings(max_examples=500, deadline=None)
+    # Signed zeros, differences that overflow, and subnormal differences.
+    @example(Game2x2(0.0, -0.0, -0.0, 0.0, -0.0, 0.0, 0.0, -0.0))
+    @example(Game2x2(1e308, -1e308, -1e308, 1e308, -1e308, 1e308, 1e308, -1e308))
+    @example(Game2x2(5e-324, 0.0, -5e-324, 0.0, 0.0, -5e-324, 0.0, 5e-324))
+    def test_edge_games(self, g):
+        assert_table_readers_match_comparisons(g)
+
+    def test_records_are_shared_and_lists_are_not(self, pd):
+        first = pure_nash(pd)
+        first.clear()
+        # Doubled payoffs keep every sign, so the same key pair.
+        again = pure_nash(Game2x2(*(2.0 * v for v in pd.payoffs())))
+        assert [(p.cell, p.strict) for p in again] == [((2, 2), True)]
+        assert again[0] is pure_nash(pd)[0]
 
 
 class TestOverflowParity:

@@ -92,6 +92,7 @@ def test_line_coverage_lists_every_line_no_test_runs(tmp_path):
         line.split(": ", 1) for line in proc.stdout.splitlines()
         if line.startswith("src/empathica/")
     )
+    assert set(listed.values()) == {"NOT RUN"}
     script = runpy.run_path(str(ROOT / "scripts" / "line_coverage.py"))
     cli = ROOT / "src" / "empathica" / "cli.py"
     for n in script["executable_lines"](cli):
@@ -99,14 +100,33 @@ def test_line_coverage_lists_every_line_no_test_runs(tmp_path):
     source, first = inspect.getsourcelines(prisoners_dilemma)
     ran = {f"src/empathica/games.py:{n}" for n in range(first, first + len(source))}
     assert ran.isdisjoint(listed)
-    for n in (27, 28, 29):
-        assert listed[f"src/empathica/io.py:{n}"].startswith("allowed: annotation-only import")
+    assert f"{len(listed) + len(script['executable_lines'](cli))} lines never ran" in proc.stdout
 
 
-def test_line_coverage_wants_a_reason_for_each_allowed_line(tmp_path):
-    allowlist = tmp_path / "allow.txt"
-    allowlist.write_text("# a comment\nio.py:27  # no reason\n")
+def test_line_coverage_exempts_only_type_checking_bodies(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "import typing\n"
+        "TYPE_CHECKING = False\n"
+        "if TYPE_CHECKING:\n"
+        "    import json\n"
+        "    import os\n"
+        "else:\n"
+        "    json = None\n"
+        "if typing.TYPE_CHECKING:\n"
+        "    from pathlib import (\n"
+        "        Path,\n"
+        "    )\n"
+        "if json:\n"
+        "    import sys\n"
+    )
     script = runpy.run_path(str(ROOT / "scripts" / "line_coverage.py"))
-    with pytest.raises(SystemExit) as exc:
-        script["read_allowlist"](allowlist)
-    assert str(exc.value) == f"{allowlist}:2: want 'FILE:LINE reason', got 'io.py:27'"
+    assert sorted(script["executable_lines"](source)) == [1, 2, 3, 7, 8, 12, 13]
+    # ``io``'s own annotation-only imports are the package's only exemption.
+    io_source = ROOT / "src" / "empathica" / "io.py"
+    text = io_source.read_text(encoding="utf-8").splitlines()
+    start = text.index("if TYPE_CHECKING:") + 1
+    imports = {start + 1, start + 2, start + 3}
+    assert all(text[n - 1].startswith("    from .") for n in imports)
+    assert imports.isdisjoint(script["executable_lines"](io_source))
+    assert start in script["executable_lines"](io_source)
