@@ -226,6 +226,8 @@ def cmd_hierarchy(args) -> int:
     from . import hierarchy
 
     game, lam = _load(args)
+    if args.kmax < 2:
+        raise ValueError("k_max must be at least 2")
     analysis = hierarchy.analyze_hierarchy(game, lam, k_max=args.kmax)
     verdict = hierarchy.check_consistency(lam, k_max=args.kmax)
     out = _out_path(args, "hierarchy.csv")

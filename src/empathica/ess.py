@@ -171,8 +171,8 @@ class BestResponseSet(_Record):
     def is_point(self) -> bool:
         return self.lo == self.hi
 
-    def contains(self, m: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= m <= self.hi + tol
+    def contains(self, m: float) -> bool:
+        return self.lo <= m <= self.hi
 
 
 _SLOPE_TOL = 1e-12

@@ -125,12 +125,6 @@ class Game2x2(_Record):
         """Build a zero-sum game: the column player's matrix is the negation."""
         return cls.from_matrices(a, [[-a[0][0], -a[0][1]], [-a[1][0], -a[1][1]]])
 
-    def a(self, i: int, j: int) -> float:
-        return getattr(self, f"a{i}{j}")
-
-    def b(self, i: int, j: int) -> float:
-        return getattr(self, f"b{i}{j}")
-
     def payoffs(self) -> tuple[float, float, float, float, float, float, float, float]:
         """The eight payoffs in field order, a11 ... a22 then b11 ... b22."""
         return (self.a11, self.a12, self.a21, self.a22, self.b11, self.b12, self.b21, self.b22)
@@ -460,11 +454,11 @@ _GAP_TOL = 1e-12
 class InequalityReport(_Record):
     """Payoff gap between the players at one joint action, before and after.
 
-    ``lambda_tilde`` is the ratio l12/l21 (None when l21 == 0, in which case
-    ``lambda_tilde_defined`` is False; the verdict is still computed from the
-    gaps).  For weights (1, mu; mu, 1) the transformed gap is exactly
-    (1 - mu) times the original gap, so mu in (0, 2) shrinks the absolute
-    gap and mu < 0 (spite) or mu > 2 widens it.
+    ``lambda_tilde`` is the ratio l12/l21, or None when l21 == 0 (the
+    verdict is still computed from the gaps).  For weights (1, mu; mu, 1)
+    the transformed gap is exactly (1 - mu) times the original gap, so
+    mu in (0, 2) shrinks the absolute gap and mu < 0 (spite) or mu > 2
+    widens it.
 
     With weights (1, l12; l21, 1), writing t = l12/l21 and a, b for the two
     players' payoffs at the cell, the classical per-cell threshold analysis
@@ -478,7 +472,6 @@ class InequalityReport(_Record):
     gap_before: float
     gap_after: float
     lambda_tilde: float | None
-    lambda_tilde_defined: bool
     verdict: InequalityVerdict
 
 
@@ -490,8 +483,7 @@ def inequality_report(g: Game2x2, lam: EmpathyMatrix, cell: tuple[int, int]) -> 
     a, b = _cell_payoffs(g)[key]
     ta, tb = _cell_payoffs(transform(g, lam))[key]
     gap_before, gap_after = a - b, ta - tb
-    defined = lam.l21 != 0.0
-    lambda_tilde = lam.l12 / lam.l21 if defined else None
+    lambda_tilde = lam.l12 / lam.l21 if lam.l21 != 0.0 else None
     if abs(gap_after) < abs(gap_before) - _GAP_TOL:
         verdict = InequalityVerdict.REDUCED
     elif abs(gap_after) > abs(gap_before) + _GAP_TOL:
@@ -502,7 +494,6 @@ def inequality_report(g: Game2x2, lam: EmpathyMatrix, cell: tuple[int, int]) -> 
         gap_before=gap_before,
         gap_after=gap_after,
         lambda_tilde=lambda_tilde,
-        lambda_tilde_defined=defined,
         verdict=verdict,
     )
 

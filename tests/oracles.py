@@ -77,10 +77,16 @@ from empathica.io import GameFileError
 CELLS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
+def payoff_tables(g: Game2x2) -> tuple[dict, dict]:
+    """The row and the column player's payoffs keyed by cell, read from the
+    record's fields."""
+    return ({(1, 1): g.a11, (1, 2): g.a12, (2, 1): g.a21, (2, 2): g.a22},
+            {(1, 1): g.b11, (1, 2): g.b12, (2, 1): g.b21, (2, 2): g.b22})
+
+
 def brute_pure_nash(g: Game2x2) -> set[tuple[int, int]]:
     """Pure equilibria via explicit best-response tables."""
-    a = {(i, j): g.a(i, j) for i, j in CELLS}
-    b = {(i, j): g.b(i, j) for i, j in CELLS}
+    a, b = payoff_tables(g)
     row_br = set()
     for j in (1, 2):
         best = max(a[(1, j)], a[(2, j)])
@@ -111,21 +117,23 @@ def brute_dominated(g: Game2x2) -> set[tuple[int, int]]:
 
 
 def brute_berge(g: Game2x2) -> set[tuple[int, int]]:
+    a, b = payoff_tables(g)
     out = set()
     for i, j in CELLS:
-        if g.a(i, j) == max(g.a(i, 1), g.a(i, 2)) and g.b(i, j) == max(g.b(1, j), g.b(2, j)):
+        if a[i, j] == max(a[i, 1], a[i, 2]) and b[i, j] == max(b[1, j], b[2, j]):
             out.add((i, j))
     return out
 
 
 def brute_pareto(g: Game2x2) -> set[tuple[int, int]]:
+    a, b = payoff_tables(g)
     out = set()
     for c in CELLS:
         dominated = any(
             d != c
-            and g.a(*d) >= g.a(*c)
-            and g.b(*d) >= g.b(*c)
-            and (g.a(*d) > g.a(*c) or g.b(*d) > g.b(*c))
+            and a[d] >= a[c]
+            and b[d] >= b[c]
+            and (a[d] > a[c] or b[d] > b[c])
             for d in CELLS
         )
         if not dominated:
@@ -142,10 +150,11 @@ def exact_pure_nash(g: Game2x2) -> list[tuple[tuple[int, int], bool]]:
     player's payoff at the cell compared with its other action's there: a
     cell where neither pays more, strict where both pay less.  No difference
     is taken, so none can overflow or round."""
+    a, b = payoff_tables(g)
     out = []
     for i, j in CELLS:
-        row = _compare(g.a(i, j), g.a(3 - i, j))
-        col = _compare(g.b(i, j), g.b(i, 3 - j))
+        row = _compare(a[i, j], a[3 - i, j])
+        col = _compare(b[i, j], b[i, 3 - j])
         if row >= 0 and col >= 0:
             out.append(((i, j), row > 0 and col > 0))
     return out
@@ -235,10 +244,11 @@ def ess_invasion_oracle(
     Candidates are a fine grid of the feasible interval plus the exact
     corners and indifference point.  A candidate must be a best reply to
     itself, and must strictly out-earn every alternative best reply inside
-    the post-invasion mix for each tested invasion size.
+    the post-invasion mix for each tested invasion size.  Each candidate is
+    scored against the whole reply grid at once, as a numpy array.
     """
 
-    def payoff(of: float, against: float) -> float:
+    def payoff(of, against):
         pi1 = beta1 * against
         pi2 = beta2 * (1.0 - against)
         return of * pi1 + (1.0 - of) * pi2
@@ -250,22 +260,15 @@ def ess_invasion_oracle(
         candidates.add(beta2 / s)
 
     ess = []
-    reply_grid = sorted(candidates)
+    reply_grid = np.array(sorted(candidates))
     for m in sorted(candidates):
-        best = max(payoff(x, m) for x in reply_grid)
+        earns = payoff(reply_grid, m)
+        best = earns.max()
         if payoff(m, m) < best - 1e-12:
             continue
-        best_replies = [x for x in reply_grid if payoff(x, m) >= best - 1e-12 and x != m]
-        stable = True
-        for eps in eps_values:
-            for x in best_replies:
-                mix = (1.0 - eps) * m + eps * x
-                if payoff(m, mix) <= payoff(x, mix):
-                    stable = False
-                    break
-            if not stable:
-                break
-        if stable:
+        best_replies = reply_grid[(earns >= best - 1e-12) & (reply_grid != m)]
+        mixes = ((1.0 - eps) * m + eps * best_replies for eps in eps_values)
+        if all((payoff(m, mix) > payoff(best_replies, mix)).all() for mix in mixes):
             ess.append(m)
     # Collapse grid-adjacent duplicates of the same point.
     out: list[float] = []

@@ -43,6 +43,7 @@ from empathica.io import load_game_file, resolve_input
 from oracles import (
     brute_dominated,
     grid_symmetric_equilibria,
+    payoff_tables,
     pd_second_threshold,
     pd_threshold,
     random_game,
@@ -136,11 +137,12 @@ def test_criterion_2_payoff_gap_identity():
         rng = random.Random(202)
         for _ in range(1000):
             g = random_game(rng)
+            a, b = payoff_tables(g)
             for mu in (-1.0, 0.0, 0.5, 1.0, 2.0):
-                out = transform(g, EmpathyMatrix(1.0, mu, mu, 1.0))
-                for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
-                    before = g.a(i, j) - g.b(i, j)
-                    after = out.a(i, j) - out.b(i, j)
+                ta, tb = payoff_tables(transform(g, EmpathyMatrix(1.0, mu, mu, 1.0)))
+                for c in a:
+                    before = a[c] - b[c]
+                    after = ta[c] - tb[c]
                     assert abs(after - (1.0 - mu) * before) <= 1e-12
 
 

@@ -661,6 +661,18 @@ class TestHierarchyCommand:
                    "--kmax", "3", "--out", str(out)) == 2
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("kmax", ["0", "1"])
+    def test_kmax_below_two_is_rejected_before_any_walk(self, tmp_path, capsys, kmax):
+        out = tmp_path / "h.csv"
+        assert run("hierarchy", "--input", "pd", "--kmax", kmax, "--out", str(out)) == 2
+        assert capsys.readouterr().err == "empathica: k_max must be at least 2\n"
+        assert list(tmp_path.iterdir()) == []
+        # The input is read first, so a bad file is still exit 1.
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        assert run("hierarchy", "--input", str(bad), "--kmax", kmax, "--out", str(out)) == 1
+        assert list(tmp_path.iterdir()) == [bad]
+
     def test_deepest_finite_level(self, tmp_path):
         out = tmp_path / "h.csv"
         assert run("hierarchy", "--input", "matching_pennies", "--lambda", "10", "0", "0", "10",

@@ -19,6 +19,7 @@ from empathica import (
 from oracles import (
     brute_dominated,
     edge_games,
+    payoff_tables,
     pd_second_threshold,
     pd_threshold,
     random_pd,
@@ -72,10 +73,10 @@ class TestTransform:
     @given(games, st.floats(min_value=-3, max_value=3, allow_nan=False))
     def test_symmetric_cross_weight_scales_the_gap(self, g, mu):
         lam = EmpathyMatrix(1.0, mu, mu, 1.0)
-        out = transform(g, lam)
-        for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
-            before = g.a(i, j) - g.b(i, j)
-            after = out.a(i, j) - out.b(i, j)
+        (a, b), (ta, tb) = payoff_tables(g), payoff_tables(transform(g, lam))
+        for c in a:
+            before = a[c] - b[c]
+            after = ta[c] - tb[c]
             assert after == pytest.approx((1.0 - mu) * before, abs=1e-10)
 
     def test_rejects_non_finite_entries(self):
@@ -272,11 +273,10 @@ class TestInequalityReport:
         rep = inequality_report(pd, EmpathyMatrix.identity(), (2, 1))
         assert rep.gap_after == rep.gap_before
         assert rep.verdict is InequalityVerdict.UNCHANGED
-        assert not rep.lambda_tilde_defined
+        assert rep.lambda_tilde is None
 
     def test_lambda_tilde(self, pd):
         rep = inequality_report(pd, EmpathyMatrix(1, 0.6, 0.3, 1), (1, 2))
-        assert rep.lambda_tilde_defined
         assert rep.lambda_tilde == pytest.approx(2.0)
 
     def test_rejects_bad_cell(self, pd):

@@ -891,6 +891,33 @@ wide_entries = st.builds(
 wide_lams = st.builds(EmpathyMatrix, *([wide_entries] * 4))
 
 
+class TestPureAltruismOverStrictOrdinalGames:
+    """Under pure altruism P = (0, 1; 1, 0) each player takes the other's
+    payoff, so level 2 (P^2 = I) is the game itself and level 1 its
+    exchanged game.  A game is consistent to level 2 exactly where its Berge
+    solutions, the Nash cells of the exchanged game, are its own pure Nash
+    cells (Colman et al., J. Math. Psych. 55, 2011)."""
+
+    P = EmpathyMatrix(0.0, 1.0, 1.0, 0.0)
+
+    def test_consistent_exactly_where_berge_equals_nash(self):
+        ranks = list(itertools.permutations((1.0, 2.0, 3.0, 4.0)))
+        games = [Game2x2(*pa, *pb) for pa in ranks for pb in ranks]
+        consistent = [g for g in games if analyze_hierarchy(g, self.P, 2).consistent_up_to_k]
+        berge_is_nash = [
+            g for g in games if berge_solutions(g) == [eq.cell for eq in pure_nash(g)]
+        ]
+        assert len(games) == 576
+        assert len(consistent) == 184
+        assert consistent == berge_is_nash
+
+    def test_battery_is_inconsistent_at_level_two_on_the_dilemma(self):
+        verdict = check_consistency(self.P, 2)
+        assert verdict.label == "Inconsistent"
+        assert (verdict.first_bad_k, verdict.witness_index) == (2, 0)
+        assert default_battery()[0] == prisoners_dilemma()
+
+
 class TestMemoisedWalksMatchReference:
     @given(
         tie_games,

@@ -64,7 +64,6 @@ SAMPLES = {
         gap_before=-5.0,
         gap_after=-2.5,
         lambda_tilde=None,
-        lambda_tilde_defined=False,
         verdict=InequalityVerdict.REDUCED,
     ),
     PureEquilibrium: dict(cell=(2, 1), strict=True),
@@ -255,3 +254,11 @@ def test_post_init_checks_run_once_the_fields_are_set():
     message = r"^profile coordinates must lie in \[0,1\], got MixedProfile\(x=2.0, y=0.5\)$"
     with pytest.raises(ValueError, match=message):
         MixedProfile(x=2.0, y=0.5)
+
+
+def test_a_game_cell_is_read_from_its_field_alone():
+    # No method names a payoff by its cell indices: the fields, the matrices
+    # and ``payoffs()`` are the readers.
+    assert not hasattr(PD, "a") and not hasattr(PD, "b")
+    assert PD.row_matrix()[1][0] == PD.a21 == 5.0
+    assert list(inspect.signature(BestResponseSet.contains).parameters) == ["self", "m"]
