@@ -31,7 +31,6 @@ opponent population's current mix, pi_bar the population average):
 from __future__ import annotations
 
 import math
-import sys
 
 from .games import (
     Classification,
@@ -66,6 +65,7 @@ _RATE_FLOOR = 2.220446049250313e-16  # machine epsilon floor for the step cap
 _CONV_TOL = 1e-9  # a step is still when its change is below this times its rate
 _WINDOW = 25  # consecutive still steps that declare convergence
 _RATES_OVERFLOW = "the switch rates overflow the float range for this game"
+_CYCLE_EPS = 1e-3  # the cycle scan's cell size and return radius
 
 
 class PopulationState(_Record):
@@ -397,10 +397,10 @@ def _rule(proto: RevisionProtocol, game: Game2x2):
 
 
 def _detect_cycle(
-    p1s: list[float], p2s: list[float], arc: list[float], eps: float
+    p1s: list[float], p2s: list[float], arc: list[float]
 ) -> tuple[bool, float | None]:
     """Return-proximity test: a post-transient state re-enters an eps-ball of
-    an earlier state with at least 10*eps of arc length in between.
+    an earlier state, eps = ``_CYCLE_EPS``, with 10*eps of arc in between.
 
     ``arc[i]`` is the max-norm arc length from the first state to state i,
     the running sum of the per-step changes ``simulate`` computes for its
@@ -416,16 +416,15 @@ def _detect_cycle(
     gap, no ``arc[i] - arc[j]`` of a later candidate j is either.
 
     Cell (kx, ky) is filed under the integer kx * width + ky.  States lie in
-    [0, 1], so |ky| <= int(1 / |eps|) and every ky a neighbourhood reaches
+    [0, 1], so 0 <= ky <= int(1 / eps) and every ky a neighbourhood reaches
     fits in ``width`` consecutive integers: no two cells there share a key.
     """
     n = len(p1s)
     start = n // 10
     if n - start < 3:
         return (False, None)
-    # An eps of 0 or NaN raises here as x / eps would below.  1/|eps|
-    # overflows only for a subnormal eps, where |ky| <= int(float max).
-    width = int(min(1.0 / abs(eps), sys.float_info.max)) + 3
+    eps = _CYCLE_EPS
+    width = int(1.0 / eps) + 3
     around = [dx * width + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
     min_gap = 10.0 * eps
     episodes: dict[int, list[int]] = {}
@@ -455,7 +454,6 @@ def simulate(
     game: Game2x2,
     steps: int,
     detect_cycles: bool = True,
-    cycle_eps: float = 1e-3,
 ) -> Trajectory:
     """Iterate the dynamics for ``steps`` updates or until convergence.
 
@@ -486,7 +484,7 @@ def simulate(
     cycle = False
     period: float | None = None
     if not converged and detect_cycles:
-        cycle, period = _detect_cycle(p1s, p2s, arc, cycle_eps)
+        cycle, period = _detect_cycle(p1s, p2s, arc)
     diag = Diagnostics(
         converged=converged,
         limit_point=PopulationState(p1, p2) if converged else None,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from enum import Enum
 
 from .equilibria import _KEY_PAIRS, _player_key
@@ -40,8 +41,14 @@ _CAUCHY_TOL = 1e-12
 _UNDERFLOW_SCALE = 2.0**-511
 
 
-def _overflows(m: Entries) -> bool:
-    return max(map(abs, m)) > _DIVERGENCE_GUARD
+def _guarded_powers(lam: EmpathyMatrix, k_max: int) -> Iterator[Entries]:
+    """``_powers``, ended before the first power after lam^1 past the guard."""
+    powers = _powers(lam, k_max)
+    yield next(powers)
+    for m in powers:
+        if max(map(abs, m)) > _DIVERGENCE_GUARD:
+            return
+        yield m
 
 
 def _times_pow2(x: float, e: int) -> float:
@@ -127,10 +134,11 @@ def spectral_limit(lam: EmpathyMatrix, k_max: int) -> SpectralRecord:
     """Eigenvalues in closed form (trace/determinant) and the behavior of the
     power sequence: Zero when the spectral radius is below one, Converges
     when successive powers become Cauchy within ``k_max``, Diverges when the
-    radius exceeds one or entries blow past an overflow guard, Oscillates
-    otherwise.  A radius within 1e-12 of one counts as one on both sides, so
-    an idempotent profile whose computed radius rounds just below one still
-    walks its powers."""
+    radius exceeds one or the overflow guard ends the walk, Oscillates
+    otherwise.  A radius within 1e-12 of one counts as one, so an idempotent
+    profile whose radius rounds just below one still walks its powers.  A
+    power past the float range raises as in ``check_consistency``, before the
+    guard reads it: (1, 1e308; 0, 1) raises on lam^2 when ``k_max`` >= 2."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     ev, rho = _eigenvalues(lam)
@@ -150,16 +158,14 @@ def spectral_limit(lam: EmpathyMatrix, k_max: int) -> SpectralRecord:
         return SpectralRecord(ev, rho, LimitKind.ZERO, EmpathyMatrix(0.0, 0.0, 0.0, 0.0))
     if rho > 1.0 + _UNIT_RADIUS_BAND:
         return SpectralRecord(ev, rho, LimitKind.DIVERGES, None)
-    powers = _powers(lam, k_max)
-    prev = next(powers)
-    for cur in powers:
-        if _overflows(cur):
-            return SpectralRecord(ev, rho, LimitKind.DIVERGES, None)
-        diff = max(abs(a - b) for a, b in zip(cur, prev))
-        if diff < _CAUCHY_TOL:
+    walk = _guarded_powers(lam, k_max)
+    k, prev = 1, next(walk)
+    for k, cur in enumerate(walk, 2):
+        if max(abs(a - b) for a, b in zip(cur, prev)) < _CAUCHY_TOL:
             return SpectralRecord(ev, rho, LimitKind.CONVERGES, EmpathyMatrix(*cur))
         prev = cur
-    return SpectralRecord(ev, rho, LimitKind.OSCILLATES, None)
+    kind = LimitKind.DIVERGES if k < k_max else LimitKind.OSCILLATES
+    return SpectralRecord(ev, rho, kind, None)
 
 
 def _structural_base(lam: EmpathyMatrix) -> float | None:
@@ -259,8 +265,8 @@ def check_consistency(
     if not games:
         raise ValueError("battery must be non-empty")
 
-    powers = _powers(lam, k_max)
-    lam_1 = next(powers)  # level 1 is the reference
+    walk = _guarded_powers(lam, k_max)
+    lam_1 = next(walk)  # level 1 is the reference
     probes = []  # (differences, level-1 row key, level-1 column key, level-1 signature)
     for g in games:
         differences = _transformed_differences(g)
@@ -269,19 +275,14 @@ def check_consistency(
         probes.append((differences, row1, col1, _KEY_PAIRS[row1, col1].signature))
     witness: tuple[int, int, str] | None = None  # (k, battery index, sig_k)
     levels_checked = 1
-    guard_hit = False
-    for k, lam_k in enumerate(powers, 2):
-        if _overflows(lam_k):
-            guard_hit = True
-            break
-        levels_checked = k
+    for levels_checked, lam_k in enumerate(walk, 2):
         for i, (differences, row1, col1, sig1) in enumerate(probes):
             a1, a2, c1, c2 = differences(*lam_k)
             row, col = _player_key(a1, a2), _player_key(c1, c2)
             if row != row1 or col != col1:
                 sig = _KEY_PAIRS[row, col].signature
                 if sig != sig1:
-                    witness = (k, i, sig)
+                    witness = (levels_checked, i, sig)
                     break
         if witness is not None:
             break
@@ -296,7 +297,7 @@ def check_consistency(
         witness=None if idx is None else games[idx],
         witness_signatures=None if idx is None else (probes[idx][3], sig_k),
         levels_checked=levels_checked,
-        guard_hit=guard_hit,
+        guard_hit=witness is None and levels_checked < k_max,
         structurally_consistent=eps is not None,
         epsilons=_epsilon_powers(eps, k_max),
     )

@@ -71,6 +71,7 @@ from empathica import (
     mixed_nash,
     transform,
 )
+from empathica.dynamics import _CYCLE_EPS
 from empathica.hierarchy import LevelRecord
 from empathica.io import GameFileError
 
@@ -533,11 +534,10 @@ def reference_simulate(
     game: Game2x2,
     steps: int,
     detect_cycles: bool = True,
-    cycle_eps: float = 1e-3,
 ) -> Trajectory:
     """``simulate`` with the dynamics kernel as a function called once per
     step, its convergence test written out, and ``reference_detect_cycle``
-    as its cycle scan.  ``simulate`` must give the same states and
+    at the package's cell size as its cycle scan.  ``simulate`` must give the same states and
     diagnostics bit for bit, or raise the same error."""
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -565,7 +565,7 @@ def reference_simulate(
             consecutive = 0
     cycle, period = (False, None)
     if not converged and detect_cycles:
-        cycle, period = reference_detect_cycle(p1s, p2s, cycle_eps)
+        cycle, period = reference_detect_cycle(p1s, p2s, _CYCLE_EPS)
     diag = Diagnostics(
         converged=converged,
         limit_point=PopulationState(p1s[-1], p2s[-1]) if converged else None,

@@ -27,7 +27,7 @@ from empathica import (
     vector_field,
 )
 from empathica import dynamics
-from empathica.dynamics import _detect_cycle
+from empathica.dynamics import _CYCLE_EPS, _detect_cycle
 from empathica.io import fixtures_dir, load_game_file, phase_portrait_svg, vector_field_csv
 from oracles import (
     random_game,
@@ -599,7 +599,8 @@ class TestCompiledCode:
 
 class TestCycleScan:
     """simulate's cycle flags against the reference scan, which builds its own
-    arc-length prefix and looks up nine cells for every state."""
+    arc-length prefix and looks up nine cells for every state, both at the
+    package's one cell size."""
 
     @staticmethod
     def arc_prefix(p1s, p2s):
@@ -608,10 +609,10 @@ class TestCycleScan:
             arc.append(arc[-1] + max(abs(p1s[i] - p1s[i - 1]), abs(p2s[i] - p2s[i - 1])))
         return arc
 
-    def assert_matches_reference(self, traj, eps):
+    def assert_matches_reference(self, traj):
         diag = traj.diagnostics
         assert not diag.converged
-        ref = reference_detect_cycle(list(traj.p1), list(traj.p2), eps)
+        ref = reference_detect_cycle(list(traj.p1), list(traj.p2), _CYCLE_EPS)
         assert (diag.cycle_detected, diag.cycle_period_estimate) == ref
         return ref[0]
 
@@ -620,10 +621,8 @@ class TestCycleScan:
         found = set()
         for proto in protos:
             for sched in (LearningSchedule.constant(0.05), LearningSchedule.harmonic(0.5)):
-                for eps in (1e-3, 1e-2):
-                    traj = simulate(PopulationState(0.3, 0.6), proto, sched, mp,
-                                    steps=4000, cycle_eps=eps)
-                    found.add(self.assert_matches_reference(traj, eps))
+                traj = simulate(PopulationState(0.3, 0.6), proto, sched, mp, steps=4000)
+                found.add(self.assert_matches_reference(traj))
         assert found == {True, False}
 
     def test_random_games(self):
@@ -641,48 +640,37 @@ class TestCycleScan:
             proto = rng.choice(protos)
             sched = rng.choice((LearningSchedule.constant(rng.uniform(0.01, 2.0)),
                                 LearningSchedule.harmonic(rng.uniform(0.1, 2.0))))
-            eps = rng.choice((1e-3, 1e-2))
             traj = simulate(PopulationState(rng.random(), rng.random()), proto, sched, g,
-                            steps=rng.choice((1, 2, 3, 30, 600, 3000)), cycle_eps=eps)
+                            steps=rng.choice((1, 2, 3, 30, 600, 3000)))
             if not traj.diagnostics.converged:
-                found.add(self.assert_matches_reference(traj, eps))
+                found.add(self.assert_matches_reference(traj))
         assert found == {True, False}
 
     def test_short_runs_take_the_too_short_branch(self, mp):
         traj = simulate(PopulationState(0.3, 0.6), RevisionProtocol.smith(),
                         LearningSchedule.constant(0.05), mp, steps=1)
-        assert self.assert_matches_reference(traj, 1e-3) is False
+        assert self.assert_matches_reference(traj) is False
         for n in range(4):
             p1s = [0.5] * n
-            assert _detect_cycle(p1s, p1s, self.arc_prefix(p1s, p1s), 0.1) == (False, None)
+            assert _detect_cycle(p1s, p1s, self.arc_prefix(p1s, p1s)) == (False, None)
 
     def test_oscillation_inside_one_cell(self):
-        # Every state lies in cell (0, 0) and each step adds 1/16 of arc, so
-        # the first state after the transient must be matched 21 steps later
-        # (21/16 > 10 * eps = 1.25), by a state that never changes cell.
-        eps = 0.125
-        p1s = [0.0625 * (k % 2) for k in range(40)]
+        # Every state lies in cell (0, 0) and each step adds 2^-11 of arc,
+        # exactly, so the first state after the transient must be matched 21
+        # steps later (20 * 2^-11 < 10 * eps = 0.01 < 21 * 2^-11), by a
+        # state that never changes cell.
+        p1s = [2.0**-11 * (k % 2) for k in range(40)]
         p2s = [0.0] * 40
-        got = _detect_cycle(p1s, p2s, self.arc_prefix(p1s, p2s), eps)
-        assert got == reference_detect_cycle(p1s, p2s, eps) == (True, 21.0)
-
-    @pytest.mark.parametrize("eps", [1e-9, 2.5, math.inf, -0.25])
-    def test_extreme_and_negative_eps(self, mp, eps):
-        # 2.5 and inf put the whole square in one cell, 1e-9 spreads a run
-        # over about 1e9 cells per axis, and a negative eps matches nothing.
-        traj = simulate(PopulationState(0.3, 0.6), RevisionProtocol.replicator(),
-                        LearningSchedule.constant(0.05), mp, steps=3000, detect_cycles=False)
-        flip = [float(k % 2) for k in range(60)]
-        for p1s, p2s in ((list(traj.p1), list(traj.p2)), (flip, flip[::-1])):
-            got = _detect_cycle(p1s, p2s, self.arc_prefix(p1s, p2s), eps)
-            assert got == reference_detect_cycle(p1s, p2s, eps)
+        got = _detect_cycle(p1s, p2s, self.arc_prefix(p1s, p2s))
+        assert got == reference_detect_cycle(p1s, p2s, _CYCLE_EPS) == (True, 21.0)
 
     def test_cells_a_narrow_key_would_merge(self):
-        # At eps 1e-9 the row index ky runs from 0 to m = int(1 / eps).  Keyed
-        # as kx * w + ky with w <= m, cells (kx, m) and (kx + 1, m - w) would
-        # share a key: the step from a to b would not enter a cell, b would
-        # not be filed, and the return to b would go unseen.
-        eps = 1e-9
+        # The row index ky runs from 0 to m = int(1 / eps) = 1000, and the
+        # scan keys cell (kx, ky) as kx * 1003 + ky.  Keyed as kx * w + ky
+        # with w <= m, cells (kx, m) and (kx + 1, m - w) would share a key:
+        # the step from a to b would not enter a cell, b would not be filed,
+        # and the return to b would go unseen.
+        eps = _CYCLE_EPS
         m = int(1.0 / eps)
         kx = int(0.5 / eps)
         for w in (1, 2, 3, m // 2, m - 1, m):
@@ -690,39 +678,37 @@ class TestCycleScan:
             assert (int(b[0] / eps), int(b[1] / eps)) == (kx + 1, m - w)
             p1s = [0.5, b[0], 0.1, b[0]]
             p2s = [1.0, b[1], 0.1, b[1]]
-            got = _detect_cycle(p1s, p2s, self.arc_prefix(p1s, p2s), eps)
+            got = _detect_cycle(p1s, p2s, self.arc_prefix(p1s, p2s))
             assert got == reference_detect_cycle(p1s, p2s, eps) == (True, 2.0)
 
-    @pytest.mark.parametrize(
-        "p1s, eps",
-        [([0.1, 0.2, 0.3, 0.4], 0.0), ([0.1, 0.2, 0.3, 0.4], math.nan),
-         ([0.1, math.nan, 0.3, 0.4], 1e-3)],
-        ids=["eps-0", "eps-nan", "nan-state"],
-    )
-    def test_raises_as_the_reference(self, p1s, eps):
+    @pytest.mark.parametrize("p1s", [[0.1, math.nan, 0.3, 0.4]], ids=["nan-state"])
+    def test_raises_as_the_reference(self, p1s):
         def raised(scan, *args):
             with pytest.raises(Exception) as exc:
-                scan(p1s, p1s, *args, eps)
+                scan(p1s, p1s, *args)
             return (type(exc.value), str(exc.value))
 
         got = raised(_detect_cycle, self.arc_prefix(p1s, p1s))
-        assert got == raised(reference_detect_cycle)
+        assert got == raised(reference_detect_cycle, _CYCLE_EPS)
 
     @given(
-        st.lists(
-            st.tuples(st.integers(0, 20), st.integers(0, 20)).map(
-                lambda c: (c[0] / 20, c[1] / 20)
-            ),
-            max_size=60,
+        # Lattice points 1, 1/2 or 1/6 of a cell apart, so that states share
+        # cells and sit in neighbouring ones.
+        st.sampled_from((1, 2, 6)).flatmap(
+            lambda per_cell: st.lists(
+                st.tuples(st.integers(0, 20), st.integers(0, 20)).map(
+                    lambda c: (c[0] * _CYCLE_EPS / per_cell, c[1] * _CYCLE_EPS / per_cell)
+                ),
+                max_size=60,
+            )
         ),
-        st.sampled_from((0.05, 0.1, 0.3)),
     )
     @settings(max_examples=300)
-    def test_drawn_sequences(self, states, eps):
+    def test_drawn_sequences(self, states):
         p1s = [x for x, _ in states]
         p2s = [y for _, y in states]
-        got = _detect_cycle(p1s, p2s, self.arc_prefix(p1s, p2s), eps)
-        assert got == reference_detect_cycle(p1s, p2s, eps)
+        got = _detect_cycle(p1s, p2s, self.arc_prefix(p1s, p2s))
+        assert got == reference_detect_cycle(p1s, p2s, _CYCLE_EPS)
 
 
 class TestVectorField:

@@ -891,6 +891,13 @@ wide_entries = st.builds(
 wide_lams = st.builds(EmpathyMatrix, *([wide_entries] * 4))
 
 
+def strict_ordinal_games() -> list[Game2x2]:
+    """The 576 strict ordinal 2x2 games: each player's payoffs are a
+    permutation of 1..4."""
+    ranks = list(itertools.permutations((1.0, 2.0, 3.0, 4.0)))
+    return [Game2x2(*pa, *pb) for pa in ranks for pb in ranks]
+
+
 class TestPureAltruismOverStrictOrdinalGames:
     """Under pure altruism P = (0, 1; 1, 0) each player takes the other's
     payoff, so level 2 (P^2 = I) is the game itself and level 1 its
@@ -901,8 +908,7 @@ class TestPureAltruismOverStrictOrdinalGames:
     P = EmpathyMatrix(0.0, 1.0, 1.0, 0.0)
 
     def test_consistent_exactly_where_berge_equals_nash(self):
-        ranks = list(itertools.permutations((1.0, 2.0, 3.0, 4.0)))
-        games = [Game2x2(*pa, *pb) for pa in ranks for pb in ranks]
+        games = strict_ordinal_games()
         consistent = [g for g in games if analyze_hierarchy(g, self.P, 2).consistent_up_to_k]
         berge_is_nash = [
             g for g in games if berge_solutions(g) == [eq.cell for eq in pure_nash(g)]
@@ -910,6 +916,21 @@ class TestPureAltruismOverStrictOrdinalGames:
         assert len(games) == 576
         assert len(consistent) == 184
         assert consistent == berge_is_nash
+
+    @pytest.mark.parametrize("mu, count", [(0.0, 576), (0.5, 576), (1.0, 184)])
+    def test_the_mu_line_where_every_arithmetic_agrees(self, mu, count):
+        # Lam_mu = (1 - mu, mu; mu, 1 - mu) has lam^k = J/2 + (1 - 2 mu)^k K/2,
+        # J all ones and K = (1, -1; -1, 1).  At mu = 0 (the identity) and
+        # mu = 1/2 (J/2) every power is a positive multiple of lam, so every
+        # game keeps its level-1 signature; mu = 1 is pure altruism.  These
+        # three counts are also the exact ones, unlike the floats' counts at
+        # the other multiples of 1/8.
+        lam = EmpathyMatrix(1.0 - mu, mu, mu, 1.0 - mu)
+        walks = (analyze_hierarchy(g, lam, 200) for g in strict_ordinal_games())
+        consistent = sum(walk.consistent_up_to_k for walk in walks)
+        assert consistent == count
+        structural = "StructurallyConsistent" if count == 576 else "Inconsistent"
+        assert check_consistency(lam, 200).label == structural
 
     def test_battery_is_inconsistent_at_level_two_on_the_dilemma(self):
         verdict = check_consistency(self.P, 2)
@@ -1183,3 +1204,34 @@ class TestOverflowParity:
         message = "ValueError: l11 must be a finite real number, got inf"
         assert _outcome(check_consistency, lam, 5) == message
         assert _outcome(reference_check_consistency, lam, 5) == message
+
+    def test_spectral_limit(self):
+        # A unit radius walks the powers, and lam^2's l12 = 2e308 leaves the
+        # float range before the 1e12 guard can read it; a walk of one level
+        # forms no product.
+        lam = EmpathyMatrix(1.0, 1e308, 0.0, 1.0)
+        message = "ValueError: l12 must be a finite real number, got inf"
+        assert _outcome(spectral_limit, lam, 3) == message
+        assert spectral_limit(lam, 1).limit_kind is LimitKind.OSCILLATES
+
+
+class TestKnownFloatDefects:
+    """Answers the float power walk gets wrong, asserted exactly, so that a
+    hierarchy that decides its levels exactly turns each into a pass."""
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "lam^324 underflows to the zero matrix, whose level games are all "
+        "ties, though every power is a positive multiple of lam"))
+    def test_underflow_reads_as_inconsistent(self):
+        lam = EmpathyMatrix(0.05, 0.05, 0.05, 0.05)
+        verdict = check_consistency(lam, 400)
+        assert verdict.structurally_consistent
+        assert verdict.consistent_up_to_k
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the rounded powers of (0.75, 0.25; 0.25, 0.75) make a payoff "
+        "difference that is exactly nonzero read as a tie from level 51 on"))
+    def test_rounded_powers_read_as_degenerate(self):
+        g = Game2x2(1, 2, 3, 4, 1, 2, 4, 3)
+        walk = analyze_hierarchy(g, EmpathyMatrix(0.75, 0.25, 0.25, 0.75), 60)
+        assert set(walk.signatures) == {"class=DominantStrategy|pure=21|mixed=0"}
