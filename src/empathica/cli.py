@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -256,8 +257,27 @@ def cmd_hierarchy(args) -> int:
     return 0
 
 
+_DIGITS = r"\d(?:_?\d)*"
+# A negative number in any of float's decimal forms: -1, -0.5, -.5, -1.,
+# -1e-3, -2E-1, -1_000.  -inf and -nan stay option strings.
+_NEGATIVE_NUMBER = re.compile(
+    rf"-(?:{_DIGITS}\.?(?:{_DIGITS})?|\.{_DIGITS})(?:[eE][+-]?{_DIGITS})?\Z"
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the subparsers it makes, that read a negative
+    number in any decimal form as a value.  Before Python 3.14, argparse's
+    own pattern takes ``-1e-3`` for an option string, so ``--lambda 1 -1e-3
+    0 1`` would find one weight too few."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="empathica",
         description="Analyze empathy-weighted 2x2 bimatrix games.",
     )

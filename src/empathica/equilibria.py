@@ -426,6 +426,8 @@ def region_map(
     large enough that one might not be, every grid point is read first, once
     and in order, so that the first error is the one a row-major walk of
     every cell raises, and ``_axis_signs`` takes each sign from its float.
+    Where the two ranges are equal as floats, the map's ``l12_values`` and
+    ``l21_values`` are one tuple.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -440,7 +442,8 @@ def region_map(
         if not lo < hi:
             raise ValueError(f"{name}: ranges must satisfy lo < hi, got {(lo, hi)!r}")
     l12s = _linspace(*l12_range, resolution)
-    l21s = _linspace(*l21_range, resolution)
+    # Equal ranges give bit-identical grids, so the two axes share one tuple.
+    l21s = l12s if l21_range == l12_range else _linspace(*l21_range, resolution)
 
     # Each read gives the four differences of the game at one grid cell,
     # pairing its value with the first value of the other axis.

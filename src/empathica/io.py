@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import os
 from pathlib import Path
 
@@ -233,7 +234,9 @@ def vector_field_csv(field: VectorField) -> str:
 
 
 def region_csv(rmap: RegionMap) -> str:
-    """Rows in ``rmap.rows()`` order; each axis value is formatted once.
+    """Rows in ``rmap.rows()`` order; each axis value is formatted once, and
+    a grid that both axes share (``l21_values is l12_values``, as
+    ``region_map`` gives for equal ranges) is formatted once for both.
 
     The lines of one map row differ from those of another only in their
     l21 text, so each run of equal label rows is laid out once, as the
@@ -241,12 +244,17 @@ def region_csv(rmap: RegionMap) -> str:
     every map row of the run is those pieces joined by its ``,l21,``.
     """
     l12s = [repr(float(l12)) for l12 in rmap.l12_values]
-    l21s = iter(rmap.l21_values)
+    # Not an equality test: 0.0 == -0.0, but the two have different texts.
+    if rmap.l21_values is rmap.l12_values:
+        l21s = iter(l12s)
+    else:
+        l21s = (repr(float(l21)) for l21 in rmap.l21_values)
+    heads = ["\n" + l12 for l12 in l12s[1:]]
     lines = ["l12,l21,label"]
     for labels, run in itertools.groupby(rmap.labels):
-        pieces = [l12s[0], *map("{}\n{}".format, labels, l12s[1:]), labels[-1]]
+        pieces = [l12s[0], *map(operator.add, labels, heads), labels[-1]]
         # ``run`` comes first, so that its end takes no l21 from the next run.
-        lines += [f",{float(l21)!r},".join(pieces) for _, l21 in zip(run, l21s)]
+        lines += [f",{l21},".join(pieces) for _, l21 in zip(run, l21s)]
     lines.append("")
     return "\n".join(lines)
 

@@ -397,6 +397,53 @@ class TestEssCommand:
         assert capsys.readouterr().err == "empathica: the constraint makes every strategy infeasible\n"
 
 
+class TestNegativeNumbers:
+    """A float option reads a negative number in exponent form, which
+    argparse's own pattern takes for an option string before Python 3.14,
+    as it reads the same number in decimal form."""
+
+    @pytest.mark.parametrize("argv, exponent, decimal", [
+        (["solve", "--input", "pd", "--lambda", "1", "{}", "0", "1"], "-1e-3", "-0.001"),
+        (["transform", "--input", "pd", "--lambda", "{}", "0.5", "0.5", "1"], "-2E-1", "-0.2"),
+        (["classify", "--input", "pd", "--lambda", "1", "0", "{}", "1"], "-1.5e0", "-1.5"),
+        (["simulate", "--input", "matching_pennies", "--steps", "50",
+          "--lambda", "1", "0", "{}", "1"], "-5e-1", "-0.5"),
+        (["field", "--input", "pd", "--grid", "5", "--lambda", "1", "0", "0", "{}"],
+         "-.5E+0", "-0.5"),
+        (["hierarchy", "--input", "pd", "--lambda", "0.5", "{}", "0.25", "0.5"],
+         "-2.5e-1", "-0.25"),
+        (["ess", "--input", "anti_coordination", "--sigma", "{}", "--mu", "1"], "-1E0", "-1"),
+        (["ess", "--input", "anti_coordination", "--sigma", "1", "--mu", "{}"], "-2E-1", "-0.2"),
+        (["ess", "--input", "anti_coordination", "--sigma", "1", "--mu", "0",
+          "--c1", "{}", "--c2", "1", "--V", "0.5"], "-1e-3", "-0.001"),
+        (["ess", "--input", "anti_coordination", "--sigma", "1", "--mu", "0",
+          "--c1", "1", "--c2", "{}", "--V", "0.5"], "-2.5E-1", "-0.25"),
+        (["ess", "--input", "anti_coordination", "--sigma", "1", "--mu", "0",
+          "--c1", "-1", "--c2", "2", "--V", "{}"], "-1e-1", "-0.1"),
+    ])
+    def test_exponent_form_gives_the_decimal_forms_output(self, tmp_path, argv, exponent,
+                                                          decimal):
+        outputs = []
+        for text in (exponent, decimal):
+            out_dir = tmp_path / text
+            out_dir.mkdir()
+            assert run(*(a.format(text) for a in argv), "--out", str(out_dir / "out")) == 0
+            outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--input", "pd", "--rate", "{}"],
+        ["simulate", "--input", "pd", "--start", "{}", "0.5"],
+        ["classify", "--input", "pd", "--tie-tol", "{}"],
+    ])
+    def test_an_invalid_negative_gets_the_librarys_message(self, tmp_path, capsys, argv):
+        errors = []
+        for text in ("-1e-3", "-0.001"):
+            assert run(*(a.format(text) for a in argv), "--out", str(tmp_path / "out")) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and errors[0].startswith("empathica: ")
+
+
 class TestSimulateCommand:
     def test_trajectory_and_diagnostics(self, tmp_path):
         out = tmp_path / "run.csv"

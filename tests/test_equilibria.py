@@ -640,6 +640,40 @@ class TestLinspace:
         g = Game2x2(3, 0, 5, 1, 1e-300, 2e-300, 0, 1e-300)
         assert_matches_per_cell(g, (-1e308, 1e308), (-1, 2), 9)
 
+    @given(ends | st.sampled_from([0.0, -0.0]), ends | st.sampled_from([0.0, -0.0]),
+           st.integers(2, 40))
+    @example(-0.0, 1.0, 7)
+    @example(-1.0, -0.0, 7)
+    @settings(max_examples=300, deadline=None)
+    def test_equal_ranges_give_one_grid(self, lo, hi, n):
+        # Ends equal as floats, zeros of either sign, give the same bits, so
+        # ``region_map`` may share one grid between equal ranges.
+        lo, hi = min(lo, hi), max(lo, hi)
+        if not lo < hi:
+            return
+        twin = [-lo if lo == 0.0 else lo, -hi if hi == 0.0 else hi]
+        assert [x.hex() for x in equilibria._linspace(lo, hi, n)] == [
+            x.hex() for x in equilibria._linspace(*twin, n)
+        ]
+
+    @pytest.mark.parametrize("l12_range, l21_range, shared", [
+        ((-1, 2), (-1.0, 2.0), True),
+        ((-0.0, 1.0), (0.0, 1.0), True),
+        ((0.0, 1.0), (-0.0, 1.0), True),
+        ((-1.0, -0.0), (-1.0, 0.0), True),
+        ((-1.0, 2.0), (-1.0, 2.5), False),
+    ])
+    def test_region_map_shares_the_grid_of_equal_ranges(self, pd, l12_range, l21_range,
+                                                        shared):
+        rmap = region_map(pd, l12_range, l21_range, 7)
+        assert (rmap.l21_values is rmap.l12_values) is shared
+        # Each axis has the values, and the CSV the texts, of its own grid.
+        alone = [equilibria._linspace(float(lo), float(hi), 7) for lo, hi in (l12_range, l21_range)]
+        assert [[x.hex() for x in axis] for axis in (rmap.l12_values, rmap.l21_values)] == [
+            [x.hex() for x in axis] for axis in alone
+        ]
+        assert region_csv(rmap) == reference_region_csv(RegionMap(*alone, rmap.labels))
+
 
 class TestRegionMapBuildsNoGames:
     """Each solve reads the differences from the weights and payoffs; a game
@@ -823,19 +857,25 @@ _LABEL = st.sampled_from(["11", "22", "12+21+mixed", "11+22+mixed", "mixed", "no
 @st.composite
 def region_maps(draw) -> RegionMap:
     """Hand-built maps whose label rows are often shared, by the same tuple
-    or by an equal copy, and sometimes all distinct."""
+    or by an equal copy, and sometimes all distinct; the two axes are
+    sometimes one tuple, as ``region_map`` gives for equal ranges."""
     n = draw(st.integers(1, 8))
-    rows = draw(st.integers(1, 8))
+    shared = draw(st.booleans())
+    rows = n if shared else draw(st.integers(1, 8))
     pool = draw(st.lists(st.tuples(*[_LABEL] * n), min_size=1, max_size=3))
     labels = []
     for _ in range(rows):
         row = draw(st.sampled_from(pool) | st.tuples(*[_LABEL] * n))
         labels.append(tuple(list(row)) if draw(st.booleans()) else row)
-    return RegionMap(
-        l12_values=tuple(draw(st.lists(_AXIS, min_size=n, max_size=n))),
-        l21_values=tuple(draw(st.lists(_AXIS, min_size=rows, max_size=rows))),
-        labels=tuple(labels),
-    )
+    l12_values = tuple(draw(st.lists(_AXIS, min_size=n, max_size=n)))
+    if shared:
+        l21_values = l12_values
+    else:
+        l21_values = tuple(draw(st.lists(_AXIS, min_size=rows, max_size=rows)))
+    return RegionMap(l12_values=l12_values, l21_values=l21_values, labels=tuple(labels))
+
+
+_SHARED = (-0.0, 0.5, 2.0)
 
 
 class TestRegionCsvMatchesReference:
@@ -846,6 +886,11 @@ class TestRegionCsvMatchesReference:
     @example(RegionMap((-0.0, 0.5), (-0.0, 0.0, 1.0), (("none", "11"),) * 3))
     @example(RegionMap((0.0, 1.0), (2.0,), (("22", "none"),)))
     @example(RegionMap((-1.0, -0.0, 2.0), (-0.0, 3.0), (("none",) * 3, ("11", "22", "mixed"))))
+    # Axes that are one tuple are formatted once for both.
+    @example(RegionMap(_SHARED, _SHARED, (("11", "none", "11"),) * 2 + (("22",) * 3,)))
+    # Equal-valued axes that are two tuples, one with 0.0 where the other has
+    # -0.0: each zero keeps its own text.
+    @example(RegionMap((0.0, 1.5), (-0.0, 1.5), (("none", "11"),) * 2))
     @settings(max_examples=300, deadline=None)
     def test_same_bytes(self, rmap):
         assert region_csv(rmap) == reference_region_csv(rmap)
